@@ -2,17 +2,17 @@
 
 Edges whose marked neighbourhoods are isomorphic (marks onto marks, in
 orientation) share one kernel. Per class, the kernel must commute with every
-marked automorphism of the representative neighbourhood; the solution space
-is found as an SVD nullspace and parameterized by weights per basis element
-and channel pair. Kernels at members are obtained by transporting the
-representative kernel with the class isomorphism.
+marked automorphism of the representative neighbourhood. For permutation
+representations the commuting kernels are spanned exactly by the indicators
+of the group's orbits on (head-ball coordinate, tail-ball coordinate) pairs,
+so the basis is read off the generators' action with no numerical solve, and
+is parameterized by weights per basis element and channel pair. Kernels at
+members are obtained by transporting the representative kernel with the
+class isomorphism, which permutes its rows and columns.
 
-Vectorization convention: kernels are vectorized row-major (C order), so the
-constraint contributed by an automorphism chi reads
-``kron(Q, I) - kron(I, P.T)`` acting on vec(k), where Q and P are the head
-and tail permutation actions. Channel multiplicities never enter the solve:
-the constraint decouples per channel pair, so bases are solved once per
-(kind, kind) part pair on single-channel actions.
+Channel multiplicities never enter the solve: the constraint decouples per
+channel pair, so bases are found once per (kind, kind) part pair on
+single-channel actions.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .errors import NodeLookupError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .graph_core import (
     AutGenerators,
     ConcreteGraph,
@@ -38,14 +40,7 @@ from .neighbourhoods import (
     node_neighbourhood,
     restrict_edge_iso,
 )
-from .representations import (
-    RepSpec,
-    rep_matrix,
-    structural_dim,
-    structural_perm,
-)
-
-NULLSPACE_REL_TOL = 1e-8
+from .representations import RepSpec, rep_index, rep_matrix, structural_dim
 
 
 def _mark_colors(nb: EdgeNeighbourhood) -> dict[int, int]:
@@ -63,11 +58,6 @@ def locate_edge(nb: EdgeNeighbourhood) -> tuple[bytes, dict[int, int]]:
     """
     form = canonical_form(nb.graph, colors=_mark_colors(nb))
     return form.encoding, form.relabel_map
-
-
-def marked_edge_key(nb: EdgeNeighbourhood) -> bytes:
-    """Canonical encoding of an edge neighbourhood with its marks as colors."""
-    return locate_edge(nb)[0]
 
 
 @dataclass(frozen=True)
@@ -127,14 +117,6 @@ def _transport_from_relab(ec: EdgeClass, nb: EdgeNeighbourhood, relab: dict[int,
     return GraphIso.build(ec.representative.graph, nb.graph, inverse)
 
 
-def transport_to(nb: EdgeNeighbourhood, ec: EdgeClass) -> GraphIso:
-    """Isomorphism from the class representative onto ``nb`` (marks onto marks)."""
-    key, relab = locate_edge(nb)
-    if key != ec.key:
-        raise NodeLookupError("neighbourhood does not belong to this class")
-    return _transport_from_relab(ec, nb, relab)
-
-
 def classify_edges(
     corpus: list[ConcreteGraph], a: NeighbourhoodAssignment
 ) -> list[EdgeClass]:
@@ -152,62 +134,11 @@ def classify_edges(
     return list(classes.values())
 
 
-# ---------------------------------------------------------------------------
-# Constraint systems and bases
-# ---------------------------------------------------------------------------
-
-
-def _nullspace(rows: np.ndarray, dim: int, rel_tol: float) -> np.ndarray:
-    """Orthonormal nullspace basis, rows of shape (null_dim, dim)."""
-    if rows.shape[0] == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(dim)
-    nonzero = int(np.sum(s > rel_tol * s[0]))
-    return vt[nonzero:]
-
-
-def _structural_rows(
-    ec: EdgeClass, kind_out: str, kind_in: str
-) -> tuple[np.ndarray, int, int]:
-    n_in = structural_dim(kind_in, ec.tail_nb.graph.n)
-    n_out = structural_dim(kind_out, ec.head_nb.graph.n)
-    blocks = []
-    for chi, (chi_tail, chi_head) in zip(ec.group, ec.group_restrictions):
-        if chi.is_identity():
-            continue
-        p_mat = structural_perm(kind_in, chi_tail)
-        q_mat = structural_perm(kind_out, chi_head)
-        blocks.append(np.kron(q_mat, np.eye(n_in)) - np.kron(np.eye(n_out), p_mat.T))
-    if not blocks:
-        return np.zeros((0, n_out * n_in)), n_out, n_in
-    return np.vstack(blocks), n_out, n_in
-
-
-def constraint_matrix(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> np.ndarray:
-    """Full stacked system L vec(k) = 0 over the whole automorphism group.
-
-    Uses the full representation matrices (channels included); row-major
-    vectorization. Identity automorphisms contribute nothing and are
-    dropped, so a trivial group yields a zero-row system.
-    """
-    d_in = sum(structural_dim(k, ec.tail_nb.graph.n) * c for k, c in rho.parts)
-    d_out = sum(structural_dim(k, ec.head_nb.graph.n) * c for k, c in rho_prime.parts)
-    blocks = []
-    for chi, (chi_tail, chi_head) in zip(ec.group, ec.group_restrictions):
-        if chi.is_identity():
-            continue
-        p_full = rep_matrix(rho, chi_tail).entries
-        q_full = rep_matrix(rho_prime, chi_head).entries
-        blocks.append(np.kron(q_full, np.eye(d_in)) - np.kron(np.eye(d_out), p_full.T))
-    if not blocks:
-        return np.zeros((0, d_out * d_in))
-    return np.vstack(blocks)
-
-
 @dataclass(frozen=True)
 class PairBasis:
+    """Orbit basis of the kernels from one input part to one output part, on
+    single-channel actions; all ``c_out * c_in`` channel pairs share it."""
+
     out_part: int
     in_part: int
     kind_out: str
@@ -270,59 +201,65 @@ class KernelBasis:
         return out
 
 
-def solve_basis(
-    ec: EdgeClass,
-    rho: RepSpec,
-    rho_prime: RepSpec,
-    rel_tol: float = NULLSPACE_REL_TOL,
-    check_generators: bool = False,
-) -> KernelBasis:
-    """Solve the automorphism constraint over the full enumerated group.
+def _orbit_basis(actions: list[tuple[np.ndarray, np.ndarray]], n_out: int, n_in: int) -> np.ndarray:
+    """Normalized orbit indicators of the flat entries of an (n_out, n_in) kernel.
 
-    With ``check_generators`` the nullspace is re-solved from the generators
-    alone and the two solution spaces are asserted equal (projector match),
-    guarding against generating-set bugs.
+    Each action is a (head, tail) pair of index maps moving entry (a, b) to
+    (head[a], tail[b]); the orbits are the connected components of the graph
+    joining every entry to its images.
     """
+    dim = n_out * n_in
+    images = np.array(
+        [(head[:, None] * n_in + tail[None, :]).reshape(-1) for head, tail in actions], dtype=np.intp
+    ).reshape(len(actions), dim)
+    # row e of the adjacency lists entry e's image under every action
+    links = csr_matrix(
+        (np.ones(images.size), images.T.reshape(-1), np.arange(dim + 1) * len(actions)),
+        shape=(dim, dim),
+    )
+    rank, labels = connected_components(links, directed=False)
+    sizes = np.bincount(labels, minlength=rank)
+    elements = np.zeros((rank, dim))
+    elements[labels, np.arange(dim)] = 1.0 / np.sqrt(sizes[labels])
+    return elements.reshape(rank, n_out, n_in)
+
+
+def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
+    """Exact orthonormal basis of the kernels commuting with the class's
+    marked automorphisms.
+
+    Each part pair's basis holds the orbit indicators of the generators'
+    action on its entries, scaled to unit Frobenius norm. The group is never
+    enumerated, and the rank equals the trace of the group-average projector
+    (Burnside's lemma).
+    """
+    rep = ec.representative
+    restrictions = [
+        (
+            restrict_edge_iso(chi, rep, rep, "tail", ec.assignment),
+            restrict_edge_iso(chi, rep, rep, "head", ec.assignment),
+        )
+        for chi in ec.aut.generators
+    ]
+    n_in, n_out = ec.tail_nb.graph.n, ec.head_nb.graph.n
     struct_cache: dict[tuple[str, str], np.ndarray] = {}
     pair_bases = []
     for j, (kind_out, c_out) in enumerate(rho_prime.parts):
         for i, (kind_in, c_in) in enumerate(rho.parts):
             kinds = (kind_out, kind_in)
             if kinds not in struct_cache:
-                rows, n_out, n_in = _structural_rows(ec, kind_out, kind_in)
-                flat = _nullspace(rows, n_out * n_in, rel_tol)
-                struct_cache[kinds] = flat.reshape(-1, n_out, n_in)
-                if check_generators:
-                    gen_set = _generator_rows(ec, kind_out, kind_in)
-                    gen_flat = _nullspace(gen_set, n_out * n_in, rel_tol)
-                    _assert_same_span(flat, gen_flat)
+                spec_out, spec_in = RepSpec(((kind_out, 1),)), RepSpec(((kind_in, 1),))
+                actions = [
+                    (rep_index(spec_out, head), rep_index(spec_in, tail))
+                    for tail, head in restrictions
+                ]
+                struct_cache[kinds] = _orbit_basis(
+                    actions, structural_dim(kind_out, n_out), structural_dim(kind_in, n_in)
+                )
             pair_bases.append(
                 PairBasis(j, i, kind_out, kind_in, c_out, c_in, struct_cache[kinds])
             )
     return KernelBasis(ec, rho, rho_prime, tuple(pair_bases))
-
-
-def _generator_rows(ec: EdgeClass, kind_out: str, kind_in: str) -> np.ndarray:
-    rep = ec.representative
-    n_in = structural_dim(kind_in, ec.tail_nb.graph.n)
-    n_out = structural_dim(kind_out, ec.head_nb.graph.n)
-    blocks = []
-    for chi in ec.aut.generators:
-        p_mat = structural_perm(kind_in, restrict_edge_iso(chi, rep, rep, "tail", ec.assignment))
-        q_mat = structural_perm(kind_out, restrict_edge_iso(chi, rep, rep, "head", ec.assignment))
-        blocks.append(np.kron(q_mat, np.eye(n_in)) - np.kron(np.eye(n_out), p_mat.T))
-    if not blocks:
-        return np.zeros((0, n_out * n_in))
-    return np.vstack(blocks)
-
-
-def _assert_same_span(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ValidationError(
-            f"generator-only solve disagrees with full-group solve: {b.shape[0]} vs {a.shape[0]}"
-        )
-    if a.shape[0] and np.max(np.abs(a.T @ a - b.T @ b)) > 1e-8:
-        raise ValidationError("generator-only nullspace spans a different subspace")
 
 
 @dataclass
@@ -376,9 +313,10 @@ class SharedKernel:
     def realize_from_transport(self, nb: EdgeNeighbourhood, transport: GraphIso) -> np.ndarray:
         """Transported kernel for a member neighbourhood.
 
-        ``transport`` runs from the class representative onto ``nb``; the
-        kernel is conjugated by the representation matrices of its endpoint
-        restrictions.
+        ``transport`` runs from the class representative onto ``nb``. The
+        representative kernel's rows and columns are moved to where the head
+        and tail restrictions of the transport send them, which equals
+        conjugating it by their representation matrices.
         """
         cache_key = transport.mapping
         hit = self._realized.get(cache_key)
@@ -387,29 +325,15 @@ class SharedKernel:
         ec = self.basis.edge_class
         psi_tail = restrict_edge_iso(transport, ec.representative, nb, "tail", ec.assignment)
         psi_head = restrict_edge_iso(transport, ec.representative, nb, "head", ec.assignment)
-        p_mat = rep_matrix(self.basis.rho, psi_tail).entries
-        q_mat = rep_matrix(self.basis.rho_prime, psi_head).entries
-        realized = q_mat @ self.representative_kernel() @ p_mat.T
+        rows = rep_index(self.basis.rho_prime, psi_head)
+        cols = rep_index(self.basis.rho, psi_tail)
+        realized = np.empty((rows.size, cols.size))
+        realized[np.ix_(rows, cols)] = self.representative_kernel()
         self._realized[cache_key] = realized
         return realized
 
     def invalidate_cache(self) -> None:
         self._realized.clear()
-
-
-def realize_kernel(shared: SharedKernel, member: ClassMember) -> np.ndarray:
-    """Realized kernel for a registered class member."""
-    ec = shared.basis.edge_class
-    if member not in ec.members:
-        raise NodeLookupError("member does not belong to this kernel's class")
-    nb = EdgeNeighbourhood(
-        member.transport.target,
-        (
-            member.transport.apply(ec.representative.marked[0]),
-            member.transport.apply(ec.representative.marked[1]),
-        ),
-    )
-    return shared.realize_from_transport(nb, member.transport)
 
 
 CACHE_VERSION = 1
@@ -501,5 +425,5 @@ def eq4_residual(shared: SharedKernel) -> float:
         p_mat = rep_matrix(shared.basis.rho, chi_tail).entries
         q_mat = rep_matrix(shared.basis.rho_prime, chi_head).entries
         for k in mats:
-            worst = max(worst, float(np.linalg.norm(q_mat @ k - k @ p_mat)))
+            worst = max(worst, float(np.sqrt(np.sum((q_mat @ k - k @ p_mat) ** 2))))
     return worst

@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso, validate_iso
@@ -90,17 +89,21 @@ def rep_dim(spec: RepSpec, nb: NodeNeighbourhood | EdgeNeighbourhood) -> int:
     return sum(structural_dim(kind, n) * c for kind, c in spec.parts)
 
 
-def structural_perm(kind: str, psi: GraphIso) -> np.ndarray:
-    """The action of psi on one structural part, channels stripped."""
-    if kind == "trivial":
-        return np.eye(1)
-    src = psi.source.nodes
-    tgt_index = {v: i for i, v in enumerate(psi.target.nodes)}
-    n = len(src)
-    perm = np.zeros((n, n))
-    for s_i, u in enumerate(src):
-        perm[tgt_index[psi.map[u]], s_i] = 1.0
-    return perm
+def rep_index(spec: RepSpec, psi: GraphIso) -> np.ndarray:
+    """Where psi sends each coordinate under spec.
+
+    Source coordinate i goes to target coordinate ``rep_index(spec, psi)[i]``.
+    This is the whole action: the matrix that :func:`rep_matrix` assigns has
+    a single one per column, at these rows.
+    """
+    tgt_rank = {v: i for i, v in enumerate(psi.target.nodes)}
+    node_perm = np.array([tgt_rank[psi.map[u]] for u in psi.source.nodes], dtype=np.intp)
+    pieces, offset = [], 0
+    for kind, c in spec.parts:
+        perm = node_perm if kind == "standard" else np.zeros(1, dtype=np.intp)
+        pieces.append(offset + (perm[:, None] * c + np.arange(c)).reshape(-1))
+        offset += perm.size * c
+    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,13 @@ class RepMatrix:
 
 
 def rep_matrix(spec: RepSpec, psi: GraphIso) -> RepMatrix:
-    """Block matrix of psi's action under spec (permutation blocks per part)."""
+    """Permutation matrix of psi's action under spec."""
     if not validate_iso(psi):
         raise ValidationError("psi does not preserve edges")
-    blocks = []
-    for kind, c in spec.parts:
-        perm = structural_perm(kind, psi)
-        blocks.append(np.kron(perm, np.eye(c)) if c > 1 else perm)
-    entries = block_diag(*blocks)
-    return RepMatrix(entries.shape[1], entries.shape[0], entries)
+    index = rep_index(spec, psi)
+    entries = np.zeros((index.size, index.size))
+    entries[index, np.arange(index.size)] = 1.0
+    return RepMatrix(index.size, index.size, entries)
 
 
 @dataclass

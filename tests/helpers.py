@@ -55,8 +55,9 @@ def random_relabeling(rng: np.random.Generator, g: ConcreteGraph, fresh_ids: boo
 
 def group_average_projector(ec, rho, rho_prime) -> np.ndarray:
     """Brute-force projector onto constraint solutions: average over the whole
-    group of the action k -> Q k P^{-1}, i.e. (1/|A|) sum kron(Q, P) on
-    row-major vec(k). Independent of the SVD nullspace route."""
+    group of the action k -> Q k P^{-1}, i.e. (1/|A|) sum kron(Q, P) acting
+    on ``k.reshape(-1)``. Independent of the orbit basis, which the solver
+    builds from the generators alone."""
     from ngn.representations import rep_matrix
 
     mats = []

@@ -1,24 +1,21 @@
+import time
+
 import numpy as np
 import pytest
 
-from ngn.errors import NodeLookupError
-from ngn.graph_core import ConcreteGraph, automorphism_generators, find_iso, from_undirected
+from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, find_iso, from_undirected
 from ngn.kernel_solver import (
     EdgeClass,
     SharedKernel,
     class_cache_from_dict,
     class_cache_to_dict,
     classify_edges,
-    constraint_matrix,
     eq4_residual,
     locate_edge,
-    marked_edge_key,
-    realize_kernel,
     solve_basis,
-    transport_to,
 )
-from ngn.neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, edge_neighbourhood
-from ngn.representations import RepSpec
+from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, restrict_edge_iso
+from ngn.representations import RepSpec, parse_rep_spec, rep_matrix
 
 from helpers import (
     cycle_graph,
@@ -39,12 +36,14 @@ def bowtie():
     return from_undirected([0, 1, 2, 3], [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
 
 
-def solve_for(g, p, q, rho=STD, rho_prime=STD, **kw):
-    classes = classify_edges([g], K1)
-    nb = edge_neighbourhood(g, p, q, K1)
-    key = marked_edge_key(nb)
-    ec = next(c for c in classes if c.key == key)
-    return ec, solve_basis(ec, rho, rho_prime, **kw)
+def class_of(g, p, q):
+    key, _ = locate_edge(edge_neighbourhood(g, p, q, K1))
+    return next(c for c in classify_edges([g], K1) if c.key == key)
+
+
+def solve_for(g, p, q, rho=STD, rho_prime=STD):
+    ec = class_of(g, p, q)
+    return ec, solve_basis(ec, rho, rho_prime)
 
 
 class TestClassify:
@@ -83,39 +82,6 @@ class TestClassify:
         keys_a = {ec.key for ec in classify_edges([g], K1)}
         keys_b = {ec.key for ec in classify_edges([phi.target], K1)}
         assert keys_a == keys_b
-
-
-class TestConstraintMatrix:
-    def test_trivial_group_yields_zero_rows(self):
-        g = ConcreteGraph.build([0, 1], [(0, 1)])
-        ec, _ = solve_for(g, 0, 1)
-        assert len(ec.group) == 1
-        assert constraint_matrix(ec, STD, STD).shape[0] == 0
-
-    def test_trivial_reps_give_identically_zero_system(self):
-        ec, _ = solve_for(bowtie(), 0, 1, TRIV, TRIV)
-        mat = constraint_matrix(ec, TRIV, TRIV)
-        assert mat.shape[1] == 1
-        assert np.all(mat == 0)
-
-    def test_vec_convention_matches_direct_evaluation(self):
-        # row-major vec: stacking L @ vec(k) must equal vec(Q k - k P) per
-        # automorphism, evaluated directly as matrix products
-        from ngn.representations import rep_matrix
-
-        rng = np.random.default_rng(2)
-        ec, basis = solve_for(bowtie(), 0, 1)
-        L = constraint_matrix(ec, STD, STD)
-        d_out, d_in = basis.dims
-        k = rng.standard_normal((d_out, d_in))
-        direct_blocks = []
-        for chi, (chi_tail, chi_head) in zip(ec.group, ec.group_restrictions):
-            if chi.is_identity():
-                continue
-            p_mat = rep_matrix(STD, chi_tail).entries
-            q_mat = rep_matrix(STD, chi_head).entries
-            direct_blocks.append((q_mat @ k - k @ p_mat).reshape(-1))
-        assert np.allclose(L @ k.reshape(-1), np.concatenate(direct_blocks), atol=1e-12)
 
 
 class TestSolveBasis:
@@ -165,12 +131,37 @@ class TestSolveBasis:
         shared = SharedKernel.random(basis, np.random.default_rng(0))
         assert eq4_residual(shared) < 1e-10
 
-    def test_generator_only_solve_agrees(self):
-        solve_for(bowtie(), 0, 1, check_generators=True)
+    def test_basis_spans_projector_range(self):
+        # the orbit basis must span the same space as the full-group oracle,
+        # not just have its rank: its own projector equals the group average
         rng = np.random.default_rng(4)
         g = random_graph(rng, 7, 0.5)
-        p, q = sorted(g.edges)[0]
-        solve_for(g, p, q, check_generators=True)
+        cases = [
+            (bowtie(), (0, 1), STD, STD),
+            (g, sorted(g.edges)[0], STD, STD),
+            (bowtie(), (0, 1), parse_rep_spec("trivial*2+standard*1"),
+             parse_rep_spec("standard*1+trivial*1")),
+        ]
+        for graph, (p, q), rho, rho_prime in cases:
+            ec, basis = solve_for(graph, p, q, rho, rho_prime)
+            flat = [b.reshape(-1) for b in basis.basis_matrices()]
+            own = sum(np.outer(b, b) for b in flat)
+            assert np.max(np.abs(own - group_average_projector(ec, rho, rho_prime))) < 1e-12
+
+    def test_large_group_solved_without_enumeration(self):
+        # a degree-7 tail whose six other neighbours are interchangeable:
+        # 720 marked automorphisms, found from generators alone
+        g = from_undirected(range(10), [(0, i) for i in range(1, 8)] + [(1, 8), (8, 9)])
+        ec = class_of(g, 0, 1)
+        t0 = time.perf_counter()
+        basis = solve_basis(ec, STD, STD)
+        elapsed = time.perf_counter() - t0
+        assert "group" not in ec.__dict__
+        assert elapsed < 1.0
+        assert len(ec.group) == 720
+        assert basis.rank == 9
+        assert basis.rank == projector_rank(group_average_projector(ec, STD, STD))
+        assert eq4_residual(SharedKernel.random(basis, np.random.default_rng(0))) < 1e-10
 
     def test_channel_multiplicity_scales_rank(self):
         rho = RepSpec.standard(2)
@@ -210,14 +201,14 @@ class TestAssembly:
 
 class TestRealize:
     def test_zero_weights_realize_zero(self):
-        ec, basis = solve_for(cycle_graph(0, 1, 2), 0, 1)
+        g = cycle_graph(0, 1, 2)
+        ec, basis = solve_for(g, 0, 1)
         shared = SharedKernel.zeros(basis)
         for member in ec.members:
-            assert np.all(realize_kernel(shared, member) == 0.0)
+            nb = edge_neighbourhood(g, *member.edge, K1)
+            assert np.all(shared.realize_from_transport(nb, member.transport) == 0.0)
 
     def test_representative_member_unchanged(self):
-        from ngn.graph_core import GraphIso
-
         ec, basis = solve_for(bowtie(), 0, 1)
         shared = SharedKernel.random(basis, np.random.default_rng(1))
         rep = ec.representative
@@ -227,19 +218,13 @@ class TestRealize:
         )
         # transporting along a marked automorphism also fixes the kernel,
         # because the kernel satisfies the class constraint
-        auto = transport_to(rep, ec)
+        auto = ec.aut.generators[0]
+        assert not auto.is_identity()
         assert np.allclose(
             shared.realize_from_transport(rep, auto),
             shared.representative_kernel(),
             atol=1e-12,
         )
-
-    def test_unknown_member_raises(self):
-        ec, basis = solve_for(bowtie(), 0, 1)
-        other_ec, _ = solve_for(cycle_graph(0, 1, 2), 0, 1)
-        shared = SharedKernel.random(basis, np.random.default_rng(2))
-        with pytest.raises(NodeLookupError):
-            realize_kernel(shared, other_ec.members[0])
 
     def test_realized_kernel_lies_in_member_own_solution_space(self):
         # independent per-member solve: transporting the representative kernel
@@ -261,7 +246,7 @@ class TestRealize:
             proj = sum(
                 np.outer(b.reshape(-1), b.reshape(-1)) for b in own_basis.basis_matrices()
             )
-            k = realize_kernel(shared, member).reshape(-1)
+            k = shared.realize_from_transport(nb, member.transport).reshape(-1)
             assert np.allclose(proj @ k, k, atol=1e-10)
 
     def test_transport_consistency_under_alternate_representative(self):
@@ -285,7 +270,7 @@ class TestRealize:
         assert alt_basis.rank == basis.rank
 
         probe = edge_neighbourhood(g, 0, 1, K1)
-        t_main = transport_to(probe, ec)
+        t_main = next(m.transport for m in ec.members if m.edge == (0, 1))
         t_alt = find_iso(alt_nb.graph, probe.graph, pins=list(zip(alt_nb.marked, probe.marked)))
         assert t_alt is not None
 
@@ -306,6 +291,26 @@ class TestRealize:
         p_alt = span_projector(None, probe, t_alt, alt_basis)
         assert np.max(np.abs(p_main - p_alt)) < 1e-8
 
+
+    def test_index_transport_bit_identical_to_dense_conjugation(self):
+        rng = np.random.default_rng(9)
+        corpus = [random_graph(rng, int(rng.integers(5, 9)), 0.4) for _ in range(3)]
+        specs = [parse_rep_spec(t) for t in ("standard*1", "trivial*2+standard*3", "standard*2+trivial*1")]
+        checked = 0
+        for g in corpus:
+            for ec in classify_edges([g], K1):
+                for rho, rho_prime in zip(specs, specs[1:] + specs[:1]):
+                    shared = SharedKernel.random(solve_basis(ec, rho, rho_prime), rng)
+                    k = shared.representative_kernel()
+                    for member in ec.members:
+                        nb = edge_neighbourhood(g, *member.edge, K1)
+                        psi_tail = restrict_edge_iso(member.transport, ec.representative, nb, "tail", K1)
+                        psi_head = restrict_edge_iso(member.transport, ec.representative, nb, "head", K1)
+                        q_mat = rep_matrix(rho_prime, psi_head).entries
+                        dense = q_mat @ k @ rep_matrix(rho, psi_tail).entries.T
+                        assert np.array_equal(shared.realize_from_transport(nb, member.transport), dense)
+                        checked += 1
+        assert checked >= 50
 
 def _set_flat_weights(shared: SharedKernel, flat: np.ndarray) -> None:
     at = 0
@@ -331,6 +336,23 @@ class TestCache:
             got = loaded[key]
             assert np.allclose(got.representative_kernel(), sk.representative_kernel())
             assert got.basis.rank == sk.basis.rank
+
+    def test_rotated_basis_still_loads(self):
+        # a cache written by an SVD solver holds some other orthonormal basis
+        # of the same space; it must load and keep its kernel in that space
+        rng = np.random.default_rng(10)
+        rho = parse_rep_spec("trivial*1+standard*2")
+        ec, basis = solve_for(bowtie(), 0, 1, rho, STD)
+        payload = class_cache_to_dict([SharedKernel.random(basis, rng)])
+        for entry in payload["entries"][0]["pair_bases"]:
+            elements = np.array(entry["elements"]).reshape(entry["shape"][0], -1)
+            rotation, _ = np.linalg.qr(rng.standard_normal((elements.shape[0],) * 2))
+            rotated = rotation @ elements
+            assert not np.allclose(rotated, elements)
+            entry["elements"] = rotated.reshape(entry["shape"]).tolist()
+        got = class_cache_from_dict(payload)[(ec.key, str(rho), str(STD))]
+        assert got.basis.rank == basis.rank
+        assert eq4_residual(got) < 1e-10
 
     def test_version_checked(self):
         with pytest.raises(Exception):
