@@ -157,13 +157,29 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
+def sum_into_rows(idx: np.ndarray, n_rows: int, dtype) -> sp.csr_matrix:
+    """Sparse S of shape (n_rows, len(idx)) with S[idx[k], k] = 1.
+
+    ``S @ v`` adds row k of v into row idx[k] of a zero buffer. Each row of
+    the canonical CSR lists its columns in increasing k, and scipy adds a
+    row's terms in that order, starting from zero, so every sum is the same
+    float, bit for bit, as adding the rows one at a time in index order.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    counts = np.bincount(idx, minlength=n_rows)
+    if counts.size > n_rows:
+        raise ShapeError(f"row index {idx.max()} out of range for {n_rows} rows")
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.argsort(idx, kind="stable")
+    return sp.csr_matrix((np.ones(idx.size, dtype=dtype), cols, indptr), shape=(n_rows, idx.size))
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+        a._accumulate(sum_into_rows(idx, a.data.shape[0], g.dtype) @ g)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -171,8 +187,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def scatter_add_rows(values: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
     """Rows of ``values`` added into a fresh (n_rows, C) buffer at ``idx``."""
     idx = np.asarray(idx, dtype=np.intp)
-    out_data = np.zeros((n_rows,) + values.data.shape[1:], dtype=values.data.dtype)
-    np.add.at(out_data, idx, values.data)
+    out_data = sum_into_rows(idx, n_rows, values.data.dtype) @ values.data
 
     def backward(g):
         values._accumulate(g[idx])
@@ -205,12 +220,11 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sparse_mix(a: Tensor, mat: sp.spmatrix) -> Tensor:
-    """Multiply by a constant sparse matrix: out = mat @ a."""
-    csr = mat.tocsr()
-    csr_t = csr.T.tocsr()
+    """Multiply by a constant sparse matrix: out = mat @ a, in a's dtype."""
+    csr = mat.tocsr().astype(a.data.dtype, copy=False)
 
     def backward(g):
-        a._accumulate(csr_t @ g)
+        a._accumulate(csr.T @ g)
 
     return _make(csr @ a.data, (a,), backward)
 
@@ -220,9 +234,7 @@ def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int) -> Tensor:
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
     counts = np.bincount(seg_ids, minlength=n_segments).astype(a.data.dtype)
     safe = np.maximum(counts, 1.0)
-    sums = np.zeros((n_segments,) + a.data.shape[1:], dtype=a.data.dtype)
-    np.add.at(sums, seg_ids, a.data)
-    out_data = sums / safe[:, None]
+    out_data = (sum_into_rows(seg_ids, n_segments, a.data.dtype) @ a.data) / safe[:, None]
 
     def backward(g):
         a._accumulate((g / safe[:, None])[seg_ids])

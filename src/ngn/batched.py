@@ -4,12 +4,16 @@ The per-edge reference in ``message_net`` is quadratic in Python overhead;
 here every edge neighbourhood of every graph is laid out as a row range of
 one big buffer, so a whole forward pass is a handful of numpy/scipy calls:
 gather (embed), sparse matmul (neighbour mean), dense matmuls (weights),
-gather (project), scatter-add (aggregate). The same plan drives the
-differentiable path (autodiff Tensors) and a pure-numpy inference path with
-optional edge chunking to bound memory on large lattices.
+gather (project), and the aggregate, a product with the 0/1 CSR matrix of
+``autodiff.sum_into_rows`` that adds each edge's messages into its head's
+block. The same plan drives the differentiable path (autodiff Tensors) and
+a pure-numpy inference path with optional edge chunking to bound memory on
+large lattices.
 
 Row layouts are fixed and deterministic: node blocks ordered by (graph,
-node id, ball node id); edge copies ordered by (graph, head, tail).
+node id, ball node id); edge copies ordered by (graph, head, tail). Chunks
+end only where the head changes, so each output row takes all its messages
+from one chunk, summed in edge order; chunking never changes a result.
 """
 
 from __future__ import annotations
@@ -291,12 +295,25 @@ def gcn2_layer_numpy(
     chunk_edges: int | None = None,
     aggregation: str = "sum",
 ) -> np.ndarray:
-    """Inference-only NGN layer; optionally processed in edge chunks."""
+    """Inference-only NGN layer; optionally processed in edge chunks.
+
+    A chunk takes ``chunk_edges`` edges and then runs on to the end of its
+    last head node's edges, so it can hold up to (largest in-degree - 1)
+    more. Every output row then takes all its messages from one chunk, in
+    one CSR sum over that chunk, and the result is bit-identical for every
+    ``chunk_edges``.
+    """
     out = np.zeros((plan.node_rows, net.out_channels), dtype=x.dtype)
     n_edges = plan.edge_count
+    # edges are sorted by (graph, head, tail), and an edge's first projection
+    # target is the first row of its head's block: runs of equal targets are
+    # the heads' runs of edges
+    head_row = plan.out_x[plan.proj_ptr[:-1]]
+    run_starts = np.append(np.flatnonzero(np.diff(head_row)) + 1, n_edges)
     step = n_edges if chunk_edges is None else max(1, chunk_edges)
-    for e0 in range(0, n_edges, step):
-        e1 = min(e0 + step, n_edges)
+    e0 = 0
+    while e0 < n_edges:
+        e1 = int(run_starts[np.searchsorted(run_starts, e0 + step)]) if e0 + step < n_edges else n_edges
         r0, r1 = plan.edge_row_ptr[e0], plan.edge_row_ptr[e1]
         a0, a1 = plan.emb_ptr[e0], plan.emb_ptr[e1]
         p0, p1 = plan.proj_ptr[e0], plan.proj_ptr[e1]
@@ -308,7 +325,11 @@ def gcn2_layer_numpy(
             y = y @ layer.w_self + (mix @ y) @ layer.w_neigh + layer.bias
             if not layer.final:
                 y = np.maximum(y, 0.0)
-        np.add.at(out, plan.out_x[p0:p1], y[plan.proj_y[p0:p1] - r0])
+        # aggregate into the chunk's window of output rows
+        targets = plan.out_x[p0:p1]
+        x0, x1 = targets.min(), targets.max() + 1
+        out[x0:x1] += ad.sum_into_rows(targets - x0, x1 - x0, x.dtype) @ y[plan.proj_y[p0:p1] - r0]
+        e0 = e1
     if aggregation == "mean":
         out = out * plan.node_in_inv[:, None].astype(x.dtype)
     return out

@@ -67,9 +67,7 @@ def classifier_logits(
         x = gcn2_layer_tensor(plan, params, x, prefix=f"ngn{layer}", aggregation=cfg.aggregation)
         if layer < cfg.ngn_layers - 1:
             x = ad.relu(x)
-    node_feats = ad.segment_mean(x, plan.node_seg, plan.n_nodes_total)
-    graph_feats = ad.segment_mean(node_feats, plan.graph_of_node, len(plan.graphs))
-    return ad.add(ad.matmul(graph_feats, params["head/w"]), params["head/b"])
+    return ad.add(ad.matmul(_mean_pool(plan, x), params["head/w"]), params["head/b"])
 
 
 def classifier_logits_numpy(
@@ -81,16 +79,13 @@ def classifier_logits_numpy(
         x = gcn2_layer_numpy(plan, net, x, aggregation=cfg.aggregation)
         if layer < cfg.ngn_layers - 1:
             x = np.maximum(x, 0.0)
-    node_feats = _segment_mean_np(x, plan.node_seg, plan.n_nodes_total)
-    graph_feats = _segment_mean_np(node_feats, plan.graph_of_node, len(plan.graphs))
-    return graph_feats @ params["head/w"].data + params["head/b"].data
+    return _mean_pool(plan, ad.constant(x)).data @ params["head/w"].data + params["head/b"].data
 
 
-def _segment_mean_np(x: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
-    counts = np.maximum(np.bincount(seg, minlength=n), 1).astype(x.dtype)
-    sums = np.zeros((n, x.shape[1]), dtype=x.dtype)
-    np.add.at(sums, seg, x)
-    return sums / counts[:, None]
+def _mean_pool(plan: EdgePlan, x: ad.Tensor) -> ad.Tensor:
+    """Node features (mean over each block), then graph features (mean over nodes)."""
+    node_feats = ad.segment_mean(x, plan.node_seg, plan.n_nodes_total)
+    return ad.segment_mean(node_feats, plan.graph_of_node, len(plan.graphs))
 
 
 @dataclass
@@ -203,8 +198,7 @@ def gcn2_embeddings(
         if layer < cfg.ngn_layers - 1:
             x = np.maximum(x, 0.0)
         width = c_out
-    node_feats = _segment_mean_np(x, plan.node_seg, plan.n_nodes_total)
-    return _segment_mean_np(node_feats, plan.graph_of_node, len(plan.graphs))
+    return _mean_pool(plan, ad.constant(x)).data
 
 
 def gcn_embeddings(
@@ -218,18 +212,24 @@ def gcn_embeddings(
     )
     x0 = np.vstack([d.astype(cfg.dtype) for d in attrs])
     x = gcn_forward_numpy(plan, net, x0)
-    return _segment_mean_np(x, plan.graph_of_node, len(plan.graphs))
+    return ad.segment_mean(ad.constant(x), plan.graph_of_node, len(plan.graphs)).data
 
 
 def dissimilar_pair_rate(embeddings: np.ndarray, eps: float = 1e-3) -> float:
     """Fraction of graph pairs whose embeddings differ by more than eps
     times the mean embedding norm."""
+    return pair_rate_and_margins(embeddings, eps)[0]
+
+
+def pair_rate_and_margins(embeddings: np.ndarray, eps: float = 1e-3) -> tuple[float, np.ndarray]:
+    """``dissimilar_pair_rate``, and each pair's margin: its distance divided
+    by the threshold (eps times the mean embedding norm), so that a pair is
+    dissimilar when its margin is above 1."""
     n = embeddings.shape[0]
     if n < 2:
         raise GenerationError("need at least two graphs to compare")
-    norms = np.linalg.norm(embeddings.astype(np.float64), axis=1)
-    threshold = eps * norms.mean()
-    diffs = embeddings.astype(np.float64)[:, None, :] - embeddings.astype(np.float64)[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    iu = np.triu_indices(n, k=1)
-    return float((dist[iu] > threshold).mean())
+    e64 = embeddings.astype(np.float64)
+    threshold = eps * np.linalg.norm(e64, axis=1).mean()
+    dist = np.linalg.norm(e64[:, None, :] - e64[None, :, :], axis=2)[np.triu_indices(n, k=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float((dist > threshold).mean()), dist / threshold

@@ -18,6 +18,7 @@ from ngn.autodiff import (
     reduce_mean,
     reduce_sum,
     relu,
+    row_scale,
     save_checkpoint,
     scatter_add_rows,
     segment_mean,
@@ -63,6 +64,46 @@ class TestPrimitives:
         x = constant(np.array([[2.0], [4.0], [10.0]]))
         out = segment_mean(x, np.array([0, 0, 2]), 4)
         assert np.allclose(out.data[:, 0], [3.0, 0.0, 10.0, 0.0])
+
+
+class TestSumIntoRows:
+    """scatter_add_rows, the backward of gather_rows and segment_mean sum
+    their rows in the order of np.add.at on a zero buffer, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_add_at(self, dtype):
+        rng = np.random.default_rng(11)
+        n_rows = 8
+        # about 40 terms per used row; rows 2, 6 and 7 receive none
+        idx = rng.choice([0, 1, 3, 4, 5], size=200)
+        scales = 10.0 ** rng.integers(-4, 5, size=(200, 1))
+        vals = (rng.standard_normal((200, 3)) * scales).astype(dtype)
+
+        def add_at(index, rows):
+            out = np.zeros((n_rows,) + rows.shape[1:], dtype=dtype)
+            np.add.at(out, index, rows)
+            return out
+
+        expected = add_at(idx, vals)
+        # the data is such that another summation order rounds differently
+        assert not np.array_equal(add_at(idx[::-1], vals[::-1]), expected)
+
+        out = scatter_add_rows(constant(vals), idx, n_rows).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
+
+        counts = np.maximum(np.bincount(idx, minlength=n_rows), 1).astype(dtype)
+        mean = segment_mean(constant(vals), idx, n_rows).data
+        assert mean.dtype == dtype
+        assert np.array_equal(mean, expected / counts[:, None])
+
+        # the upstream gradient of gathered row k is vals[k, 0] in every column
+        g = np.repeat(vals[:, :1], 3, axis=1)
+        assert not np.array_equal(add_at(idx[::-1], g[::-1]), add_at(idx, g))
+        src = Tensor(np.zeros((n_rows, 3), dtype=dtype), requires_grad=True)
+        backward(reduce_sum(row_scale(gather_rows(src, idx), vals[:, 0])))
+        assert src.grad.dtype == dtype
+        assert np.array_equal(src.grad, add_at(idx, g))
 
 
 class TestBackward:

@@ -17,6 +17,7 @@ from ngn.batched import (
     message_net_from_params,
     node_attrs_to_buffer,
 )
+from ngn.graph_core import from_undirected
 from ngn.message_net import GcnMessageNet, ngn_gcn2_forward
 from ngn.models import (
     EmbeddingConfig,
@@ -88,15 +89,18 @@ class TestBatchedMatchesReference:
 
     def test_chunked_matches_unchunked(self):
         rng = np.random.default_rng(2)
-        graphs = [random_graph(rng, 8, 0.4) for _ in range(3)]
+        # node 4 of the second graph is isolated: it has a block but no edge
+        lonely = from_undirected(range(5), [(0, 1), (1, 2), (2, 0), (2, 3)])
+        graphs = [random_graph(rng, 8, 0.4), lonely, random_graph(rng, 8, 0.6), random_graph(rng, 8, 0.4)]
         plan = compile_plan(graphs, K1)
-        params = init_message_net_params(rng, 2, 5, data_in=1, c_out=2)
+        params = init_message_net_params(rng, 2, 5, data_in=2, c_out=3)
         net = message_net_from_params(params)
-        feats = [standard_blocks(rng, g, 1) for g in graphs]
-        buf = features_to_buffer(plan, feats, 1)
+        feats = [standard_blocks(rng, g, 2) for g in graphs]
+        buf = features_to_buffer(plan, feats, 2)
         full = gcn2_layer_numpy(plan, net, buf)
-        chunked = gcn2_layer_numpy(plan, net, buf, chunk_edges=3)
-        assert np.array_equal(full, chunked)
+        for chunk_edges in (1, 2, 5, plan.edge_count):
+            chunked = gcn2_layer_numpy(plan, net, buf, chunk_edges=chunk_edges)
+            assert np.array_equal(full, chunked), chunk_edges
 
     def test_tensor_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -152,8 +156,16 @@ class TestFloat32Inference:
         out32 = gcn2_layer_numpy(plan, spied, buf.astype(np.float32), chunk_edges=4)
         assert out32.dtype == np.float32
         # both products of every message-net layer, in every chunk, including
-        # the neighbour mix: an upcast there is hidden by the final scatter
-        n_chunks = -(-plan.edge_count // 4)
+        # the neighbour mix: an upcast there is hidden by the final scatter.
+        # A chunk takes 4 edges and runs on to the end of its last head's
+        # edges; edges are ordered by (graph, head, tail).
+        heads = [(gi, q) for gi, g in enumerate(plan.graphs) for q in sorted(q for _, q in g.edges)]
+        n_chunks = e = 0
+        while e < len(heads):
+            e = min(e + 4, len(heads))
+            while e < len(heads) and heads[e] == heads[e - 1]:
+                e += 1
+            n_chunks += 1
         assert len(seen) == n_chunks * 2 * 2 * 2  # chunks x layers x products x operands
         assert set(seen) == {np.dtype(np.float32)}
 
@@ -161,6 +173,34 @@ class TestFloat32Inference:
         out64 = gcn2_layer_numpy(plan, message_net_from_params(params64), buf)
         assert out64.dtype == np.float64
         assert np.max(np.abs(out32 - out64)) <= 1e-5 * np.max(np.abs(out64))
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    def test_classifier_tape_and_gradients_stay_float32(self, aggregation):
+        rng = np.random.default_rng(9)
+        graphs = [random_graph(rng, 7, 0.4) for _ in range(4)]
+        plan = compile_plan(graphs, K1)
+        cfg = Gcn2Config(
+            ngn_layers=2, msg_layers=2, hidden=5, classes=3, aggregation=aggregation, dtype=np.float32
+        )
+        params = init_classifier_params(rng, 2, cfg)
+        x0 = node_attrs_to_buffer(
+            plan, [rng.standard_normal((g.n, 2)) for g in graphs], dtype=np.float32
+        )
+        loss = ad.softmax_cross_entropy(classifier_logits(plan, params, x0, cfg), np.array([0, 1, 2, 0]))
+        tape, stack, seen = [], [loss], set()
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                tape.append(t)
+                stack.extend(t._parents)
+        ad.backward(loss)
+        assert all(p.grad is not None for p in params.values())
+        for t in tape:
+            assert t.dtype == np.float32, t
+            assert t.grad is None or t.grad.dtype == np.float32, t
 
 
 class TestClassifier:

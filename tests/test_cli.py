@@ -96,6 +96,20 @@ class TestExpressivenessCommand:
         assert report["ppgn"] is None
         assert (tmp_path / "report.csv").exists()
 
+    def test_report_carries_pair_margins(self, tmp_path):
+        cfg = RunConfig(command="expressiveness", seeds=2, seed=0, out=str(tmp_path))
+        report = cmd_expressiveness(cfg)
+        assert json.loads((tmp_path / "report.json").read_text())["pair_margins"] == report["pair_margins"]
+        for model, by_suite in report["pair_margins"].items():
+            assert set(by_suite) == set(report["suite_sizes"])
+            for suite, m in by_suite.items():
+                assert 0.0 <= m["min"] <= m["median"] <= m["max"]
+                assert m["worst_seed"] in (0, 1) and m["max_seed"] in (0, 1)
+                rate = report["rates"][model][suite]
+                # a margin above 1 is a dissimilar pair
+                assert (rate == 1.0) == (m["min"] > 1.0)
+                assert (rate == 0.0) == (m["max"] <= 1.0)
+
     def test_user_supplied_srg_file(self, tmp_path):
         path = tmp_path / "srg.g6"
         write_graph6(builtin_srg_25()[:2], path)
