@@ -67,11 +67,6 @@ def constant(data, dtype=None) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=False)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> Tensor:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype), requires_grad=True)
-
-
 def _make(out_data, parents, backward) -> Tensor:
     out = Tensor(out_data, _parents=tuple(parents), _backward=backward)
     if not any(p.requires_grad or p._parents for p in parents):
@@ -125,12 +120,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    out_data = np.maximum(a.data, 0)
 
     def backward(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * (out_data > 0))
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(out_data, (a,), backward)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -143,11 +138,6 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
             a._accumulate(np.expand_dims(g, axis) * np.ones_like(a.data))
 
     return _make(out_data, (a,), backward)
-
-
-def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    denom = a.data.size if axis is None else a.data.shape[axis]
-    return scale(reduce_sum(a, axis=axis), 1.0 / denom)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -219,6 +209,21 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.hstack([a.data, b.data]), (a, b), backward)
 
 
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Stack tensors of equal width row-wise; one part is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
+    if len({p.data.shape[1:] for p in parts}) != 1:
+        raise ShapeError("concat_rows expects equal widths")
+    ends = np.cumsum([p.data.shape[0] for p in parts])
+
+    def backward(g):
+        for p, e in zip(parts, ends):
+            p._accumulate(g[e - p.data.shape[0] : e])
+
+    return _make(np.concatenate([p.data for p in parts]), parts, backward)
+
+
 def sparse_mix(a: Tensor, mat: sp.spmatrix) -> Tensor:
     """Multiply by a constant sparse matrix: out = mat @ a, in a's dtype."""
     csr = mat.tocsr().astype(a.data.dtype, copy=False)
@@ -243,18 +248,20 @@ def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer labels under softmax of logits."""
+    """Mean cross-entropy of integer labels under softmax of logits, taken
+    as a log-softmax, ``logsumexp(z) - z[label]``, which stays finite in
+    float32 where a label's probability underflows."""
     labels = np.asarray(labels, dtype=np.intp)
     if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
         raise ShapeError("expected (B, C) logits and (B,) integer labels")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     expz = np.exp(z)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    total = expz.sum(axis=1, keepdims=True)
     batch = logits.data.shape[0]
-    loss = -np.mean(np.log(probs[np.arange(batch), labels] + 1e-300))
+    loss = np.mean(np.log(total[:, 0]) - z[np.arange(batch), labels])
 
     def backward(g):
-        grad = probs.copy()
+        grad = expz / total
         grad[np.arange(batch), labels] -= 1.0
         logits._accumulate(g * grad / batch)
 

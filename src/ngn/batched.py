@@ -2,13 +2,31 @@
 
 The per-edge reference in ``message_net`` is quadratic in Python overhead;
 here every edge neighbourhood of every graph is laid out as a row range of
-one big buffer, so a whole forward pass is a handful of numpy/scipy calls:
-gather (embed), sparse matmul (neighbour mean), dense matmuls (weights),
-gather (project), and the aggregate, a product with the 0/1 CSR matrix of
-``autodiff.sum_into_rows`` that adds each edge's messages into its head's
-block. The same plan drives the differentiable path (autodiff Tensors) and
-a pure-numpy inference path with optional edge chunking to bound memory on
-large lattices.
+one big buffer (its *edge rows*), and every node ball as a row range of the
+node buffer (its *node rows*). One NGN layer embeds each tail block into
+its edge rows, with two marker columns, runs the message net there, and
+projects each edge's head-ball rows back, summed into the head's block.
+
+Embed and project/aggregate are linear, and so are the first and the last
+message-net products, so the first and last weights act on node rows:
+
+- first layer: ``z = [E | C] (x' W_self) + M [E | C] (x' W_neigh) + b``,
+  where ``x'`` is the node buffer with two extra rows that carry the
+  marker columns, ``[E | C]`` embeds those rows into edge rows and ``M``
+  is the neighbour mean inside each edge neighbourhood. The dense product
+  ``x' [W_self | W_neigh]`` runs once on node rows; at edge level only one
+  sparse product with the precomposed ``plan.embed`` remains.
+- middle layers (message nets of three or more layers) run at edge level.
+- last layer (no rectifier): ``out = (S P y) W_self + (S P M y) W_neigh +
+  count ⊗ b``, where ``S P`` projects and aggregates and ``count`` is the
+  number of messages into each node row. The edge level keeps only the
+  sparse products with ``plan.project`` and ``plan.project_mix``; the dense
+  products run once on node rows.
+
+A message net of one layer aggregates its first-layer rows with ``S P``.
+The same code computes the differentiable path (autodiff Tensors) and the
+inference path (constants, which record no tape), with optional edge
+chunks that bound the memory of the edge level on large lattices.
 
 Row layouts are fixed and deterministic: node blocks ordered by (graph,
 node id, ball node id); edge copies ordered by (graph, head, tail). Chunks
@@ -24,9 +42,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .errors import ShapeError
+from .errors import ContractError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph
-from .message_net import GcnLayerParams, GcnMessageNet
+from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net
 from .neighbourhoods import NeighbourhoodAssignment, _ball
 from .representations import GlobalFeature
 
@@ -44,21 +62,25 @@ class EdgePlan:
     edge_count: int
     edge_rows: int
     edge_row_ptr: np.ndarray  # edge -> first Y row
-    emb_ptr: np.ndarray       # edge -> first index in emb_x/emb_y
-    emb_x: np.ndarray
-    emb_y: np.ndarray
-    markers: np.ndarray       # (edge_rows, 2)
-    mix: sp.csr_matrix        # (edge_rows, edge_rows), block diagonal per edge
-    proj_ptr: np.ndarray      # edge -> first index in proj_y/out_x
-    proj_y: np.ndarray
-    out_x: np.ndarray
-    node_in_inv: np.ndarray   # X row -> 1 / max(in-degree of its node, 1)
+    edge_head_end: np.ndarray  # edge -> X row just past its head's block
+    mix: sp.csr_matrix        # M: (edge_rows, edge_rows), block diagonal per edge
+    embed: sp.csr_matrix      # (edge_rows, 2 (node_rows + 2)): [E | C] and M [E | C], columns interleaved
+    project: sp.csr_matrix    # S P: (node_rows, edge_rows)
+    project_mix: sp.csr_matrix  # S P M: (node_rows, edge_rows)
 
 
 def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> EdgePlan:
+    """Row layouts and operators of a batch of graphs.
+
+    Balls are found node by node; everything per edge is whole-array numpy
+    work on global node serials (graph by graph, node ids ascending).
+    """
     node_row_start: list[dict[int, int]] = []
     node_ball: list[dict[int, tuple[int, ...]]] = []
-    node_seg_parts: list[np.ndarray] = []
+    ball_sizes: list[int] = []
+    members: list[np.ndarray] = []  # X row -> serial of its ball node
+    tails: list[np.ndarray] = []
+    heads: list[np.ndarray] = []
     graph_of_node: list[int] = []
     rows = 0
     serial = 0
@@ -69,77 +91,68 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
             ball = tuple(sorted(_ball(g, [p], a.k)))
             starts[p] = rows
             balls[p] = ball
-            node_seg_parts.append(np.full(len(ball), serial, dtype=np.intp))
-            graph_of_node.append(gi)
+            ball_sizes.append(len(ball))
             rows += len(ball)
-            serial += 1
         node_row_start.append(starts)
         node_ball.append(balls)
+        graph_of_node += [gi] * g.n
+        ids = np.array(g.nodes, dtype=np.intp)
+        members.append(serial + np.searchsorted(ids, [u for p in g.nodes for u in balls[p]]))
+        edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+        tails.append(serial + np.searchsorted(ids, edges[:, 0]))
+        heads.append(serial + np.searchsorted(ids, edges[:, 1]))
+        serial += g.n
 
-    edge_row_ptr = [0]
-    emb_ptr = [0]
-    proj_ptr = [0]
-    emb_x: list[int] = []
-    emb_y: list[int] = []
-    proj_y: list[int] = []
-    out_x: list[int] = []
-    marker_rows_p: list[int] = []
-    marker_rows_q: list[int] = []
-    mix_rows: list[int] = []
-    mix_cols: list[int] = []
-    mix_vals: list[float] = []
-    y_rows = 0
-    edge_count = 0
-    for gi, g in enumerate(graphs):
-        starts, balls = node_row_start[gi], node_ball[gi]
-        for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
-            nb_nodes = sorted(set(balls[p]) | set(balls[q]))
-            local = {u: y_rows + i for i, u in enumerate(nb_nodes)}
-            nb_set = set(nb_nodes)
-            # embed: tail-ball rows of X copied into the edge copy
-            for rank, u in enumerate(balls[p]):
-                emb_x.append(starts[p] + rank)
-                emb_y.append(local[u])
-            emb_ptr.append(len(emb_x))
-            marker_rows_p.append(local[p])
-            marker_rows_q.append(local[q])
-            # neighbour mean inside the induced neighbourhood
-            in_deg = {u: 0 for u in nb_nodes}
-            internal = []
-            for u in nb_nodes:
-                for w in g.out_nbrs[u]:
-                    if w in nb_set:
-                        internal.append((u, w))
-                        in_deg[w] += 1
-            for u, w in internal:
-                mix_rows.append(local[w])
-                mix_cols.append(local[u])
-                mix_vals.append(1.0 / in_deg[w])
-            # project: head-ball rows of the edge copy added into output X
-            for rank, u in enumerate(balls[q]):
-                proj_y.append(local[u])
-                out_x.append(starts[q] + rank)
-            proj_ptr.append(len(proj_y))
-            y_rows += len(nb_nodes)
-            edge_row_ptr.append(y_rows)
-            edge_count += 1
+    n_serial = max(serial, 1)
+    ball_size = np.array(ball_sizes, dtype=np.intp)
+    ball_ptr = np.zeros(serial + 1, dtype=np.intp)
+    np.cumsum(ball_size, out=ball_ptr[1:])
+    member = _cat(members)
+    tail, head = _cat(tails), _cat(heads)
+    order = np.lexsort((tail, head))  # edges by (graph, head, tail)
+    tail, head = tail[order], head[order]
+    edge_count = tail.size
+    edge_ids = np.arange(edge_count, dtype=np.intp)
 
-    node_in_inv = np.ones(rows)
-    for gi, g in enumerate(graphs):
-        in_deg = {u: 0 for u in g.nodes}
-        for _, w in g.edges:
-            in_deg[w] += 1
-        for p in g.nodes:
-            start = node_row_start[gi][p]
-            node_in_inv[start : start + len(node_ball[gi][p])] = 1.0 / max(in_deg[p], 1)
+    # X rows of each edge's tail and head balls, and their keys (edge, node)
+    tail_rows = _ranges(ball_ptr[tail], ball_size[tail])
+    tail_keys = np.repeat(edge_ids, ball_size[tail]) * n_serial + member[tail_rows]
+    head_rows = _ranges(ball_ptr[head], ball_size[head])
+    head_keys = np.repeat(edge_ids, ball_size[head]) * n_serial + member[head_rows]
+    # edge rows: the union of both balls, by (edge, node)
+    keys = np.union1d(tail_keys, head_keys)
+    y_rows = keys.size
+    row_edge, row_node = np.divmod(keys, n_serial)
+    edge_row_ptr = np.searchsorted(row_edge, np.arange(edge_count + 1))
 
-    markers = np.zeros((y_rows, 2))
-    markers[marker_rows_p, 0] = 1.0
-    markers[marker_rows_q, 1] = 1.0
-    mix = sp.csr_matrix(
-        (np.array(mix_vals), (np.array(mix_rows, dtype=np.intp), np.array(mix_cols, dtype=np.intp))),
-        shape=(y_rows, y_rows),
+    # M: in-neighbours of each edge row's node that lie in the same edge
+    # neighbourhood, each weighted 1 / (their number)
+    in_count = np.bincount(head, minlength=serial)
+    in_ptr = np.zeros(serial + 1, dtype=np.intp)
+    np.cumsum(in_count, out=in_ptr[1:])  # `tail` is sorted by head
+    cand_row = np.repeat(np.arange(y_rows, dtype=np.intp), in_count[row_node])
+    cand_keys = row_edge[cand_row] * n_serial + tail[_ranges(in_ptr[row_node], in_count[row_node])]
+    cand_col = np.minimum(np.searchsorted(keys, cand_keys), y_rows - 1)
+    inside = keys[cand_col] == cand_keys
+    cand_row, cand_col = cand_row[inside], cand_col[inside]
+    mix = _csr(1.0 / np.bincount(cand_row, minlength=y_rows)[cand_row], cand_row, cand_col, (y_rows, y_rows))
+    del cand_row, cand_col, cand_keys, inside
+
+    # [E | C]: each tail-ball row into its edge row; the two marker columns
+    # are the extra input rows node_rows (tail) and node_rows + 1 (head)
+    ec = _csr(
+        np.ones(tail_rows.size + 2 * edge_count),
+        np.concatenate([np.searchsorted(keys, tail_keys), np.searchsorted(keys, edge_ids * n_serial + tail),
+                        np.searchsorted(keys, edge_ids * n_serial + head)]),
+        np.concatenate([tail_rows, np.full(edge_count, rows), np.full(edge_count, rows + 1)]),
+        (y_rows, rows + 2),
     )
+    embed = _interleave_cols(ec, mix @ ec)
+    del ec
+    # S P: each head-ball edge row added into its row of the head's block
+    project = _csr(np.ones(head_rows.size), head_rows, np.searchsorted(keys, head_keys), (rows, y_rows))
+    project_mix = project @ mix
+    project_mix.sort_indices()
     return EdgePlan(
         graphs=list(graphs),
         k=a.k,
@@ -147,20 +160,45 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
         node_rows=rows,
         node_row_start=node_row_start,
         node_ball=node_ball,
-        node_seg=np.concatenate(node_seg_parts) if node_seg_parts else np.zeros(0, dtype=np.intp),
+        node_seg=np.repeat(np.arange(serial, dtype=np.intp), ball_size),
         graph_of_node=np.array(graph_of_node, dtype=np.intp),
         edge_count=edge_count,
         edge_rows=y_rows,
-        edge_row_ptr=np.array(edge_row_ptr, dtype=np.intp),
-        emb_ptr=np.array(emb_ptr, dtype=np.intp),
-        emb_x=np.array(emb_x, dtype=np.intp),
-        emb_y=np.array(emb_y, dtype=np.intp),
-        markers=markers,
+        edge_row_ptr=edge_row_ptr,
+        edge_head_end=ball_ptr[head + 1],
         mix=mix,
-        proj_ptr=np.array(proj_ptr, dtype=np.intp),
-        proj_y=np.array(proj_y, dtype=np.intp),
-        out_x=np.array(out_x, dtype=np.intp),
-        node_in_inv=node_in_inv,
+        embed=embed,
+        project=project,
+        project_mix=project_mix,
+    )
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for each (s, n)."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0, dtype=np.intp) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _csr(vals, rows, cols, shape) -> sp.csr_matrix:
+    """Canonical CSR (each row's columns in increasing order) from coordinates."""
+    return sp.csr_matrix(
+        (np.asarray(vals, dtype=np.float64), (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))),
+        shape=shape,
+    )
+
+
+def _interleave_cols(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """``[a | b]`` with column j of ``a`` at 2j and column j of ``b`` at 2j + 1."""
+    a, b = a.tocoo(), b.tocoo()
+    return _csr(
+        np.concatenate([a.data, b.data]),
+        np.concatenate([a.row, b.row]),
+        np.concatenate([2 * a.col, 2 * b.col + 1]),
+        (a.shape[0], 2 * a.shape[1]),
     )
 
 
@@ -229,13 +267,12 @@ def init_message_net_params(
     dtype=np.float64,
     prefix: str = "msg",
 ) -> dict[str, ad.Tensor]:
-    widths = [data_in + 2] + [hidden] * (n_layers - 1) + [c_out]
+    net = _glorot_net(rng, [data_in + 2] + [hidden] * (n_layers - 1) + [c_out], dtype)
     params: dict[str, ad.Tensor] = {}
-    for i, (a, b) in enumerate(zip(widths, widths[1:])):
-        bound = np.sqrt(6.0 / (a + b))
-        params[f"{prefix}/l{i}/w_self"] = ad.param(rng.uniform(-bound, bound, (a, b)), dtype=dtype)
-        params[f"{prefix}/l{i}/w_neigh"] = ad.param(rng.uniform(-bound, bound, (a, b)), dtype=dtype)
-        params[f"{prefix}/l{i}/bias"] = ad.param(np.zeros(b), dtype=dtype)
+    for i, layer in enumerate(net.layers):
+        params[f"{prefix}/l{i}/w_self"] = ad.param(layer.w_self, dtype=dtype)
+        params[f"{prefix}/l{i}/w_neigh"] = ad.param(layer.w_neigh, dtype=dtype)
+        params[f"{prefix}/l{i}/bias"] = ad.param(layer.bias, dtype=dtype)
     return params
 
 
@@ -263,29 +300,13 @@ def gcn2_layer_tensor(
     prefix: str = "msg",
     aggregation: str = "sum",
 ) -> ad.Tensor:
-    """One NGN layer (differentiable): embed, propagate, project, aggregate."""
-    emb = ad.gather_rows(x, plan.emb_x)
-    y = ad.scatter_add_rows(emb, plan.emb_y, plan.edge_rows)
-    y = ad.concat_cols(y, ad.constant(plan.markers.astype(x.dtype)))
-    i = 0
-    while f"{prefix}/l{i}/w_self" in params:
-        final = f"{prefix}/l{i + 1}/w_self" not in params
-        mixed = ad.sparse_mix(y, plan.mix)
-        y = ad.add(
-            ad.add(
-                ad.matmul(y, params[f"{prefix}/l{i}/w_self"]),
-                ad.matmul(mixed, params[f"{prefix}/l{i}/w_neigh"]),
-            ),
-            params[f"{prefix}/l{i}/bias"],
-        )
-        if not final:
-            y = ad.relu(y)
-        i += 1
-    msg = ad.gather_rows(y, plan.proj_y)
-    out = ad.scatter_add_rows(msg, plan.out_x, plan.node_rows)
-    if aggregation == "mean":
-        out = ad.row_scale(out, plan.node_in_inv)
-    return out
+    """One NGN layer (differentiable), with the first and last message-net
+    products on node rows (see the module docstring)."""
+    layers = []
+    while f"{prefix}/l{len(layers)}/w_self" in params:
+        i = len(layers)
+        layers.append(tuple(params[f"{prefix}/l{i}/{name}"] for name in ("w_self", "w_neigh", "bias")))
+    return _gcn2_layer(plan, layers, x, None, aggregation)
 
 
 def gcn2_layer_numpy(
@@ -295,44 +316,122 @@ def gcn2_layer_numpy(
     chunk_edges: int | None = None,
     aggregation: str = "sum",
 ) -> np.ndarray:
-    """Inference-only NGN layer; optionally processed in edge chunks.
+    """Inference NGN layer: ``gcn2_layer_tensor``'s algebra on constants,
+    optionally processed in edge chunks.
 
-    A chunk takes ``chunk_edges`` edges and then runs on to the end of its
-    last head node's edges, so it can hold up to (largest in-degree - 1)
-    more. Every output row then takes all its messages from one chunk, in
-    one CSR sum over that chunk, and the result is bit-identical for every
+    Only the edge level is chunked: the products with the first and the
+    last message-net weights run once on node rows. A chunk takes
+    ``chunk_edges`` edges and then runs on to the end of its last head
+    node's edges, so it can hold up to (largest in-degree - 1) more. Every
+    output row then takes all its messages from one chunk, in one CSR sum
+    over that chunk, and the result is bit-identical for every
     ``chunk_edges``.
     """
-    out = np.zeros((plan.node_rows, net.out_channels), dtype=x.dtype)
-    n_edges = plan.edge_count
-    # edges are sorted by (graph, head, tail), and an edge's first projection
-    # target is the first row of its head's block: runs of equal targets are
-    # the heads' runs of edges
-    head_row = plan.out_x[plan.proj_ptr[:-1]]
-    run_starts = np.append(np.flatnonzero(np.diff(head_row)) + 1, n_edges)
-    step = n_edges if chunk_edges is None else max(1, chunk_edges)
-    e0 = 0
-    while e0 < n_edges:
-        e1 = int(run_starts[np.searchsorted(run_starts, e0 + step)]) if e0 + step < n_edges else n_edges
-        r0, r1 = plan.edge_row_ptr[e0], plan.edge_row_ptr[e1]
-        a0, a1 = plan.emb_ptr[e0], plan.emb_ptr[e1]
-        p0, p1 = plan.proj_ptr[e0], plan.proj_ptr[e1]
-        y = np.zeros((r1 - r0, net.in_channels), dtype=x.dtype)
-        y[plan.emb_y[a0:a1] - r0, : net.in_channels - 2] = x[plan.emb_x[a0:a1]]
-        y[:, -2:] = plan.markers[r0:r1].astype(x.dtype)
-        mix = plan.mix[r0:r1, r0:r1].astype(x.dtype)
-        for layer in net.layers:
-            y = y @ layer.w_self + (mix @ y) @ layer.w_neigh + layer.bias
-            if not layer.final:
-                y = np.maximum(y, 0.0)
-        # aggregate into the chunk's window of output rows
-        targets = plan.out_x[p0:p1]
-        x0, x1 = targets.min(), targets.max() + 1
-        out[x0:x1] += ad.sum_into_rows(targets - x0, x1 - x0, x.dtype) @ y[plan.proj_y[p0:p1] - r0]
-        e0 = e1
+    if any(layer.final for layer in net.layers[:-1]) or not net.layers[-1].final:
+        raise ContractError("the compiled layer needs a message net whose last layer alone is final")
+    layers = [tuple(ad.constant(w) for w in (l.w_self, l.w_neigh, l.bias)) for l in net.layers]
+    return _gcn2_layer(plan, layers, ad.constant(x), chunk_edges, aggregation).data
+
+
+def _gcn2_layer(
+    plan: EdgePlan,
+    layers: list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]],
+    x: ad.Tensor,
+    chunk_edges: int | None,
+    aggregation: str,
+) -> ad.Tensor:
+    """One NGN layer from its message net's (w_self, w_neigh, bias) per layer."""
+    if aggregation not in ("sum", "mean"):
+        raise ValidationError(f"unknown aggregation {aggregation!r}")
+    dtype = x.dtype
+    depth = len(layers)
+    # each operator's values cast once per call; the index arrays are shared
+    embed = _astype(plan.embed, dtype)
+    project = _astype(plan.project, dtype)
+    project_mix = _astype(plan.project_mix, dtype) if depth > 1 else None
+    mix = _astype(plan.mix, dtype) if depth > 2 else None
+
+    pre = _first_products(x, *layers[0][:2])
+    own, mixed = [], []
+    for r0, r1, x0, x1 in _chunks(plan, chunk_edges):
+        y = _edge_level(pre, layers, embed, mix, r0, r1)
+        own.append(ad.sparse_mix(y, _row_block(project, x0, x1, r0, r1)))
+        if depth > 1:
+            mixed.append(ad.sparse_mix(y, _row_block(project_mix, x0, x1, r0, r1)))
+        del y  # free the chunk's edge rows before the next chunk's are built
+    out = ad.concat_rows(own)
+    counts = np.diff(plan.project.indptr)  # messages into each node row
+    if depth > 1:
+        w_self, w_neigh, bias = layers[-1]
+        out = ad.add(
+            ad.add(ad.matmul(out, w_self), ad.matmul(ad.concat_rows(mixed), w_neigh)),
+            ad.matmul(ad.constant(counts.astype(dtype)[:, None]), ad.reshape(bias, (1, -1))),
+        )
     if aggregation == "mean":
-        out = out * plan.node_in_inv[:, None].astype(x.dtype)
+        out = ad.row_scale(out, 1.0 / np.maximum(counts, 1))
     return out
+
+
+def _first_products(x: ad.Tensor, w_self: ad.Tensor, w_neigh: ad.Tensor) -> ad.Tensor:
+    """Row 2u is ``x'[u] W_self`` and row 2u + 1 is ``x'[u] W_neigh``, for
+    ``x'`` the node rows with two zero columns, then two rows that carry
+    the marker columns: the operand of ``plan.embed``."""
+    n, c = x.shape
+    x_ext = ad.concat_rows(
+        [ad.concat_cols(x, ad.constant(np.zeros((n, 2), x.dtype))), ad.constant(np.eye(2, c + 2, c, dtype=x.dtype))]
+    )
+    return ad.reshape(ad.matmul(x_ext, ad.concat_cols(w_self, w_neigh)), (2 * (n + 2), -1))
+
+
+def _edge_level(pre, layers, embed, mix, r0, r1) -> ad.Tensor:
+    """Edge rows r0:r1 after every message-net layer but the last."""
+    y = ad.add(ad.sparse_mix(pre, _row_block(embed, r0, r1)), layers[0][2])
+    if len(layers) == 1:
+        return y
+    y = ad.relu(y)
+    for w_self, w_neigh, bias in layers[1:-1]:
+        neigh = ad.sparse_mix(y, _row_block(mix, r0, r1, r0, r1))
+        y = ad.relu(ad.add(ad.add(ad.matmul(y, w_self), ad.matmul(neigh, w_neigh)), bias))
+    return y
+
+
+def _chunks(plan: EdgePlan, chunk_edges: int | None):
+    """Yield ``(r0, r1, x0, x1)``: each chunk's edge rows and output rows.
+
+    Chunks end only where the head changes. Their output rows tile the node
+    rows, and the rows of a chunk hold the blocks of its heads.
+    """
+    n_edges = plan.edge_count
+    ends = plan.edge_head_end
+    run_starts = np.append(np.flatnonzero(np.diff(ends)) + 1, n_edges)
+    step = n_edges if chunk_edges is None else max(1, chunk_edges)
+    e0 = x0 = 0
+    while True:
+        e1 = int(run_starts[np.searchsorted(run_starts, e0 + step)]) if e0 + step < n_edges else n_edges
+        x1 = int(ends[e1 - 1]) if e1 < n_edges else plan.node_rows
+        yield int(plan.edge_row_ptr[e0]), int(plan.edge_row_ptr[e1]), x0, x1
+        if e1 == n_edges:
+            return
+        e0, x0 = e1, x1
+
+
+def _astype(op: sp.csr_matrix, dtype) -> sp.csr_matrix:
+    return sp.csr_matrix((op.data.astype(dtype, copy=False), op.indices, op.indptr), shape=op.shape)
+
+
+def _row_block(op: sp.csr_matrix, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
+    """Rows r0:r1 of a CSR operator, on views of its data and indices.
+
+    With ``c0, c1``, the rows' entries all lie in columns c0:c1 (their own
+    edge rows), and the block is those columns, renumbered from 0: for
+    c0 > 0 that takes one shifted copy of the rows' column indices.
+    """
+    a, b = op.indptr[r0], op.indptr[r1]
+    indices = op.indices[a:b] - c0 if c0 else op.indices[a:b]
+    return sp.csr_matrix(
+        (op.data[a:b], indices, op.indptr[r0 : r1 + 1] - a),
+        shape=(r1 - r0, (op.shape[1] if c1 is None else c1) - c0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +476,7 @@ def build_plain_gcn(
     rng: np.random.Generator, n_layers: int, hidden: int, c_in: int, c_out: int, dtype=np.float64
 ) -> GcnMessageNet:
     """Baseline net: same layer semantics, no marker channels."""
-    widths = [c_in] + [hidden] * (n_layers - 1) + [c_out]
-    layers = []
-    for i, (a, b) in enumerate(zip(widths, widths[1:])):
-        bound = np.sqrt(6.0 / (a + b))
-        layers.append(
-            GcnLayerParams(
-                w_self=rng.uniform(-bound, bound, (a, b)).astype(dtype),
-                w_neigh=rng.uniform(-bound, bound, (a, b)).astype(dtype),
-                bias=np.zeros(b, dtype=dtype),
-                final=(i == n_layers - 1),
-            )
-        )
-    return GcnMessageNet(layers)
+    return _glorot_net(rng, [c_in] + [hidden] * (n_layers - 1) + [c_out], dtype)
 
 
 def gcn_forward_numpy(plan: GcnPlan, net: GcnMessageNet, x: np.ndarray) -> np.ndarray:

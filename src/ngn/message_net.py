@@ -89,7 +89,12 @@ def build_gcn_net(
     dtype=np.float64,
 ) -> GcnMessageNet:
     """Random message network; input width is data channels plus markers."""
-    widths = [data_in + 2] + [hidden] * (n_layers - 1) + [c_out]
+    return _glorot_net(rng, [data_in + 2] + [hidden] * (n_layers - 1) + [c_out], dtype)
+
+
+def _glorot_net(rng: np.random.Generator, widths: list[int], dtype) -> GcnMessageNet:
+    """Glorot-uniform weights (w_self, then w_neigh, layer by layer) in
+    float64 draws cast to ``dtype``, zero biases; only the last layer is final."""
     layers = []
     for i, (a, b) in enumerate(zip(widths, widths[1:])):
         bound = np.sqrt(6.0 / (a + b))
@@ -98,7 +103,7 @@ def build_gcn_net(
                 w_self=rng.uniform(-bound, bound, (a, b)).astype(dtype),
                 w_neigh=rng.uniform(-bound, bound, (a, b)).astype(dtype),
                 bias=np.zeros(b, dtype=dtype),
-                final=(i == n_layers - 1),
+                final=(i == len(widths) - 2),
             )
         )
     return GcnMessageNet(layers)

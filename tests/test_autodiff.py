@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,17 +10,17 @@ from ngn.autodiff import (
     adam_step,
     backward,
     concat_cols,
+    concat_rows,
     constant,
     gather_rows,
-    glorot,
     grads_of,
     load_checkpoint,
     matmul,
     param,
-    reduce_mean,
     reduce_sum,
     relu,
     row_scale,
+    scale,
     save_checkpoint,
     scatter_add_rows,
     segment_mean,
@@ -59,6 +61,42 @@ class TestPrimitives:
         assert np.array_equal(out.data[0], vals.data[1])
         assert np.array_equal(out.data[2], vals.data[0] + vals.data[2])
         assert np.all(out.data[1] == 0)
+
+    def test_cross_entropy_is_finite_where_float32_probability_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = softmax_cross_entropy(constant(np.array([[0.0, 120.0]], dtype=np.float32)), np.array([0]))
+        assert loss.dtype == np.float32 and float(loss.data) == 120.0
+
+    def test_cross_entropy_float64_matches_softmax_then_log(self):
+        # for logits of moderate size no probability underflows in float64,
+        # and the two forms agree to rounding; the gradient is the same float
+        rng = np.random.default_rng(12)
+        logits = rng.standard_normal((7, 4)) * 5
+        labels = rng.integers(0, 4, size=7)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        expected = -np.mean(np.log(p[np.arange(7), labels]))
+        x = param(logits)
+        loss = softmax_cross_entropy(x, labels)
+        assert abs(float(loss.data) - expected) <= 1e-14 * expected
+        backward(loss)
+        one_hot = np.eye(4)[labels]
+        assert np.array_equal(x.grad, (p - one_hot) / 7)
+
+    def test_concat_rows(self):
+        rng = np.random.default_rng(13)
+        parts = [param(rng.standard_normal((n, 3))) for n in (2, 0, 4)]
+        out = concat_rows(parts)
+        assert np.array_equal(out.data, np.vstack([p.data for p in parts]))
+        assert concat_rows(parts[:1]) is parts[0]
+        with pytest.raises(ShapeError):
+            concat_rows([parts[0], constant(np.zeros((1, 2)))])
+        weights = rng.standard_normal((6, 3))
+        backward(reduce_sum(row_scale(concat_rows(parts), weights[:, 0]) @ constant(np.ones((3, 1)))))
+        assert np.array_equal(parts[0].grad, np.repeat(weights[:2, :1], 3, axis=1))
+        assert parts[1].grad.shape == (0, 3)
+        assert np.array_equal(parts[2].grad, np.repeat(weights[2:, :1], 3, axis=1))
 
     def test_segment_mean_with_empty_segment(self):
         x = constant(np.array([[2.0], [4.0], [10.0]]))
@@ -141,10 +179,15 @@ class TestBackward:
 
     def test_three_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(0)
+
+        def glorot(fan_in, fan_out):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return param(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+
         params = {
-            "w1": glorot(rng, 4, 8),
-            "w2": glorot(rng, 8, 8),
-            "w3": glorot(rng, 8, 3),
+            "w1": glorot(4, 8),
+            "w2": glorot(8, 8),
+            "w3": glorot(8, 3),
             "b1": param(rng.standard_normal(8) * 0.1),
         }
         x = rng.standard_normal((5, 4))
@@ -183,7 +226,7 @@ class TestBackward:
             g = relu(g)
             g = segment_mean(g, seg, 2)
             out = scatter_add_rows(g, np.array([0, 2]), 3)
-            return reduce_mean(reduce_sum(out, axis=1))
+            return scale(reduce_sum(reduce_sum(out, axis=1)), 1.0 / 3)
 
         analytic = grads_of(forward(x), {"x": x})
         numeric = finite_difference_grads(lambda: forward(Tensor(x.data, True)).data, {"x": x})
@@ -227,13 +270,6 @@ class TestAdam:
             adam_step(state, {"p": p}, {"p": np.array([3.7])})
         # closed-form limit of Adam under constant gradient: step -> rate * sign(g)
         assert abs((prev - p.data)[0] - 1e-2) < 1e-4
-
-    def test_glorot_bounds(self):
-        rng = np.random.default_rng(3)
-        w = glorot(rng, 30, 50)
-        bound = np.sqrt(6.0 / 80.0)
-        assert np.all(np.abs(w.data) <= bound)
-        assert w.data.std() > 0.1 * bound
 
 
 class TestCheckpoint:

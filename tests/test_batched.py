@@ -1,7 +1,6 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ngn import autodiff as ad
 from ngn.batched import (
@@ -17,8 +16,8 @@ from ngn.batched import (
     message_net_from_params,
     node_attrs_to_buffer,
 )
-from ngn.graph_core import from_undirected
-from ngn.message_net import GcnMessageNet, ngn_gcn2_forward
+from ngn.graph_core import ConcreteGraph, from_undirected
+from ngn.message_net import build_gcn_net, ngn_gcn2_forward
 from ngn.models import (
     EmbeddingConfig,
     Gcn2Config,
@@ -46,6 +45,39 @@ def standard_blocks(rng, g, c):
     )
 
 
+class TestInitializers:
+    """The three message-net initializers draw Glorot-uniform weights in one
+    order: w_self, then w_neigh, layer by layer, in float64, then cast."""
+
+    @staticmethod
+    def draws(seed, widths, dtype):
+        rng = np.random.default_rng(seed)
+        out = []
+        for a, b in zip(widths, widths[1:]):
+            bound = np.sqrt(6.0 / (a + b))
+            w_self = rng.uniform(-bound, bound, (a, b)).astype(dtype)
+            out.append((w_self, rng.uniform(-bound, bound, (a, b)).astype(dtype)))
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_weights_are_the_draws_in_order(self, dtype):
+        nets = {
+            (5, 2 + 2, 4): build_gcn_net(np.random.default_rng(5), 3, 7, data_in=2, c_out=4, dtype=dtype),
+            (6, 3, 4): build_plain_gcn(np.random.default_rng(6), 3, 7, c_in=3, c_out=4, dtype=dtype),
+            (7, 1 + 2, 5): message_net_from_params(
+                init_message_net_params(np.random.default_rng(7), 3, 7, data_in=1, c_out=5, dtype=dtype)
+            ),
+        }
+        for (seed, c_in, c_out), net in nets.items():
+            expected = self.draws(seed, [c_in, 7, 7, c_out], dtype)
+            assert len(net.layers) == len(expected)
+            for i, (layer, (w_self, w_neigh)) in enumerate(zip(net.layers, expected)):
+                assert layer.w_self.dtype == dtype and np.array_equal(layer.w_self, w_self)
+                assert layer.w_neigh.dtype == dtype and np.array_equal(layer.w_neigh, w_neigh)
+                assert layer.bias.dtype == dtype and not layer.bias.any()
+                assert layer.final == (i == len(expected) - 1)
+
+
 class TestPlanLayout:
     def test_buffer_round_trip(self):
         rng = np.random.default_rng(0)
@@ -67,25 +99,73 @@ class TestPlanLayout:
         assert np.array_equal(buf[:3, 0], [10.0, 20.0, 30.0])
 
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_operators_match_a_per_edge_loop(self, k):
+        rng = np.random.default_rng(10)
+        graphs = [
+            random_graph(rng, 7, 0.4, id_offset=2),
+            ConcreteGraph.build([1, 4, 6, 9], [(1, 4), (4, 6), (6, 1), (9, 4), (6, 6)], allow_self_loops=True),
+            ConcreteGraph.build([3], []),
+            random_graph(rng, 6, 0.5),
+        ]
+        a = NeighbourhoodAssignment(k)
+        plan = compile_plan(graphs, a)
+        # the layout and the operators, edge by edge, from their definitions
+        n = plan.node_rows
+        sizes, embed, mix, project = [], [], [], []
+        for gi, g in enumerate(graphs):
+            starts = plan.node_row_start[gi]
+            balls = {p: node_neighbourhood(g, p, a).graph.nodes for p in g.nodes}
+            for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
+                nb = sorted(set(balls[p]) | set(balls[q]))
+                e_block = np.zeros((len(nb), n + 2))
+                for rank, u in enumerate(balls[p]):
+                    e_block[nb.index(u), starts[p] + rank] = 1.0
+                e_block[nb.index(p), n] = e_block[nb.index(q), n + 1] = 1.0
+                m_block = np.zeros((len(nb), len(nb)))
+                for i, w in enumerate(nb):
+                    inside = [j for j, u in enumerate(nb) if (u, w) in g.edges]
+                    m_block[i, inside] = 1.0 / max(len(inside), 1)
+                p_block = np.zeros((n, len(nb)))
+                for rank, u in enumerate(balls[q]):
+                    p_block[starts[q] + rank, nb.index(u)] = 1.0
+                sizes.append(len(nb))
+                embed.append(e_block)
+                mix.append(m_block)
+                project.append(p_block)
+        embed, mix, project = np.vstack(embed), block_diag(*mix), np.hstack(project)
+
+        assert np.array_equal(plan.edge_row_ptr, np.cumsum([0] + sizes))
+        assert np.array_equal(plan.mix.toarray(), mix)
+        assert np.array_equal(plan.embed.toarray()[:, 0::2], embed)
+        assert np.array_equal(plan.embed.toarray()[:, 1::2], mix @ embed)
+        assert np.array_equal(plan.project.toarray(), project)
+        assert np.array_equal(plan.project_mix.toarray(), project @ mix)
+        for op in (plan.mix, plan.embed, plan.project, plan.project_mix):
+            assert op.has_canonical_format
+
+
 class TestBatchedMatchesReference:
     def test_matches_per_edge_reference(self):
         rng = np.random.default_rng(1)
         graphs = [random_graph(rng, int(rng.integers(4, 10)), 0.4, id_offset=3) for _ in range(4)]
+        # one directed graph with a node of in-degree 0 and one of out-degree 0
+        graphs.append(ConcreteGraph.build(range(5), [(0, 1), (1, 2), (2, 0), (3, 1), (2, 4), (1, 4)]))
         plan = compile_plan(graphs, K1)
-        params = init_message_net_params(rng, 2, 6, data_in=2, c_out=3)
-        net = message_net_from_params(params)
-
         feats = [standard_blocks(rng, g, 2) for g in graphs]
         buf = features_to_buffer(plan, feats, 2)
+        for depth in (1, 2, 3):
+            params = init_message_net_params(rng, depth, 6, data_in=2, c_out=3)
+            net = message_net_from_params(params)
+            for aggregation in ("sum", "mean"):
+                out_np = gcn2_layer_numpy(plan, net, buf, aggregation=aggregation)
+                out_tensor = gcn2_layer_tensor(plan, params, ad.constant(buf), aggregation=aggregation)
+                assert np.max(np.abs(out_np - out_tensor.data)) <= 1e-12, (depth, aggregation)
 
-        out_np = gcn2_layer_numpy(plan, net, buf)
-        out_tensor = gcn2_layer_tensor(plan, params, ad.constant(buf))
-        assert np.allclose(out_np, out_tensor.data, atol=1e-12)
-
-        back = buffer_to_features(plan, out_np)
-        for g, v, got in zip(graphs, feats, back):
-            ref = ngn_gcn2_forward(net, g, v, K1)
-            assert got.max_abs_diff(ref) < 1e-12
+                back = buffer_to_features(plan, out_np)
+                for g, v, got in zip(graphs, feats, back):
+                    ref = ngn_gcn2_forward(net, g, v, K1, aggregation=aggregation)
+                    assert got.max_abs_diff(ref) <= 1e-12, (depth, aggregation)
 
     def test_chunked_matches_unchunked(self):
         rng = np.random.default_rng(2)
@@ -93,70 +173,83 @@ class TestBatchedMatchesReference:
         lonely = from_undirected(range(5), [(0, 1), (1, 2), (2, 0), (2, 3)])
         graphs = [random_graph(rng, 8, 0.4), lonely, random_graph(rng, 8, 0.6), random_graph(rng, 8, 0.4)]
         plan = compile_plan(graphs, K1)
-        params = init_message_net_params(rng, 2, 5, data_in=2, c_out=3)
-        net = message_net_from_params(params)
         feats = [standard_blocks(rng, g, 2) for g in graphs]
         buf = features_to_buffer(plan, feats, 2)
-        full = gcn2_layer_numpy(plan, net, buf)
-        for chunk_edges in (1, 2, 5, plan.edge_count):
-            chunked = gcn2_layer_numpy(plan, net, buf, chunk_edges=chunk_edges)
-            assert np.array_equal(full, chunked), chunk_edges
+        for depth in (1, 2, 3):
+            net = message_net_from_params(init_message_net_params(rng, depth, 5, data_in=2, c_out=3))
+            full = gcn2_layer_numpy(plan, net, buf)
+            for chunk_edges in (1, 2, 5, plan.edge_count):
+                chunked = gcn2_layer_numpy(plan, net, buf, chunk_edges=chunk_edges)
+                assert np.array_equal(full, chunked), (depth, chunk_edges)
 
     def test_tensor_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         graphs = [random_graph(rng, 6, 0.5) for _ in range(2)]
         plan = compile_plan(graphs, K1)
-        params = init_message_net_params(rng, 2, 4, data_in=1, c_out=2)
         feats = [standard_blocks(rng, g, 1) for g in graphs]
         buf = features_to_buffer(plan, feats, 1)
         labels = np.array([0, 1])
+        for depth in (1, 2, 3):
+            params = init_message_net_params(rng, depth, 4, data_in=1, c_out=2)
+            # nonzero biases, so that their gradients are checked away from zero
+            for name, p in params.items():
+                if name.endswith("bias"):
+                    p.data = rng.standard_normal(p.data.shape) * 0.1
+            x = ad.param(buf)
 
-        def loss_tensor():
-            x = gcn2_layer_tensor(plan, params, ad.constant(buf))
-            pooled = ad.segment_mean(x, plan.node_seg, plan.n_nodes_total)
-            graph_feats = ad.segment_mean(pooled, plan.graph_of_node, len(graphs))
-            return ad.softmax_cross_entropy(graph_feats, labels)
+            def loss_tensor():
+                out = gcn2_layer_tensor(plan, params, x)
+                pooled = ad.segment_mean(out, plan.node_seg, plan.n_nodes_total)
+                graph_feats = ad.segment_mean(pooled, plan.graph_of_node, len(graphs))
+                return ad.softmax_cross_entropy(graph_feats, labels)
 
-        analytic = ad.grads_of(loss_tensor(), params)
-        numeric = finite_difference_grads(lambda: loss_tensor().data, params)
-        for name in params:
-            scale = max(1e-8, float(np.max(np.abs(numeric[name]))))
-            assert np.max(np.abs(analytic[name] - numeric[name])) / scale < 1e-5
+            every = {**params, "x": x}
+            analytic = ad.grads_of(loss_tensor(), every)
+            numeric = finite_difference_grads(lambda: loss_tensor().data, every)
+            for name in every:
+                scale = max(1e-8, float(np.max(np.abs(numeric[name]))))
+                assert np.max(np.abs(analytic[name] - numeric[name])) / scale < 1e-5, (depth, name)
 
-
-class MatmulDtypeSpy(np.ndarray):
-    """Weight matrix that records the dtype of every operand it is multiplied with."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = tuple(a.view(np.ndarray) if isinstance(a, MatmulDtypeSpy) else a for a in inputs)
-        if ufunc is np.matmul:
-            self.seen.extend(a.dtype for a in plain)
-        return getattr(ufunc, method)(*plain, **kwargs)
+    def test_plan_without_edges(self):
+        graphs = [ConcreteGraph.build([2, 7], []), ConcreteGraph.build([0], [])]
+        plan = compile_plan(graphs, K1)
+        assert plan.edge_count == 0 and plan.edge_rows == 0
+        params = init_message_net_params(np.random.default_rng(0), 2, 4, data_in=1, c_out=3)
+        buf = np.ones((plan.node_rows, 1))
+        for chunk_edges in (None, 1):
+            out = gcn2_layer_numpy(plan, message_net_from_params(params), buf, chunk_edges=chunk_edges)
+            assert out.shape == (plan.node_rows, 3) and not out.any()
+        assert not gcn2_layer_tensor(plan, params, ad.constant(buf)).data.any()
 
 
 class TestFloat32Inference:
-    def test_message_net_products_stay_float32(self):
+    def test_message_net_products_stay_float32(self, monkeypatch):
         rng = np.random.default_rng(8)
         graphs = [random_graph(rng, 8, 0.4) for _ in range(3)]
         plan = compile_plan(graphs, K1)
-        params = init_message_net_params(rng, 2, 6, data_in=2, c_out=3, dtype=np.float32)
+        params = init_message_net_params(rng, 3, 6, data_in=2, c_out=3, dtype=np.float32)
         net = message_net_from_params(params)
         buf = features_to_buffer(plan, [standard_blocks(rng, g, 2) for g in graphs], 2)
 
-        seen = []
+        # the operand dtypes of every dense and every sparse product, the
+        # sparse operator as handed over: sparse_mix would cast a float64
+        # operator itself, once per chunk, and hide a missing cast
+        seen = {"dense": [], "sparse": []}
+        matmul, sparse_mix = ad.matmul, ad.sparse_mix
 
-        def spy(w):
-            out = w.view(MatmulDtypeSpy)
-            out.seen = seen
-            return out
+        def dense_spy(a, b):
+            seen["dense"].append((a.dtype, b.dtype))
+            return matmul(a, b)
 
-        spied = GcnMessageNet(
-            [replace(l, w_self=spy(l.w_self), w_neigh=spy(l.w_neigh)) for l in net.layers]
-        )
-        out32 = gcn2_layer_numpy(plan, spied, buf.astype(np.float32), chunk_edges=4)
+        def sparse_spy(a, mat):
+            seen["sparse"].append((a.dtype, mat.dtype))
+            return sparse_mix(a, mat)
+
+        monkeypatch.setattr(ad, "matmul", dense_spy)
+        monkeypatch.setattr(ad, "sparse_mix", sparse_spy)
+        out32 = gcn2_layer_numpy(plan, net, buf.astype(np.float32), chunk_edges=4)
+        monkeypatch.undo()
         assert out32.dtype == np.float32
-        # both products of every message-net layer, in every chunk, including
-        # the neighbour mix: an upcast there is hidden by the final scatter.
         # A chunk takes 4 edges and runs on to the end of its last head's
         # edges; edges are ordered by (graph, head, tail).
         heads = [(gi, q) for gi, g in enumerate(plan.graphs) for q in sorted(q for _, q in g.edges)]
@@ -166,8 +259,12 @@ class TestFloat32Inference:
             while e < len(heads) and heads[e] == heads[e - 1]:
                 e += 1
             n_chunks += 1
-        assert len(seen) == n_chunks * 2 * 2 * 2  # chunks x layers x products x operands
-        assert set(seen) == {np.dtype(np.float32)}
+        # on node rows: the first layer's weights, the last layer's two
+        # weights and its bias; per chunk, the middle layer's two weights
+        assert len(seen["dense"]) == 4 + 2 * n_chunks
+        # per chunk: embed, the middle layer's mix, project and project-mix
+        assert len(seen["sparse"]) == 4 * n_chunks
+        assert {t for pair in seen["dense"] + seen["sparse"] for t in pair} == {np.dtype(np.float32)}
 
         params64 = {k: ad.constant(v.data, np.float64) for k, v in params.items()}
         out64 = gcn2_layer_numpy(plan, message_net_from_params(params64), buf)
@@ -269,7 +366,7 @@ class TestEmbeddings:
         # two non-isomorphic 3-regular graphs: the triangular prism and K_{3,3};
         # with constant degree inputs an invariant message passer cannot tell
         # them apart, so the pair must land below the dissimilarity threshold
-        from ngn.graph_core import from_undirected
+        from ngn.graph_core import ConcreteGraph, from_undirected
         from ngn.models import gcn_embeddings
 
         k33 = from_undirected(range(6), [(i, j + 3) for i in range(3) for j in range(3)])
