@@ -8,6 +8,7 @@ a second pass on the same loss raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -374,19 +375,44 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ContractError("not a checkpoint file")
-        version = int.from_bytes(fh.read(2), "big")
-        if version != _CKPT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
-        count = int.from_bytes(fh.read(4), "big")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name = fh.read(int.from_bytes(fh.read(2), "big")).decode("utf-8")
-            dtype = np.dtype(fh.read(int.from_bytes(fh.read(1), "big")).decode("ascii"))
-            ndim = int.from_bytes(fh.read(1), "big")
-            shape = tuple(int.from_bytes(fh.read(8), "big") for _ in range(ndim))
-            n_bytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-            out[name] = np.frombuffer(fh.read(n_bytes), dtype=dtype).reshape(shape).copy()
-        return out
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A short read, trailing bytes or an unreadable header field raises
+    ContractError; no tensor is read past the bytes left in the file.
+    """
+    data = Path(path).read_bytes()
+    at = 0
+
+    def take(n: int) -> bytes:
+        nonlocal at
+        if n > len(data) - at:
+            raise ContractError(f"checkpoint truncated at byte {len(data)}: {n} more bytes expected at {at}")
+        at += n
+        return data[at - n : at]
+
+    def number(width: int) -> int:
+        return int.from_bytes(take(width), "big")
+
+    if take(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+        raise ContractError("not a checkpoint file")
+    version = number(2)
+    if version != _CKPT_VERSION:
+        raise ContractError(f"unsupported checkpoint version {version}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(number(4)):
+        try:
+            name = take(number(2)).decode("utf-8")
+            dtype = np.dtype(take(number(1)).decode("ascii"))
+        except (TypeError, ValueError, SyntaxError) as exc:  # UnicodeDecodeError is a ValueError
+            raise ContractError(f"unreadable tensor header before byte {at}: {exc}") from None
+        if dtype.hasobject or dtype.subdtype is not None or dtype.itemsize == 0:
+            raise ContractError(f"tensor {name!r} has an unsupported dtype {dtype}")
+        shape = tuple(number(8) for _ in range(number(1)))
+        flat = np.frombuffer(take(dtype.itemsize * math.prod(shape)), dtype=dtype)
+        try:
+            out[name] = flat.reshape(shape).copy()
+        except ValueError as exc:  # a zero-size shape whose dimensions numpy cannot represent
+            raise ContractError(f"tensor {name!r} has an unusable shape {shape}: {exc}") from None
+    if at != len(data):
+        raise ContractError(f"{len(data) - at} trailing bytes after the last tensor")
+    return out

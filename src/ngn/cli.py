@@ -147,16 +147,16 @@ def cmd_check_naturality(cfg: RunConfig) -> dict:
         phi = _random_relabel(rng, g)
         v = random_feature(rng, rho, g, K1)
         if cfg.corrupt:
-            # negative control: poison the realized kernels of this graph's
-            # edges so the law check must fail
-            layer.forward(g, v)
+            # negative control: perturb every class's weights between the two
+            # sides of the law, so the check must fail
+            lhs = lift_global(phi, layer.forward(g, v), rho, K1)
             for shared in layer.table.values():
-                for key in shared._realized:
-                    shared._realized[key] = shared._realized[key] + 0.5
-        worst_solver = max(worst_solver, check_naturality(layer, g, phi, v))
-        if cfg.corrupt:
-            for shared in layer.table.values():
-                shared.invalidate_cache()
+                for w in shared.weights:
+                    w += 0.5
+            rhs = layer.forward(phi.target, lift_global(phi, v, rho, K1))
+            worst_solver = max(worst_solver, lhs.max_abs_diff(rhs))
+        else:
+            worst_solver = max(worst_solver, check_naturality(layer, g, phi, v))
 
         c_in, c_out = 2, 3
         net = build_gcn_net(rng, net_cfg["layers"], net_cfg["hidden"], data_in=c_in, c_out=c_out)

@@ -9,7 +9,6 @@ original ids kept alongside.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +17,6 @@ import numpy as np
 
 from .errors import ContractError, GenerationError, ParseError
 from .graph_core import ConcreteGraph, canonical_form, from_undirected
-
-DATASET_CACHE_VERSION = 1
 
 
 @dataclass
@@ -414,42 +411,3 @@ def ten_fold_split(ds: GraphDataset, seed: int) -> list[np.ndarray]:
         for i, gi in enumerate(members):
             folds[i % 10].append(int(gi))
     return [np.array(sorted(f), dtype=np.intp) for f in folds]
-
-
-# ---------------------------------------------------------------------------
-# Internal cache
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(ds: GraphDataset, path: str | Path) -> None:
-    payload = {
-        "version": DATASET_CACHE_VERSION,
-        "name": ds.name,
-        "n_classes": ds.n_classes,
-        "labels": [int(l) for l in ds.labels],
-        "graphs": [
-            {"nodes": list(g.nodes), "edges": sorted(list(e) for e in g.edges)}
-            for g in ds.graphs
-        ],
-        "node_labels": ds.node_labels,
-        "original_ids": ds.original_ids,
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_dataset(path: str | Path) -> GraphDataset:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != DATASET_CACHE_VERSION:
-        raise ParseError(f"unsupported dataset cache version {payload.get('version')!r}")
-    graphs = [
-        ConcreteGraph.build(g["nodes"], [tuple(e) for e in g["edges"]])
-        for g in payload["graphs"]
-    ]
-    return GraphDataset(
-        name=payload["name"],
-        graphs=graphs,
-        labels=np.array(payload["labels"], dtype=np.intp),
-        n_classes=payload["n_classes"],
-        node_labels=payload["node_labels"],
-        original_ids=payload["original_ids"],
-    )

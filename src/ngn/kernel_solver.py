@@ -7,8 +7,9 @@ representations the commuting kernels are spanned exactly by the indicators
 of the group's orbits on (head-ball coordinate, tail-ball coordinate) pairs,
 so the basis is read off the generators' action with no numerical solve, and
 is parameterized by weights per basis element and channel pair. Kernels at
-members are obtained by transporting the representative kernel with the
-class isomorphism, which permutes its rows and columns.
+members are obtained by transporting the representative kernel along the
+member's canonical relabeling, which permutes its rows and columns by
+index.
 
 Channel multiplicities never enter the solve: the constraint decouples per
 channel pair, so bases are found once per (kind, kind) part pair on
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,7 +42,7 @@ from .neighbourhoods import (
     node_neighbourhood,
     restrict_edge_iso,
 )
-from .representations import RepSpec, rep_index, rep_matrix, structural_dim
+from .representations import RepSpec, rep_index, rep_index_from_perm, rep_matrix, structural_dim
 
 
 def _mark_colors(nb: EdgeNeighbourhood) -> dict[int, int]:
@@ -163,11 +165,8 @@ class KernelBasis:
 
     @cached_property
     def dims(self) -> tuple[int, int]:
-        n_in = self.edge_class.tail_nb.graph.n
-        n_out = self.edge_class.head_nb.graph.n
-        d_in = sum(structural_dim(k, n_in) * c for k, c in self.rho.parts)
-        d_out = sum(structural_dim(k, n_out) * c for k, c in self.rho_prime.parts)
-        return d_out, d_in
+        ec = self.edge_class
+        return self.rho_prime.dim(ec.head_nb.graph.n), self.rho.dim(ec.tail_nb.graph.n)
 
     def _offsets(self) -> tuple[list[int], list[int]]:
         n_in = self.edge_class.tail_nb.graph.n
@@ -264,7 +263,7 @@ def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
 
 @dataclass
 class SharedKernel:
-    """Per-class weights over the basis, with per-member realized kernels."""
+    """Per-class weights over the basis."""
 
     basis: KernelBasis
     weights: list[np.ndarray]  # aligned with basis.pair_bases: (r, c_in, c_out)
@@ -275,7 +274,6 @@ class SharedKernel:
         for w, pb in zip(self.weights, self.basis.pair_bases):
             if w.shape != (pb.elements.shape[0], pb.c_in, pb.c_out):
                 raise ShapeError(f"weight shape {w.shape} does not match basis pair")
-        self._realized: dict[tuple, np.ndarray] = {}
 
     @staticmethod
     def zeros(basis: KernelBasis) -> "SharedKernel":
@@ -310,30 +308,50 @@ class SharedKernel:
             k[ro : ro + n_o * pb.c_out, co : co + n_i * pb.c_in] += block
         return k
 
-    def realize_from_transport(self, nb: EdgeNeighbourhood, transport: GraphIso) -> np.ndarray:
+    def realize_from_transport(
+        self,
+        nb: EdgeNeighbourhood,
+        relab: Mapping[int, int],
+        balls: tuple[Sequence[int], Sequence[int]],
+        kernel: np.ndarray,
+    ) -> np.ndarray:
         """Transported kernel for a member neighbourhood.
 
-        ``transport`` runs from the class representative onto ``nb``. The
-        representative kernel's rows and columns are moved to where the head
-        and tail restrictions of the transport send them, which equals
-        conjugating it by their representation matrices.
+        ``relab`` sends the member's node ids to the representative's, as
+        :func:`locate_edge` returns it; ``balls`` are the member's tail and
+        head balls in ascending id order, and ``kernel`` is
+        :meth:`representative_kernel`. The tail and head node permutations
+        are the argsorts of the balls' positions under ``relab``. Placing the
+        kernel's columns and rows by them equals conjugating it by the
+        representation matrices of the transport restricted to the two balls.
+
+        Raises ValidationError unless ``relab`` maps the member onto the
+        representative: marks onto marks, edges onto edges, balls onto balls.
         """
-        cache_key = transport.mapping
-        hit = self._realized.get(cache_key)
-        if hit is not None:
-            return hit
         ec = self.basis.edge_class
-        psi_tail = restrict_edge_iso(transport, ec.representative, nb, "tail", ec.assignment)
-        psi_head = restrict_edge_iso(transport, ec.representative, nb, "head", ec.assignment)
-        rows = rep_index(self.basis.rho_prime, psi_head)
-        cols = rep_index(self.basis.rho, psi_tail)
+        rep = ec.representative
+        image = nb.graph.relabel(relab)
+        if (
+            image.nodes != rep.graph.nodes
+            or image.edges != rep.graph.edges
+            or (relab[nb.tail], relab[nb.head]) != rep.marked
+        ):
+            raise ValidationError(f"relabeling of edge {nb.marked} does not map it onto its class representative")
+        cols = rep_index_from_perm(self.basis.rho, _ball_perm(relab, balls[0], ec.tail_nb.graph.nodes))
+        rows = rep_index_from_perm(self.basis.rho_prime, _ball_perm(relab, balls[1], ec.head_nb.graph.nodes))
         realized = np.empty((rows.size, cols.size))
-        realized[np.ix_(rows, cols)] = self.representative_kernel()
-        self._realized[cache_key] = realized
+        realized[rows[:, None], cols] = kernel
         return realized
 
-    def invalidate_cache(self) -> None:
-        self._realized.clear()
+
+def _ball_perm(relab: Mapping[int, int], ball: Sequence[int], rep_ball: tuple[int, ...]) -> np.ndarray:
+    """Entry i is the rank in ``ball`` of the node that ``relab`` sends to
+    the i-th node of ``rep_ball``: the argsort of the ball's positions."""
+    positions = [relab[u] for u in ball]
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    if tuple(positions[j] for j in order) != rep_ball:
+        raise ValidationError("relabeling does not map an endpoint ball onto the representative's")
+    return np.array(order, dtype=np.intp)
 
 
 CACHE_VERSION = 1

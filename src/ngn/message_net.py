@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .graph_core import ConcreteGraph, GraphIso
+from .graph_core import ConcreteGraph
 from .neighbourhoods import (
     EdgeNeighbourhood,
     NeighbourhoodAssignment,
@@ -223,12 +223,3 @@ def ngn_gcn2_forward(
                 out[q] /= in_deg[q]
     return GlobalFeature({p: out[p].reshape(-1) for p in g.nodes})
 
-
-def tau_row_permutation(psi: GraphIso) -> np.ndarray:
-    """Row action of an edge-neighbourhood isomorphism on per-node features."""
-    tgt_index = {v: i for i, v in enumerate(psi.target.nodes)}
-    n = psi.source.n
-    perm = np.zeros((n, n))
-    for s_i, u in enumerate(psi.source.nodes):
-        perm[tgt_index[psi.map[u]], s_i] = 1.0
-    return perm

@@ -5,6 +5,12 @@ applied to the source node's block; output blocks aggregate incoming
 messages (sum by default, mean behind a flag). Because every class kernel
 satisfies its automorphism constraint and transport is functorial, the layer
 commutes with feature transport along any graph isomorphism.
+
+A forward computes every node's k-ball once. Each edge is resolved to its
+class and the canonical relabeling of its neighbourhood, and the class's
+representative kernel (built at most once per call) is placed by the row
+and column index maps that the relabeling gives on the two endpoint balls.
+No isomorphism object is built per edge, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -18,28 +24,25 @@ import numpy as np
 from .errors import ClassMissError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso
 from .kernel_solver import (
-    ClassMember,
     EdgeClass,
     SharedKernel,
     _class_from_neighbourhood,
-    _transport_from_relab,
     class_cache_from_dict,
     class_cache_to_dict,
     locate_edge,
     solve_basis,
 )
 from .neighbourhoods import (
+    EdgeNeighbourhood,
     NeighbourhoodAssignment,
+    _ball,
     edge_neighbourhood,
-    node_neighbourhood,
 )
 from .representations import (
     GlobalFeature,
     RepSpec,
     lift_global,
     parse_rep_spec,
-    rep_dim,
-    zero_feature,
 )
 
 LAYER_FORMAT_VERSION = 1
@@ -70,7 +73,7 @@ class NgnLayer:
                 nb = edge_neighbourhood(g, p, q, self.assignment)
                 self._resolve(nb)
 
-    def _resolve(self, nb) -> tuple[SharedKernel, GraphIso]:
+    def _resolve(self, nb: EdgeNeighbourhood) -> tuple[SharedKernel, dict[int, int]]:
         key, relab = locate_edge(nb)
         shared = self.table.get(key)
         if shared is None:
@@ -82,8 +85,7 @@ class NgnLayer:
             basis = solve_basis(ec, self.rho, self.rho_prime)
             shared = SharedKernel.random(basis, self._rng, scale=self.init_scale)
             self.table[key] = shared
-        transport = _transport_from_relab(shared.basis.edge_class, nb, relab)
-        return shared, transport
+        return shared, relab
 
     def classes(self) -> list[EdgeClass]:
         return [sk.basis.edge_class for sk in self.table.values()]
@@ -93,16 +95,21 @@ class NgnLayer:
     def forward(self, g: ConcreteGraph, v: GlobalFeature) -> GlobalFeature:
         if set(v.blocks) != set(g.nodes):
             raise ShapeError("feature blocks are not indexed by the graph's nodes")
-        out = zero_feature(self.rho_prime, g, self.assignment)
-        for p in g.nodes:
-            want = rep_dim(self.rho, node_neighbourhood(g, p, self.assignment))
+        balls = {p: sorted(_ball(g, [p], self.assignment.k)) for p in g.nodes}
+        for p, ball in balls.items():
+            want = self.rho.dim(len(ball))
             if v.blocks[p].shape != (want,):
                 raise ShapeError(f"block at node {p}: expected dim {want}, got {v.blocks[p].shape}")
+        out = GlobalFeature({p: np.zeros(self.rho_prime.dim(len(ball))) for p, ball in balls.items()})
+        kernels: dict[bytes, np.ndarray] = {}  # representative kernel per class key
         in_degree = {p: 0 for p in g.nodes}
         for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
-            nb = edge_neighbourhood(g, p, q, self.assignment)
-            shared, transport = self._resolve(nb)
-            kernel = shared.realize_from_transport(nb, transport)
+            nb = EdgeNeighbourhood(g.subgraph(set(balls[p]) | set(balls[q])), (p, q))
+            shared, relab = self._resolve(nb)
+            key = shared.basis.edge_class.key
+            if key not in kernels:
+                kernels[key] = shared.representative_kernel()
+            kernel = shared.realize_from_transport(nb, relab, (balls[p], balls[q]), kernels[key])
             out.blocks[q] += kernel @ v.blocks[p]
             in_degree[q] += 1
         if self.aggregation == "mean":

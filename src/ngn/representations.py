@@ -2,7 +2,9 @@
 
 A RepSpec is a direct sum of parts, each ``trivial`` or ``standard`` with a
 channel multiplicity. The standard part assigns one coordinate per
-neighbourhood node; local isomorphisms act by permuting those coordinates.
+neighbourhood node; local isomorphisms act by permuting those coordinates,
+so every action is an index map (:func:`rep_index_from_perm`), and the
+permutation matrices of :func:`rep_matrix` serve only as its dense oracle.
 
 Layout convention (fixed globally): parts are concatenated in order; inside
 a standard part, coordinates are node-major with nodes ordered by ascending
@@ -23,8 +25,8 @@ from .neighbourhoods import (
     EdgeNeighbourhood,
     NeighbourhoodAssignment,
     NodeNeighbourhood,
+    _ball,
     node_neighbourhood,
-    restrict_global_iso,
 )
 
 KINDS = ("trivial", "standard")
@@ -59,6 +61,10 @@ class RepSpec:
     def __str__(self) -> str:
         return "+".join(f"{kind}*{c}" for kind, c in self.parts)
 
+    def dim(self, n_nodes: int) -> int:
+        """Dimension on a neighbourhood of ``n_nodes`` nodes."""
+        return sum(structural_dim(kind, n_nodes) * c for kind, c in self.parts)
+
     def pure_standard_channels(self) -> int | None:
         """Channel count if this is a single standard part, else None."""
         if len(self.parts) == 1 and self.parts[0][0] == "standard":
@@ -85,8 +91,7 @@ def structural_dim(kind: str, n_nodes: int) -> int:
 
 
 def rep_dim(spec: RepSpec, nb: NodeNeighbourhood | EdgeNeighbourhood) -> int:
-    n = nb.graph.n
-    return sum(structural_dim(kind, n) * c for kind, c in spec.parts)
+    return spec.dim(nb.graph.n)
 
 
 def rep_index(spec: RepSpec, psi: GraphIso) -> np.ndarray:
@@ -97,27 +102,31 @@ def rep_index(spec: RepSpec, psi: GraphIso) -> np.ndarray:
     a single one per column, at these rows.
     """
     tgt_rank = {v: i for i, v in enumerate(psi.target.nodes)}
-    node_perm = np.array([tgt_rank[psi.map[u]] for u in psi.source.nodes], dtype=np.intp)
+    return rep_index_from_perm(
+        spec, np.array([tgt_rank[psi.map[u]] for u in psi.source.nodes], dtype=np.intp)
+    )
+
+
+def rep_index_from_perm(spec: RepSpec, node_perm: np.ndarray) -> np.ndarray:
+    """Where a node permutation sends each coordinate under spec.
+
+    ``node_perm[i]`` is the rank in the target ball of the image of the
+    source ball's i-th node (balls in ascending id order). This is the one
+    place that knows the coordinate layout.
+    """
     pieces, offset = [], 0
     for kind, c in spec.parts:
         perm = node_perm if kind == "standard" else np.zeros(1, dtype=np.intp)
-        pieces.append(offset + (perm[:, None] * c + np.arange(c)).reshape(-1))
+        pieces.append(offset + (perm if c == 1 else (perm[:, None] * c + np.arange(c)).reshape(-1)))
         offset += perm.size * c
-    return np.concatenate(pieces)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
 class RepMatrix:
     """The invertible linear map a representation assigns to an isomorphism."""
 
-    source_dim: int
-    target_dim: int
     entries: np.ndarray
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        if vec.shape[0] != self.source_dim:
-            raise ShapeError(f"expected vector of dim {self.source_dim}, got {vec.shape[0]}")
-        return self.entries @ vec
 
 
 def rep_matrix(spec: RepSpec, psi: GraphIso) -> RepMatrix:
@@ -127,7 +136,7 @@ def rep_matrix(spec: RepSpec, psi: GraphIso) -> RepMatrix:
     index = rep_index(spec, psi)
     entries = np.zeros((index.size, index.size))
     entries[index, np.arange(index.size)] = 1.0
-    return RepMatrix(index.size, index.size, entries)
+    return RepMatrix(entries)
 
 
 @dataclass
@@ -150,12 +159,6 @@ class GlobalFeature:
         return worst
 
 
-def zero_feature(spec: RepSpec, g: ConcreteGraph, a: NeighbourhoodAssignment) -> GlobalFeature:
-    return GlobalFeature(
-        {p: np.zeros(rep_dim(spec, node_neighbourhood(g, p, a))) for p in g.nodes}
-    )
-
-
 def random_feature(
     rng: np.random.Generator, spec: RepSpec, g: ConcreteGraph, a: NeighbourhoodAssignment
 ) -> GlobalFeature:
@@ -172,19 +175,27 @@ def lift_global(
 ) -> GlobalFeature:
     """Transport a global feature along a graph isomorphism.
 
-    The output block at phi(p) is the source block at p pushed through the
-    matrix assigned to the restricted local isomorphism.
+    The output block at phi(p) is the source block at p with its
+    coordinates moved to where the restriction of phi to p's ball sends
+    them: an index scatter, equal to the product with the matrix that
+    :func:`rep_matrix` assigns to the restricted local isomorphism.
     """
     if set(v.blocks) != set(phi.source.nodes):
         raise ShapeError("feature is not indexed by the source graph's nodes")
+    if not validate_iso(phi):
+        raise ValidationError("phi is not a graph isomorphism")
     out: dict[int, np.ndarray] = {}
     for p in phi.source.nodes:
-        nb = node_neighbourhood(phi.source, p, a)
-        local = restrict_global_iso(phi, nb, a)
-        mat = rep_matrix(spec, local)
-        if v.blocks[p].shape[0] != mat.source_dim:
-            raise ShapeError(
-                f"block at node {p} has dim {v.blocks[p].shape[0]}, expected {mat.source_dim}"
-            )
-        out[phi.apply(p)] = mat.apply(v.blocks[p])
+        image = [phi.map[u] for u in sorted(_ball(phi.source, [p], a.k))]
+        target_ball = sorted(_ball(phi.target, [phi.map[p]], a.k))
+        if sorted(image) != target_ball:
+            raise ValidationError(f"phi does not map the ball of {p} onto the ball of its image")
+        rank = {u: i for i, u in enumerate(target_ball)}
+        index = rep_index_from_perm(spec, np.array([rank[u] for u in image], dtype=np.intp))
+        block = v.blocks[p]
+        if block.shape[0] != index.size:
+            raise ShapeError(f"block at node {p} has dim {block.shape[0]}, expected {index.size}")
+        lifted = np.empty_like(block, dtype=np.result_type(block, np.float64))
+        lifted[index] = block
+        out[phi.map[p]] = lifted
     return GlobalFeature(out)

@@ -43,6 +43,21 @@ def random_graph(rng: np.random.Generator, n: int, p: float, id_offset: int = 0)
     return from_undirected(nodes, pairs)
 
 
+def random_capped_graph(rng: np.random.Generator, n: int, p: float, max_degree: int) -> ConcreteGraph:
+    """Symmetrized G(n, p) on ids 0..n-1, thinned to degree at most
+    ``max_degree``: pairs are kept in a random order while both ends have room."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    degree = [0] * n
+    kept = []
+    for k in rng.permutation(len(pairs)):
+        i, j = pairs[k]
+        if degree[i] < max_degree and degree[j] < max_degree:
+            kept.append((i, j))
+            degree[i] += 1
+            degree[j] += 1
+    return from_undirected(range(n), kept)
+
+
 def random_relabeling(rng: np.random.Generator, g: ConcreteGraph, fresh_ids: bool = False) -> GraphIso:
     """A random bijection from g onto a relabeled copy of itself."""
     if fresh_ids:
@@ -92,6 +107,49 @@ def edge_iso_with_restrictions(rng: np.random.Generator, g: ConcreteGraph, p: in
     psi_tail = restrict_edge_iso(psi, nb, target_nb, "tail", k1)
     psi_head = restrict_edge_iso(psi, nb, target_nb, "head", k1)
     return nb, target_nb, psi, psi_tail, psi_head
+
+
+def tau_row_permutation(psi: GraphIso) -> np.ndarray:
+    """Row action of an edge-neighbourhood isomorphism on per-node features."""
+    tgt_index = {v: i for i, v in enumerate(psi.target.nodes)}
+    n = psi.source.n
+    perm = np.zeros((n, n))
+    for s_i, u in enumerate(psi.source.nodes):
+        perm[tgt_index[psi.map[u]], s_i] = 1.0
+    return perm
+
+
+def dense_reference_forward(layer, g: ConcreteGraph, v):
+    """The solver layer's forward, one dense conjugation per edge.
+
+    Every edge's class must already be in ``layer.table``. The member kernel
+    is Q K Pᵀ, where K is the class's representative kernel and Q, P are the
+    representation matrices of the class isomorphism restricted to the head
+    and tail balls by ``restrict_edge_iso``. Only the class lookup is shared
+    with the layer; the transport is built independently of its index maps.
+    """
+    from ngn.kernel_solver import _transport_from_relab, locate_edge
+    from ngn.neighbourhoods import edge_neighbourhood, node_neighbourhood, restrict_edge_iso
+    from ngn.representations import GlobalFeature, rep_dim, rep_matrix
+
+    a = layer.assignment
+    out = {p: np.zeros(rep_dim(layer.rho_prime, node_neighbourhood(g, p, a))) for p in g.nodes}
+    in_degree = dict.fromkeys(g.nodes, 0)
+    for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
+        nb = edge_neighbourhood(g, p, q, a)
+        key, relab = locate_edge(nb)
+        shared = layer.table[key]
+        ec = shared.basis.edge_class
+        transport = _transport_from_relab(ec, nb, relab)
+        q_mat = rep_matrix(layer.rho_prime, restrict_edge_iso(transport, ec.representative, nb, "head", a)).entries
+        p_mat = rep_matrix(layer.rho, restrict_edge_iso(transport, ec.representative, nb, "tail", a)).entries
+        out[q] += (q_mat @ shared.representative_kernel() @ p_mat.T) @ v.blocks[p]
+        in_degree[q] += 1
+    if layer.aggregation == "mean":
+        for q in g.nodes:
+            if in_degree[q] > 1:
+                out[q] /= in_degree[q]
+    return GlobalFeature(out)
 
 
 def make_synthetic_tu(tmp_dir, n_graphs: int = 120, seed: int = 0):

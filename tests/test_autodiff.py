@@ -293,3 +293,22 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ContractError):
             load_checkpoint(path)
+
+    def test_rejects_every_truncation_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2, dtype=np.float32)})
+        data = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for end in list(range(len(data))) + [len(data) + 1]:
+            cut.write_bytes(data[:end] + (b"\0" if end > len(data) else b""))
+            with pytest.raises(ContractError):
+                load_checkpoint(cut)
+
+    def test_tensor_larger_than_the_file_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros(2)})
+        data = bytearray(path.read_bytes())
+        data[-24:-16] = (2**40).to_bytes(8, "big")  # the shape field of the only tensor
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContractError, match="truncated"):
+            load_checkpoint(path)

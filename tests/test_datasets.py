@@ -7,10 +7,8 @@ import pytest
 from ngn.datasets import (
     GraphDataset,
     initial_features,
-    load_dataset,
     load_graph6,
     load_tu,
-    save_dataset,
     synth_suites,
     ten_fold_split,
     write_graph6,
@@ -247,22 +245,3 @@ class TestFolds:
         with pytest.warns(UserWarning):
             ten_fold_split(ds, seed=0)
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        ds = GraphDataset(
-            "RT",
-            [cycle_graph(0, 1, 2), path_graph(5, 7, 9)],
-            np.array([0, 1]),
-            2,
-            node_labels=[[0, 0, 1], [1, 1, 0]],
-            original_ids=[[1, 2, 3], [4, 5, 6]],
-        )
-        path = tmp_path / "ds.json"
-        save_dataset(ds, path)
-        again = load_dataset(path)
-        assert [g.edges for g in again.graphs] == [g.edges for g in ds.graphs]
-        assert [g.nodes for g in again.graphs] == [g.nodes for g in ds.graphs]
-        assert list(again.labels) == list(ds.labels)
-        assert again.node_labels == ds.node_labels
-        assert again.original_ids == ds.original_ids

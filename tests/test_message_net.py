@@ -14,13 +14,12 @@ from ngn.message_net import (
     neighbour_mean_matrix,
     ngn_gcn2_forward,
     parse_net_config,
-    tau_row_permutation,
 )
 from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, node_neighbourhood
 from ngn.representations import GlobalFeature, RepSpec, lift_global, rep_matrix
 from ngn.graph_core import find_iso
 
-from helpers import cycle_graph, path_graph, random_graph, random_relabeling
+from helpers import cycle_graph, path_graph, random_graph, random_relabeling, tau_row_permutation
 
 K1 = NeighbourhoodAssignment(1)
 

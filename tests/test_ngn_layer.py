@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from ngn.errors import ClassMissError, ShapeError
+from ngn import ngn_layer
+from ngn.errors import ClassMissError, ShapeError, ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
 from ngn.neighbourhoods import NeighbourhoodAssignment
 from ngn.ngn_layer import NgnLayer, check_naturality
-from ngn.representations import GlobalFeature, RepSpec, random_feature
+from ngn.representations import GlobalFeature, RepSpec, parse_rep_spec, random_feature
 
-from helpers import cycle_graph, path_graph, random_graph, random_relabeling
+from helpers import (
+    cycle_graph,
+    dense_reference_forward,
+    path_graph,
+    random_capped_graph,
+    random_graph,
+    random_relabeling,
+)
 
 K1 = NeighbourhoodAssignment(1)
 
@@ -31,7 +39,6 @@ class TestForward:
         out = layer.forward(g, v)  # lazy solve, then overwrite the weight
         for shared in layer.table.values():
             shared.weights[0][...] = 1.0
-            shared.invalidate_cache()
         out = layer.forward(g, v)
         assert np.allclose(out.blocks[1], v.blocks[0])
         assert np.all(out.blocks[0] == 0.0)
@@ -47,7 +54,6 @@ class TestForward:
             layer.forward(g, v)  # populate classes
             for shared in layer.table.values():
                 shared.weights[0][0] = w_mat.T
-                shared.invalidate_cache()
             out = layer.forward(g, v)
             # direct invariant message passing: out_q = sum over in-edges W v_p
             for q in g.nodes:
@@ -92,6 +98,63 @@ class TestForward:
         fu, fv = layer.forward(g, u), layer.forward(g, v)
         right = GlobalFeature({p: a * fu.blocks[p] + b * fv.blocks[p] for p in g.nodes})
         assert left.max_abs_diff(right) < 1e-12
+
+
+class TestIndexTransport:
+    """The forward places kernels by index maps from the canonical
+    relabeling; the oracle conjugates by dense matrices per edge."""
+
+    @pytest.mark.parametrize("rep", ["standard*1", "standard*2+trivial*1", "trivial*2"])
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    def test_forward_matches_dense_reference(self, rep, aggregation):
+        rng = np.random.default_rng(12)
+        spec = parse_rep_spec(rep)
+        layer = make_layer(spec, spec, aggregation=aggregation, seed=5)
+        edges = 0
+        for _ in range(4):
+            n = int(rng.integers(6, 13))
+            g = random_capped_graph(rng, n, 4.0 / (n - 1), max_degree=6)
+            v = random_feature(rng, spec, g, K1)
+            out = layer.forward(g, v)
+            assert out.max_abs_diff(dense_reference_forward(layer, g, v)) <= 1e-12
+            edges += len(g.edges)
+        assert edges >= 40
+
+    def test_wrong_relabeling_raises(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        layer = make_layer()
+        g = random_capped_graph(rng, 9, 0.45, max_degree=6)
+        v = random_feature(rng, layer.rho, g, K1)
+        layer.forward(g, v)  # every class is in the table from here on
+        locate = ngn_layer.locate_edge
+
+        def shifted(nb):
+            key, relab = locate(nb)
+            return key, {u: (pos + 1) % nb.graph.n for u, pos in relab.items()}
+
+        monkeypatch.setattr(ngn_layer, "locate_edge", shifted)
+        with pytest.raises(ValidationError):
+            layer.forward(g, v)
+
+    def test_relabeling_off_the_edge_set_raises(self, monkeypatch):
+        # nodes 3 and 4 are both common neighbours of the marked edge (0, 1),
+        # but only 3 is adjacent to 2: swapping their positions keeps the
+        # marks and both balls, and breaks the edge set
+        g = from_undirected(range(5), [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
+        layer = make_layer()
+        v = random_feature(np.random.default_rng(15), layer.rho, g, K1)
+        layer.forward(g, v)
+        locate = ngn_layer.locate_edge
+
+        def swapped(nb):
+            key, relab = locate(nb)
+            if nb.marked == (0, 1):
+                relab = {**relab, 3: relab[4], 4: relab[3]}
+            return key, relab
+
+        monkeypatch.setattr(ngn_layer, "locate_edge", swapped)
+        with pytest.raises(ValidationError, match="class representative"):
+            layer.forward(g, v)
 
 
 class TestNaturality:

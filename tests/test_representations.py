@@ -14,7 +14,7 @@ from ngn.representations import (
     rep_matrix,
 )
 
-from helpers import path_graph, random_graph, random_relabeling
+from helpers import path_graph, random_capped_graph, random_graph, random_relabeling
 
 K1 = NeighbourhoodAssignment(1)
 
@@ -142,13 +142,17 @@ class TestLiftGlobal:
             assert once.max_abs_diff(twice) == 0.0
 
     def test_lift_matches_restricted_rep_matrices(self):
+        # the index scatter equals the permutation-matrix product bit for bit
         rng = np.random.default_rng(5)
-        g = random_graph(rng, 6, 0.5)
-        phi = random_relabeling(rng, g, fresh_ids=True)
-        spec = RepSpec.standard(2)
-        v = random_feature(rng, spec, g, K1)
-        lifted = lift_global(phi, v, spec, K1)
-        for p in g.nodes:
-            local = restrict_global_iso(phi, node_neighbourhood(g, p, K1), K1)
-            expected = rep_matrix(spec, local).entries @ v.blocks[p]
-            assert np.array_equal(lifted.blocks[phi.apply(p)], expected)
+        graphs = [random_graph(rng, 6, 0.5)] + [
+            random_capped_graph(rng, n, 0.4, max_degree=6) for n in (8, 10, 12)
+        ]
+        for spec in map(parse_rep_spec, ("standard*2", "standard*2+trivial*1", "trivial*2")):
+            for g in graphs:
+                phi = random_relabeling(rng, g, fresh_ids=True)
+                v = random_feature(rng, spec, g, K1)
+                lifted = lift_global(phi, v, spec, K1)
+                for p in g.nodes:
+                    local = restrict_global_iso(phi, node_neighbourhood(g, p, K1), K1)
+                    expected = rep_matrix(spec, local).entries @ v.blocks[p]
+                    assert np.array_equal(lifted.blocks[phi.apply(p)], expected)
