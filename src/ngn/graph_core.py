@@ -1,11 +1,13 @@
 """Concrete graphs, isomorphisms, canonical forms, and automorphism groups.
 
-Everything here is exact. Canonical labeling uses equitable refinement
-(degree / neighbour-degree partitioning) with backtracking over the smallest
-non-singleton cell; isomorphism and automorphism search use the same
-refinement in lockstep on both graphs. This is feasible because the graphs
-this package canonicalizes are small: k-hop neighbourhoods and desk-scale
-benchmark graphs.
+Everything here is exact. One individualization-refinement search gives both
+the canonical labeling and the automorphism generators: equitable refinement
+(degree / neighbour-degree partitioning), backtracking over the first
+smallest non-singleton cell, and pruning by the automorphisms that leaves
+with equal encodings reveal. Those automorphisms generate the group, which
+only :func:`enumerate_group`, the oracle path, lists. This is feasible
+because the graphs this package canonicalizes are small: k-hop
+neighbourhoods and desk-scale benchmark graphs.
 """
 
 from __future__ import annotations
@@ -85,11 +87,11 @@ class ConcreteGraph:
     def subgraph(self, keep: Iterable[int]) -> "ConcreteGraph":
         """Induced subgraph on ``keep``, inheriting parent ids."""
         keep_set = set(keep)
-        missing = keep_set - set(self.nodes)
+        missing = keep_set - self.node_set
         if missing:
             raise NodeLookupError(f"nodes {sorted(missing)} not in graph")
-        edges = [(i, j) for (i, j) in self.edges if i in keep_set and j in keep_set]
-        return ConcreteGraph(tuple(sorted(keep_set)), frozenset(edges))
+        edges = frozenset((i, j) for i in keep_set for j in self.out_nbrs[i] if j in keep_set)
+        return ConcreteGraph(tuple(sorted(keep_set)), edges)
 
     def relabel(self, mapping: Mapping[int, int]) -> "ConcreteGraph":
         """Apply a node bijection, producing the image graph."""
@@ -254,22 +256,97 @@ class CanonicalForm:
         return dict(self.relabeling)
 
 
-def canonical_form(
-    g: ConcreteGraph,
-    colors: Mapping[int, int] | None = None,
-    size_cap: int = SIZE_CAP,
-) -> CanonicalForm:
+def _orbits(cell: list[int], gens: list[dict[int, int]]) -> dict[int, int]:
+    """A representative of each vertex's orbit under ``gens``, all of which
+    map ``cell`` onto itself."""
+    root = {v: v for v in cell}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for gamma in gens:
+        for v in cell:
+            a, b = find(v), find(gamma[v])
+            root[max(a, b)] = min(a, b)
+    return {v: find(v) for v in cell}
+
+
+def _search(
+    g: ConcreteGraph, cells: list[list[int]], color_rank: Mapping[int, int]
+) -> tuple[bytes, list[int], list[dict[int, int]]]:
+    """Individualization-refinement search from an ordered partition.
+
+    Each tree node refines its partition and branches on the vertices of its
+    first smallest non-singleton cell; a leaf is a discrete partition, read
+    as a node order. Returns the smallest leaf encoding, the first leaf order
+    in depth-first order that gives it, and generators of the automorphisms
+    that preserve the initial partition. Raises CapacityError above
+    ``SIZE_CAP`` nodes.
+
+    A leaf whose encoding equals the first leaf's or the best leaf's is that
+    leaf's image under the automorphism mapping one order onto the other.
+    The automorphism fixes the two leaves' deepest common ancestor and maps
+    the earlier leaf's branch there onto the new leaf's, so it is recorded
+    and the search resumes at that ancestor. While the search is below a
+    node of the first path, every generator met so far fixes that node, so
+    there a child that the generators map onto an explored child is skipped.
+    Skipped subtrees hold only images of leaves already met, which leaves
+    the result unchanged, and the automorphisms met generate the whole group
+    (McKay and Piperno, Practical graph isomorphism II, 2014).
+    """
+    if g.n > SIZE_CAP:
+        raise CapacityError(f"graph has {g.n} nodes, cap is {SIZE_CAP}")
+    first = best = None  # (encoding, order, path) of the first and best leaves
+    gens: list[dict[int, int]] = []
+
+    def descend(cells: list[list[int]], path: list[int], on_first_path: bool) -> int | None:
+        """Search below one node; returns the depth to resume at, if above it."""
+        nonlocal first, best
+        cells = _refine(g, cells)
+        branching = [i for i, c in enumerate(cells) if len(c) > 1]
+        if not branching:
+            order = [c[0] for c in cells]
+            leaf = (_encode(g, order, color_rank), order, path)
+            if first is None:
+                first = best = leaf
+                return None
+            for enc, seen_order, seen_path in (first, best):
+                if leaf[0] == enc:
+                    gens.append(dict(zip(seen_order, order)))
+                    return next(d for d, (u, v) in enumerate(zip(seen_path, path)) if u != v)
+            if leaf[0] < best[0]:
+                best = leaf
+            return None
+        target_at = min(branching, key=lambda i: len(cells[i]))
+        target = cells[target_at]
+        explored: list[int] = []
+        orbit_gens = -1  # how many generators ``orbit`` was computed from
+        for v in target:
+            if on_first_path and explored:
+                if orbit_gens != len(gens):
+                    orbit, orbit_gens = _orbits(target, gens), len(gens)
+                if orbit[v] in {orbit[u] for u in explored}:
+                    continue
+            child = cells[:target_at] + [[v], [w for w in target if w != v]] + cells[target_at + 1 :]
+            back = descend(child, path + [v], on_first_path and not explored)
+            explored.append(v)
+            if back is not None and back < len(path):
+                return back
+        return None
+
+    descend(cells, [], True)
+    return best[0], best[1], gens
+
+
+def canonical_form(g: ConcreteGraph, colors: Mapping[int, int] | None = None) -> CanonicalForm:
     """Canonicalize ``g``, optionally respecting an initial node coloring.
 
     Colors are normalized to dense ranks, so only the partition they induce
-    matters. The search individualizes vertices of the first smallest
-    non-singleton cell and takes the lexicographically smallest encoding
-    over all leaves, which makes the result relabeling-invariant.
+    matters. The encoding is the smallest over the leaves of the search
+    tree, which makes the result relabeling-invariant.
     """
-    if g.n > size_cap:
-        raise CapacityError(f"graph has {g.n} nodes, cap is {size_cap}")
-    if g.n == 0:
-        return CanonicalForm(_encode(g, [], {}), ())
     if colors is None:
         colors = {v: 0 for v in g.nodes}
     else:
@@ -279,158 +356,14 @@ def canonical_form(
     distinct = sorted(set(colors[v] for v in g.nodes))
     rank_of = {c: r for r, c in enumerate(distinct)}
     color_rank = {v: rank_of[colors[v]] for v in g.nodes}
-
-    initial: list[list[int]] = [
-        sorted(v for v in g.nodes if color_rank[v] == r) for r in range(len(distinct))
-    ]
-
-    best: list[tuple[bytes, list[int]]] = []
-
-    def search(cells: list[list[int]]) -> None:
-        cells = _refine(g, cells)
-        nontrivial = [c for c in cells if len(c) > 1]
-        if not nontrivial:
-            order = [c[0] for c in cells]
-            enc = _encode(g, order, color_rank)
-            if not best or enc < best[0][0]:
-                best[:] = [(enc, order)]
-            return
-        size = min(len(c) for c in nontrivial)
-        target_at = next(i for i, c in enumerate(cells) if len(c) == size and len(c) > 1)
-        target = cells[target_at]
-        for v in target:
-            child = (
-                cells[:target_at]
-                + [[v], [w for w in target if w != v]]
-                + cells[target_at + 1 :]
-            )
-            search(child)
-
-    search(initial)
-    enc, order = best[0]
-    relabeling = tuple(sorted((v, i) for i, v in enumerate(order)))
-    return CanonicalForm(enc, relabeling)
+    cells = [sorted(v for v in g.nodes if color_rank[v] == r) for r in range(len(distinct))]
+    enc, order, _ = _search(g, cells, color_rank)
+    return CanonicalForm(enc, tuple(sorted((v, i) for i, v in enumerate(order))))
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search (pins honored) and automorphism groups
+# Automorphism groups
 # ---------------------------------------------------------------------------
-
-_PairCells = list[tuple[list[int], list[int]]]
-
-
-def _paired_refine(ga: ConcreteGraph, gb: ConcreteGraph, pcells: _PairCells) -> _PairCells | None:
-    """Refine matched partitions of two graphs in lockstep.
-
-    Returns None as soon as the split profiles diverge, which proves no
-    isomorphism is compatible with the current cell pairing.
-    """
-    while True:
-        index_a = {v: i for i, (ca, _) in enumerate(pcells) for v in ca}
-        index_b = {v: i for i, (_, cb) in enumerate(pcells) for v in cb}
-        out: _PairCells = []
-        changed = False
-        for ca, cb in pcells:
-            if len(ca) != len(cb):
-                return None
-            if len(ca) == 1:
-                out.append((ca, cb))
-                continue
-            groups_a: dict[tuple, list[int]] = {}
-            for v in ca:
-                groups_a.setdefault(_signature(ga, v, index_a), []).append(v)
-            groups_b: dict[tuple, list[int]] = {}
-            for v in cb:
-                groups_b.setdefault(_signature(gb, v, index_b), []).append(v)
-            if sorted(groups_a) != sorted(groups_b):
-                return None
-            if any(len(groups_a[s]) != len(groups_b[s]) for s in groups_a):
-                return None
-            if len(groups_a) == 1:
-                out.append((ca, cb))
-            else:
-                changed = True
-                for sig in sorted(groups_a):
-                    out.append((sorted(groups_a[sig]), sorted(groups_b[sig])))
-        pcells = out
-        if not changed:
-            return pcells
-
-
-def _edges_preserved(ga: ConcreteGraph, gb: ConcreteGraph, m: dict[int, int]) -> bool:
-    if len(ga.edges) != len(gb.edges):
-        return False
-    return all((m[i], m[j]) in gb.edges for i, j in ga.edges)
-
-
-def _search_isos(
-    ga: ConcreteGraph,
-    gb: ConcreteGraph,
-    pins: Sequence[tuple[int, int]],
-    limit: int | None,
-    cap: int | None = None,
-) -> list[GraphIso]:
-    """All (or the first ``limit``) isomorphisms ga -> gb honoring pins."""
-    if ga.n != gb.n or len(ga.edges) != len(gb.edges):
-        return []
-    for u, v in pins:
-        if u not in ga.node_set:
-            raise NodeLookupError(f"pinned node {u} not in source graph")
-        if v not in gb.node_set:
-            raise NodeLookupError(f"pinned node {v} not in target graph")
-    pin_a = [u for u, _ in pins]
-    pin_b = [v for _, v in pins]
-    if len(set(pin_a)) != len(pin_a) or len(set(pin_b)) != len(pin_b):
-        return []
-    rest_a = sorted(set(ga.nodes) - set(pin_a))
-    rest_b = sorted(set(gb.nodes) - set(pin_b))
-    pcells: _PairCells = [([u], [v]) for u, v in pins]
-    if rest_a:
-        pcells.append((rest_a, rest_b))
-
-    found: list[GraphIso] = []
-
-    def descend(cells: _PairCells) -> bool:
-        refined = _paired_refine(ga, gb, cells)
-        if refined is None:
-            return False
-        nontrivial = [(i, ca) for i, (ca, _) in enumerate(refined) if len(ca) > 1]
-        if not nontrivial:
-            m = {ca[0]: cb[0] for ca, cb in refined}
-            if _edges_preserved(ga, gb, m):
-                found.append(GraphIso.build(ga, gb, m))
-                if cap is not None and len(found) > cap:
-                    raise CapacityError(f"more than {cap} isomorphisms found")
-                if limit is not None and len(found) >= limit:
-                    return True
-            return False
-        size = min(len(ca) for _, ca in nontrivial)
-        at = next(i for i, ca in nontrivial if len(ca) == size)
-        ca, cb = refined[at]
-        u = ca[0]
-        rest = [w for w in ca if w != u]
-        for v in cb:
-            child = (
-                refined[:at]
-                + [([u], [v]), (rest, [w for w in cb if w != v])]
-                + refined[at + 1 :]
-            )
-            if descend(child):
-                return True
-        return False
-
-    descend(pcells)
-    return found
-
-
-def find_iso(
-    a: ConcreteGraph,
-    b: ConcreteGraph,
-    pins: Sequence[tuple[int, int]] = (),
-) -> GraphIso | None:
-    """Some isomorphism a -> b mapping each pinned pair, or None."""
-    isos = _search_isos(a, b, pins, limit=1)
-    return isos[0] if isos else None
 
 
 @dataclass(frozen=True)
@@ -441,58 +374,39 @@ class AutGenerators:
     marked: tuple[int, ...]
     generators: tuple[GraphIso, ...]
 
-    def order(self) -> int:
-        return len(enumerate_group(self))
 
-
-def automorphism_generators(
-    g: ConcreteGraph,
-    marked: Sequence[int] = (),
-    size_cap: int = SIZE_CAP,
-    order_cap: int = GROUP_ORDER_CAP,
-) -> AutGenerators:
+def automorphism_generators(g: ConcreteGraph, marked: Sequence[int] = ()) -> AutGenerators:
     """Generating set for the group of automorphisms fixing ``marked``.
 
-    The full group is enumerated by refinement-pruned search and reduced
-    greedily, so the generated group provably equals the full group.
+    Each marked node is its own singleton colour in the search that
+    :func:`canonical_form` runs; the automorphisms that search meets
+    generate the whole group, which is never enumerated.
     """
-    if g.n > size_cap:
-        raise CapacityError(f"graph has {g.n} nodes, cap is {size_cap}")
     for m in marked:
         if m not in g.node_set:
             raise NodeLookupError(f"marked node {m} not in graph")
-    auts = _search_isos(g, g, [(m, m) for m in marked], limit=None, cap=order_cap)
-    gens: list[GraphIso] = []
-    closure_keys = {GraphIso.identity(g).mapping}
-    for sigma in auts:
-        if sigma.mapping in closure_keys:
-            continue
-        gens.append(sigma)
-        closure_keys = {
-            iso.mapping
-            for iso in _close(g, gens, order_cap)
-        }
-    return AutGenerators(g, tuple(marked), tuple(gens))
+    pinned = list(dict.fromkeys(marked))
+    rest = sorted(g.node_set - set(pinned))
+    cells = [[m] for m in pinned] + ([rest] if rest else [])
+    color_rank = {v: i for i, cell in enumerate(cells) for v in cell}
+    _, _, gens = _search(g, cells, color_rank)
+    return AutGenerators(g, tuple(marked), tuple(GraphIso.build(g, g, m) for m in gens))
 
 
-def _close(g: ConcreteGraph, gens: list[GraphIso], cap: int) -> list[GraphIso]:
-    identity = GraphIso.identity(g)
+def enumerate_group(gens: AutGenerators, order_cap: int = GROUP_ORDER_CAP) -> list[GraphIso]:
+    """Closure of the generators under composition (identity included)."""
+    identity = GraphIso.identity(gens.graph)
     seen: dict[tuple, GraphIso] = {identity.mapping: identity}
     frontier = [identity]
     while frontier:
         nxt: list[GraphIso] = []
         for h in frontier:
-            for gen in gens:
+            for gen in gens.generators:
                 prod = gen.compose(h)
                 if prod.mapping not in seen:
-                    if len(seen) >= cap:
-                        raise CapacityError(f"group order exceeds cap {cap}")
+                    if len(seen) >= order_cap:
+                        raise CapacityError(f"group order exceeds cap {order_cap}")
                     seen[prod.mapping] = prod
                     nxt.append(prod)
         frontier = nxt
     return [seen[k] for k in sorted(seen)]
-
-
-def enumerate_group(gens: AutGenerators, order_cap: int = GROUP_ORDER_CAP) -> list[GraphIso]:
-    """Closure of the generators under composition (identity included)."""
-    return _close(gens.graph, list(gens.generators), order_cap)

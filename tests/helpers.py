@@ -1,8 +1,9 @@
 """Shared brute-force oracles and random-graph helpers for the test suite.
 
-Everything here is deliberately independent of the library's own search and
-solver code paths: oracles enumerate permutations or average over the whole
-group directly.
+The oracles are deliberately independent of the library's own search and
+solver code paths: they enumerate permutations or average over the whole
+group directly. ``find_iso`` is not an oracle; it is built on
+``canonical_form``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
+from ngn.graph_core import ConcreteGraph, GraphIso, canonical_form, from_undirected
 
 
 def brute_isos(a: ConcreteGraph, b: ConcreteGraph, pins=()) -> list[dict[int, int]]:
@@ -32,6 +33,25 @@ def brute_automorphisms(g: ConcreteGraph, marked=()) -> list[dict[int, int]]:
     return brute_isos(g, g, pins=[(m, m) for m in marked])
 
 
+def find_iso(a: ConcreteGraph, b: ConcreteGraph, pins=()) -> GraphIso | None:
+    """Some isomorphism a -> b mapping each pinned pair, or None.
+
+    Both graphs are canonicalized with each pinned pair as one matching
+    singleton colour; equal encodings mean the canonical relabeling of ``a``
+    followed by the inverse of ``b``'s is such an isomorphism.
+    """
+    colors_a = dict.fromkeys(a.nodes, 0)
+    colors_b = dict.fromkeys(b.nodes, 0)
+    for color, (u, v) in enumerate(pins, start=1):
+        colors_a[u] = colors_b[v] = color
+    form_a = canonical_form(a, colors_a)
+    form_b = canonical_form(b, colors_b)
+    if form_a.encoding != form_b.encoding:
+        return None
+    node_at = {pos: v for v, pos in form_b.relabeling}
+    return GraphIso.build(a, b, {u: node_at[pos] for u, pos in form_a.relabeling})
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float, id_offset: int = 0) -> ConcreteGraph:
     """Symmetrized G(n, p) on ids offset..offset+n-1."""
     nodes = [id_offset + i for i in range(n)]
@@ -41,6 +61,12 @@ def random_graph(rng: np.random.Generator, n: int, p: float, id_offset: int = 0)
             if rng.random() < p:
                 pairs.append((nodes[i], nodes[j]))
     return from_undirected(nodes, pairs)
+
+
+def random_digraph(rng: np.random.Generator, n: int, p: float) -> ConcreteGraph:
+    """Directed G(n, p) on ids 0..n-1: each ordered pair is an edge with probability p."""
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p]
+    return ConcreteGraph.build(range(n), edges)
 
 
 def random_capped_graph(rng: np.random.Generator, n: int, p: float, max_degree: int) -> ConcreteGraph:

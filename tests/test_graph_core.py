@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ngn import graph_core
+from ngn.datasets import synth_suites
 from ngn.errors import CapacityError, ValidationError
 from ngn.graph_core import (
     AutGenerators,
@@ -9,20 +13,30 @@ from ngn.graph_core import (
     automorphism_generators,
     canonical_form,
     enumerate_group,
-    find_iso,
     from_undirected,
     validate_iso,
 )
+from ngn.kernel_solver import locate_edge
+from ngn.lattices import king_torus, triangular_torus
+from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood
+from ngn.srg import builtin_srg_25, paley_25
 
 from helpers import (
     brute_automorphisms,
     brute_isos,
     complete_graph,
     cycle_graph,
+    find_iso,
     path_graph,
+    random_digraph,
     random_graph,
     random_relabeling,
 )
+
+# sha256 over the concatenated canonical encodings that test_encodings_pinned
+# lists. Class caches and saved layers are keyed by these encodings, so a
+# change to this digest invalidates every one of them.
+PINNED_ENCODINGS_SHA256 = "cf2e413ca4f0db719af6fe32c3ee751f4708392c7d5b56d149a5fc6516b34374"
 
 
 def triangle(ids=(0, 1, 2)):
@@ -143,6 +157,32 @@ class TestCanonicalForm:
         with pytest.raises(CapacityError):
             canonical_form(g)
 
+    def test_encodings_pinned(self):
+        digest = hashlib.sha256()
+        srg = builtin_srg_25()
+        suites = synth_suites(0, srg_graphs=srg)
+        for g in list(srg) + [g for graphs in suites.values() for g in graphs]:
+            digest.update(canonical_form(g).encoding)
+        k1 = NeighbourhoodAssignment(1)
+        for g in (triangular_torus(5), king_torus(5)):
+            for p, q in sorted(g.edges):
+                digest.update(locate_edge(edge_neighbourhood(g, p, q, k1))[0])
+        assert digest.hexdigest() == PINNED_ENCODINGS_SHA256
+
+    def test_automorphisms_prune_the_leaves(self, monkeypatch):
+        # Aut(Paley 25) has order 600; a search without automorphism pruning
+        # encodes one leaf per automorphism
+        leaves = []
+        encode = graph_core._encode
+
+        def counting(*args):
+            leaves.append(1)
+            return encode(*args)
+
+        monkeypatch.setattr(graph_core, "_encode", counting)
+        canonical_form(paley_25())
+        assert 0 < len(leaves) < 60
+
 
 class TestFindIso:
     def test_relabeled_copy_found(self):
@@ -204,11 +244,23 @@ class TestAutomorphisms:
         assert group[0].is_identity()
 
     def test_matches_brute_force_on_random_graphs(self):
+        # equal element sets give equal orders and orbits. First case: a
+        # 4-cycle and two isolated nodes, whose automorphisms turn up at two
+        # depths of the search; the group needs both
         rng = np.random.default_rng(5)
+        cases = [(from_undirected(range(6), [(0, 3), (0, 5), (1, 3), (1, 5)]), [])]
         for _ in range(15):
             n = int(rng.integers(2, 8))
             g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-            marked = [int(g.nodes[0])] if rng.random() < 0.5 else []
+            cases.append((g, [int(g.nodes[0])] if rng.random() < 0.5 else []))
+        for _ in range(15):  # one or two marks anywhere
+            g = random_graph(rng, int(rng.integers(3, 8)), rng.uniform(0.2, 0.8))
+            marks = rng.choice(g.nodes, size=int(rng.integers(1, 3)), replace=False)
+            cases.append((g, [int(m) for m in marks]))
+        for _ in range(15):  # directed, with and without a mark
+            g = random_digraph(rng, int(rng.integers(2, 8)), rng.uniform(0.1, 0.6))
+            cases.append((g, [int(g.nodes[-1])] if rng.random() < 0.5 else []))
+        for g, marked in cases:
             group = enumerate_group(automorphism_generators(g, marked))
             ours = sorted(iso.mapping for iso in group)
             brute = sorted(tuple(sorted(m.items())) for m in brute_automorphisms(g, marked))
@@ -221,10 +273,12 @@ class TestAutomorphisms:
             assert gen.apply(2) == 2
         assert len(enumerate_group(gens)) == 6  # S3 on the other three
 
-    def test_order_cap(self):
-        g = ConcreteGraph.build(range(9), [])  # 9! automorphisms
+    def test_symmetric_group_from_few_generators(self):
+        # 9! automorphisms: generated without enumerating the group
+        gens = automorphism_generators(ConcreteGraph.build(range(9), []))
+        assert 0 < len(gens.generators) < 9
         with pytest.raises(CapacityError):
-            automorphism_generators(g)
+            enumerate_group(gens)
 
 
 class TestEnumerateGroup:

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, find_iso, from_undirected
+from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, from_undirected
 from ngn.kernel_solver import (
     EdgeClass,
     SharedKernel,
@@ -19,6 +19,7 @@ from ngn.representations import RepSpec, parse_rep_spec, rep_matrix
 
 from helpers import (
     cycle_graph,
+    find_iso,
     group_average_projector,
     path_graph,
     projector_rank,

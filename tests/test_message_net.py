@@ -17,7 +17,6 @@ from ngn.message_net import (
 )
 from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, node_neighbourhood
 from ngn.representations import GlobalFeature, RepSpec, lift_global, rep_matrix
-from ngn.graph_core import find_iso
 
 from helpers import cycle_graph, path_graph, random_graph, random_relabeling, tau_row_permutation
 

@@ -9,6 +9,7 @@ from ngn.ngn_layer import NgnLayer, check_naturality
 from ngn.representations import GlobalFeature, RepSpec, parse_rep_spec, random_feature
 
 from helpers import (
+    complete_graph,
     cycle_graph,
     dense_reference_forward,
     path_graph,
@@ -193,6 +194,22 @@ class TestNaturality:
             phi = random_relabeling(rng, g, fresh_ids=True)
             v = random_feature(rng, layer.rho, g, K1)
             assert check_naturality(layer, g, phi, v) < 1e-10
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            from_undirected(range(13), [(0, i) for i in range(1, 13)]),
+            complete_graph(*range(12)),
+        ],
+        ids=["star_12_leaves", "clique_12"],
+    )
+    def test_twelve_interchangeable_nodes(self, g):
+        # every edge neighbourhood has at least 10! marked automorphisms
+        rng = np.random.default_rng(10)
+        layer = make_layer()
+        phi = random_relabeling(rng, g, fresh_ids=True)
+        v = random_feature(rng, layer.rho, g, K1)
+        assert check_naturality(layer, g, phi, v) < 1e-10
 
 
 class TestPersistence:
