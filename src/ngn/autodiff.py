@@ -37,8 +37,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _track(self) -> bool:
-        return self.requires_grad or any(p.requires_grad for p in self._parents)
+    def _on_tape(self) -> bool:
+        """Whether a backward pass can reach this tensor."""
+        return self.requires_grad or bool(self._parents)
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -70,7 +71,7 @@ def constant(data, dtype=None) -> Tensor:
 
 def _make(out_data, parents, backward) -> Tensor:
     out = Tensor(out_data, _parents=tuple(parents), _backward=backward)
-    if not any(p.requires_grad or p._parents for p in parents):
+    if not any(p._on_tape() for p in parents):
         out._parents, out._backward = (), None
     return out
 
@@ -127,6 +128,27 @@ def relu(a: Tensor) -> Tensor:
         a._accumulate(g * (out_data > 0))
 
     return _make(out_data, (a,), backward)
+
+
+def add_(a: Tensor, b: Tensor) -> Tensor:
+    """``add`` into ``a``'s buffer when neither operand is on a tape and the
+    sum keeps ``a``'s shape and dtype; the caller gives that buffer up.
+    Elementwise, ``a + b`` is the same float either way."""
+    if a._on_tape() or b._on_tape() or np.result_type(a.data, b.data) != a.dtype or (
+        np.broadcast_shapes(a.shape, b.shape) != a.shape
+    ):
+        return add(a, b)
+    a.data += b.data
+    return a
+
+
+def relu_(a: Tensor) -> Tensor:
+    """``relu`` in ``a``'s buffer when ``a`` is on no tape, so that no
+    backward rule reads it; the caller gives that buffer up."""
+    if a._on_tape():
+        return relu(a)
+    np.maximum(a.data, 0, out=a.data)
+    return a
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:

@@ -10,13 +10,16 @@ projects each edge's head-ball rows back, summed into the head's block.
 Embed and project/aggregate are linear, and so are the first and the last
 message-net products, so the first and last weights act on node rows:
 
-- first layer: ``z = [E | C] (x' W_self) + M [E | C] (x' W_neigh) + b``,
+- first layer: ``z = [E | C] (x' W_self) + M [E | C] (x' W_neigh) + 1 b``,
   where ``x'`` is the node buffer with two extra rows that carry the
-  marker columns, ``[E | C]`` embeds those rows into edge rows and ``M``
-  is the neighbour mean inside each edge neighbourhood. The dense product
-  ``x' [W_self | W_neigh]`` runs once on node rows; at edge level only one
-  sparse product with the precomposed ``plan.embed`` remains.
-- middle layers (message nets of three or more layers) run at edge level.
+  marker columns, ``[E | C]`` embeds those rows into edge rows, ``M`` is
+  the neighbour mean inside each edge neighbourhood and ``1`` is a column
+  of ones. The dense product ``x' [W_self | W_neigh]`` runs once on node
+  rows; at edge level one sparse product with the precomposed
+  ``plan.embed``, whose last column is the ones, adds each row's terms and
+  then its bias, and the rectifier follows in place.
+- middle layers (message nets of three or more layers) run at edge level,
+  accumulating into their first product's buffer.
 - last layer (no rectifier): ``out = (S P y) W_self + (S P M y) W_neigh +
   count ⊗ b``, where ``S P`` projects and aggregates and ``count`` is the
   number of messages into each node row. The edge level keeps only the
@@ -26,7 +29,9 @@ message-net products, so the first and last weights act on node rows:
 A message net of one layer aggregates its first-layer rows with ``S P``.
 The same code computes the differentiable path (autodiff Tensors) and the
 inference path (constants, which record no tape), with optional edge
-chunks that bound the memory of the edge level on large lattices.
+chunks that bound the memory of the edge level on large lattices. Off the
+tape the bias adds and rectifiers run in place on the buffers the products
+return (``ad.add_``, ``ad.relu_``); on it they are the taped primitives.
 
 Row layouts are fixed and deterministic: node blocks ordered by (graph,
 node id, ball node id); edge copies ordered by (graph, head, tail). Chunks
@@ -64,7 +69,7 @@ class EdgePlan:
     edge_row_ptr: np.ndarray  # edge -> first Y row
     edge_head_end: np.ndarray  # edge -> X row just past its head's block
     mix: sp.csr_matrix        # M: (edge_rows, edge_rows), block diagonal per edge
-    embed: sp.csr_matrix      # (edge_rows, 2 (node_rows + 2)): [E | C] and M [E | C], columns interleaved
+    embed: sp.csr_matrix      # (edge_rows, 2 (node_rows + 2) + 1): [E | C] and M [E | C], columns interleaved, then ones
     project: sp.csr_matrix    # S P: (node_rows, edge_rows)
     project_mix: sp.csr_matrix  # S P M: (node_rows, edge_rows)
 
@@ -147,7 +152,7 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
         np.concatenate([tail_rows, np.full(edge_count, rows), np.full(edge_count, rows + 1)]),
         (y_rows, rows + 2),
     )
-    embed = _interleave_cols(ec, mix @ ec)
+    embed = _embed_operator(ec, mix @ ec)
     del ec
     # S P: each head-ball edge row added into its row of the head's block
     project = _csr(np.ones(head_rows.size), head_rows, np.searchsorted(keys, head_keys), (rows, y_rows))
@@ -191,14 +196,17 @@ def _csr(vals, rows, cols, shape) -> sp.csr_matrix:
     )
 
 
-def _interleave_cols(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """``[a | b]`` with column j of ``a`` at 2j and column j of ``b`` at 2j + 1."""
+def _embed_operator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """``[a | b | 1]`` with column j of ``a`` at 2j, column j of ``b`` at
+    2j + 1 and a last column of ones, which picks up the bias row of the
+    operand. Being each row's last column, the bias is added last."""
     a, b = a.tocoo(), b.tocoo()
+    n, cols = a.shape
     return _csr(
-        np.concatenate([a.data, b.data]),
-        np.concatenate([a.row, b.row]),
-        np.concatenate([2 * a.col, 2 * b.col + 1]),
-        (a.shape[0], 2 * a.shape[1]),
+        np.concatenate([a.data, b.data, np.ones(n)]),
+        np.concatenate([a.row, b.row, np.arange(n)]),
+        np.concatenate([2 * a.col, 2 * b.col + 1, np.full(n, 2 * cols)]),
+        (n, 2 * cols + 1),
     )
 
 
@@ -345,26 +353,20 @@ def _gcn2_layer(
         raise ValidationError(f"unknown aggregation {aggregation!r}")
     dtype = x.dtype
     depth = len(layers)
-    # each operator's values cast once per call; the index arrays are shared
-    embed = _astype(plan.embed, dtype)
-    project = _astype(plan.project, dtype)
-    project_mix = _astype(plan.project_mix, dtype) if depth > 1 else None
-    mix = _astype(plan.mix, dtype) if depth > 2 else None
-
-    pre = _first_products(x, *layers[0][:2])
+    pre = _first_products(x, *layers[0])
     own, mixed = [], []
     for r0, r1, x0, x1 in _chunks(plan, chunk_edges):
-        y = _edge_level(pre, layers, embed, mix, r0, r1)
-        own.append(ad.sparse_mix(y, _row_block(project, x0, x1, r0, r1)))
+        y = _edge_level(plan, pre, layers, dtype, r0, r1)
+        own.append(ad.sparse_mix(y, _row_block(plan.project, dtype, x0, x1, r0, r1)))
         if depth > 1:
-            mixed.append(ad.sparse_mix(y, _row_block(project_mix, x0, x1, r0, r1)))
+            mixed.append(ad.sparse_mix(y, _row_block(plan.project_mix, dtype, x0, x1, r0, r1)))
         del y  # free the chunk's edge rows before the next chunk's are built
     out = ad.concat_rows(own)
     counts = np.diff(plan.project.indptr)  # messages into each node row
     if depth > 1:
         w_self, w_neigh, bias = layers[-1]
-        out = ad.add(
-            ad.add(ad.matmul(out, w_self), ad.matmul(ad.concat_rows(mixed), w_neigh)),
+        out = ad.add_(
+            ad.add_(ad.matmul(out, w_self), ad.matmul(ad.concat_rows(mixed), w_neigh)),
             ad.matmul(ad.constant(counts.astype(dtype)[:, None]), ad.reshape(bias, (1, -1))),
         )
     if aggregation == "mean":
@@ -372,26 +374,31 @@ def _gcn2_layer(
     return out
 
 
-def _first_products(x: ad.Tensor, w_self: ad.Tensor, w_neigh: ad.Tensor) -> ad.Tensor:
-    """Row 2u is ``x'[u] W_self`` and row 2u + 1 is ``x'[u] W_neigh``, for
-    ``x'`` the node rows with two zero columns, then two rows that carry
-    the marker columns: the operand of ``plan.embed``."""
+def _first_products(x: ad.Tensor, w_self: ad.Tensor, w_neigh: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
+    """The operand of ``plan.embed``: ``x' [W_self | W_neigh]`` with each
+    row split in two, so that row 2u is ``x'[u] W_self`` and row 2u + 1 is
+    ``x'[u] W_neigh``, and then the bias. ``x'`` is the node rows with two
+    zero columns, then two rows that carry the marker columns, so its
+    products are ``x`` times the weights' data rows, then the weights' two
+    marker rows; they are taken that way, without building ``x'``."""
     n, c = x.shape
-    x_ext = ad.concat_rows(
-        [ad.concat_cols(x, ad.constant(np.zeros((n, 2), x.dtype))), ad.constant(np.eye(2, c + 2, c, dtype=x.dtype))]
-    )
-    return ad.reshape(ad.matmul(x_ext, ad.concat_cols(w_self, w_neigh)), (2 * (n + 2), -1))
+    w = ad.concat_cols(w_self, w_neigh)
+    node_rows = ad.reshape(ad.matmul(x, ad.gather_rows(w, np.arange(c))), (2 * n, -1))
+    marker_rows = ad.reshape(ad.gather_rows(w, np.array([c, c + 1])), (4, -1))
+    return ad.concat_rows([node_rows, marker_rows, ad.reshape(bias, (1, -1))])
 
 
-def _edge_level(pre, layers, embed, mix, r0, r1) -> ad.Tensor:
-    """Edge rows r0:r1 after every message-net layer but the last."""
-    y = ad.add(ad.sparse_mix(pre, _row_block(embed, r0, r1)), layers[0][2])
+def _edge_level(plan, pre, layers, dtype, r0, r1) -> ad.Tensor:
+    """Edge rows r0:r1 after every message-net layer but the last. Every
+    buffer rectified or added into here is one that a product just
+    returned, so off the tape it is overwritten in place."""
+    y = ad.sparse_mix(pre, _row_block(plan.embed, dtype, r0, r1))
     if len(layers) == 1:
         return y
-    y = ad.relu(y)
+    y = ad.relu_(y)
     for w_self, w_neigh, bias in layers[1:-1]:
-        neigh = ad.sparse_mix(y, _row_block(mix, r0, r1, r0, r1))
-        y = ad.relu(ad.add(ad.add(ad.matmul(y, w_self), ad.matmul(neigh, w_neigh)), bias))
+        neigh = ad.sparse_mix(y, _row_block(plan.mix, dtype, r0, r1, r0, r1))
+        y = ad.relu_(ad.add_(ad.add_(ad.matmul(y, w_self), ad.matmul(neigh, w_neigh)), bias))
     return y
 
 
@@ -415,12 +422,11 @@ def _chunks(plan: EdgePlan, chunk_edges: int | None):
         e0, x0 = e1, x1
 
 
-def _astype(op: sp.csr_matrix, dtype) -> sp.csr_matrix:
-    return sp.csr_matrix((op.data.astype(dtype, copy=False), op.indices, op.indptr), shape=op.shape)
+def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
+    """Rows r0:r1 of a CSR operator, its values cast to ``dtype``.
 
-
-def _row_block(op: sp.csr_matrix, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
-    """Rows r0:r1 of a CSR operator, on views of its data and indices.
+    The cast copies the rows' values once; scipy copies a view of a small
+    part of an array in any case.
 
     With ``c0, c1``, the rows' entries all lie in columns c0:c1 (their own
     edge rows), and the block is those columns, renumbered from 0: for
@@ -429,7 +435,7 @@ def _row_block(op: sp.csr_matrix, r0: int, r1: int, c0: int = 0, c1: int | None 
     a, b = op.indptr[r0], op.indptr[r1]
     indices = op.indices[a:b] - c0 if c0 else op.indices[a:b]
     return sp.csr_matrix(
-        (op.data[a:b], indices, op.indptr[r0 : r1 + 1] - a),
+        (op.data[a:b].astype(dtype), indices, op.indptr[r0 : r1 + 1] - a),
         shape=(r1 - r0, (op.shape[1] if c1 is None else c1) - c0),
     )
 

@@ -384,7 +384,7 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
             for l, net in enumerate(gcn2_nets):
                 x = gcn2_layer_numpy(plan, net, x, chunk_edges=30000)
                 if l < depth - 1:
-                    x = np.maximum(x, 0.0)
+                    np.maximum(x, 0, out=x)
             return x
 
         def run_gcn():

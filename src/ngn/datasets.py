@@ -47,9 +47,15 @@ class GraphDataset:
 
 
 def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file; a missing file or a byte that is not
+    UTF-8 raises ParseError, the latter with its line number."""
     if not path.exists():
         raise ParseError(f"missing file {path.name}")
-    return path.read_text().splitlines()
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name} is not UTF-8 text: {exc.reason}", data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def load_tu(directory: str | Path) -> GraphDataset:
@@ -74,7 +80,11 @@ def load_tu(directory: str | Path) -> GraphDataset:
             indicator.append(int(line))
         except ValueError:
             raise ParseError(f"bad graph indicator {line!r}", ln) from None
-    n_graphs = max(indicator, default=0)
+    if not indicator:
+        raise ParseError(f"{name}_graph_indicator.txt lists no node")
+    n_graphs = max(indicator)
+    if n_graphs > len(indicator):  # checked before anything is sized by n_graphs
+        raise ParseError(f"graph indicator {n_graphs} for {len(indicator)} nodes leaves a graph without nodes")
 
     raw_labels: list[int] = []
     for ln, line in enumerate(_read_lines(directory / f"{name}_graph_labels.txt"), 1):
@@ -101,6 +111,8 @@ def load_tu(directory: str | Path) -> GraphDataset:
         node_of[global_id] = (gi, counts[gi])
         originals[gi].append(global_id)
         counts[gi] += 1
+    if 0 in counts:
+        raise ParseError(f"graph {counts.index(0) + 1} has no node in the graph indicator")
 
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n_graphs)]
     for ln, line in enumerate(_read_lines(directory / f"{name}_A.txt"), 1):
@@ -195,15 +207,17 @@ def _graph6_parse_line(line: str, ln: int) -> ConcreteGraph:
         raise ParseError(f"unsupported graph6 order byte {line[0]!r} (long form?)", ln)
     need_bits = n * (n - 1) // 2
     need_chars = (need_bits + 5) // 6
-    data = line[1 : 1 + need_chars]
-    if len(data) < need_chars:
-        raise ParseError(f"truncated graph6 record: {len(data)} of {need_chars} chars", ln)
+    data = line[1:]
+    if len(data) != need_chars:
+        raise ParseError(f"graph6 record of order {n} needs {need_chars} chars after the order byte, got {len(data)}", ln)
     bits = []
     for ch in data:
         val = ord(ch) - 63
         if not (0 <= val < 64):
             raise ParseError(f"invalid graph6 character {ch!r}", ln)
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[need_bits:]):
+        raise ParseError("graph6 padding bits must be zero", ln)
     pairs = []
     at = 0
     for j in range(1, n):
@@ -215,12 +229,17 @@ def _graph6_parse_line(line: str, ln: int) -> ConcreteGraph:
 
 
 def load_graph6(path: str | Path) -> list[ConcreteGraph]:
-    """Parse an ASCII graph6 file (short form, n <= 62) into symmetrized graphs."""
+    """Parse an ASCII graph6 file (short form, n <= 62) into symmetrized graphs.
+
+    A file without a graph, a record with characters left over and a
+    nonzero padding bit raise ParseError."""
     out = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(_read_lines(Path(path)), 1):
         line = line.strip()
         if line:
             out.append(_graph6_parse_line(line, ln))
+    if not out:
+        raise ParseError(f"no graph6 record in {Path(path).name}")
     return out
 
 

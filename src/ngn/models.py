@@ -62,24 +62,22 @@ def init_classifier_params(
 def classifier_logits(
     plan: EdgePlan, params: dict[str, ad.Tensor], x0: np.ndarray, cfg: Gcn2Config
 ) -> ad.Tensor:
+    """Class logits of a batch; taped when any param requires a gradient."""
     x = ad.constant(x0.astype(cfg.dtype))
     for layer in range(cfg.ngn_layers):
         x = gcn2_layer_tensor(plan, params, x, prefix=f"ngn{layer}", aggregation=cfg.aggregation)
         if layer < cfg.ngn_layers - 1:
-            x = ad.relu(x)
+            x = ad.relu_(x)
     return ad.add(ad.matmul(_mean_pool(plan, x), params["head/w"]), params["head/b"])
 
 
 def classifier_logits_numpy(
     plan: EdgePlan, params: dict[str, ad.Tensor], x0: np.ndarray, cfg: Gcn2Config
 ) -> np.ndarray:
-    x = x0.astype(cfg.dtype)
-    for layer in range(cfg.ngn_layers):
-        net = message_net_from_params(params, prefix=f"ngn{layer}")
-        x = gcn2_layer_numpy(plan, net, x, aggregation=cfg.aggregation)
-        if layer < cfg.ngn_layers - 1:
-            x = np.maximum(x, 0.0)
-    return _mean_pool(plan, ad.constant(x)).data @ params["head/w"].data + params["head/b"].data
+    """``classifier_logits`` on constants that share the params' buffers, so
+    that no tape is built."""
+    constants = {name: ad.constant(p.data) for name, p in params.items()}
+    return classifier_logits(plan, constants, x0, cfg).data
 
 
 def _mean_pool(plan: EdgePlan, x: ad.Tensor) -> ad.Tensor:
@@ -196,7 +194,7 @@ def gcn2_embeddings(
         net = message_net_from_params(params, prefix=f"m{layer}")
         x = gcn2_layer_numpy(plan, net, x, chunk_edges=cfg.chunk_edges)
         if layer < cfg.ngn_layers - 1:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0, out=x)
         width = c_out
     return _mean_pool(plan, ad.constant(x)).data
 

@@ -8,6 +8,8 @@ from ngn.autodiff import (
     AdamState,
     Tensor,
     adam_step,
+    add,
+    add_,
     backward,
     concat_cols,
     concat_rows,
@@ -19,6 +21,7 @@ from ngn.autodiff import (
     param,
     reduce_sum,
     relu,
+    relu_,
     row_scale,
     scale,
     save_checkpoint,
@@ -41,6 +44,30 @@ class TestPrimitives:
     def test_relu_clamps(self):
         x = constant(np.array([[-2.0, 3.0], [0.0, -0.5]]))
         assert np.array_equal(relu(x).data, [[0.0, 3.0], [0.0, 0.0]])
+
+    def test_in_place_forms_reuse_only_buffers_off_the_tape(self):
+        rng = np.random.default_rng(0)
+        a32, b32 = rng.standard_normal((3, 4)).astype(np.float32), rng.standard_normal(4).astype(np.float32)
+        expected_sum, expected_relu = (constant(a32) + constant(b32)).data, relu(constant(a32)).data
+        a = constant(a32.copy())
+        assert add_(a, constant(b32)) is a and np.array_equal(a.data, expected_sum)
+        a = constant(a32.copy())
+        assert relu_(a) is a and np.array_equal(a.data, expected_relu)
+        # a sum that would change a's dtype or shape, or an operand on a tape, takes a fresh buffer
+        for a_data, b in (
+            (a32, constant(b32.astype(np.float64))),
+            (a32[:1], constant(a32)),
+            (a32, param(b32)),
+        ):
+            a = constant(a_data.copy())
+            out = add_(a, b)
+            assert out is not a and np.array_equal(a.data, a_data)
+            assert np.array_equal(out.data, add(constant(a_data), constant(b.data)).data)
+        w = param(a32.copy())
+        out = relu_(w)
+        assert out is not w and np.array_equal(w.data, a32)
+        backward(reduce_sum(out))
+        assert np.array_equal(w.grad, (a32 > 0).astype(np.float32))
 
     def test_uniform_logits_cross_entropy_is_log_c(self):
         for c in (2, 5, 9):

@@ -31,7 +31,7 @@ from ngn.models import (
 from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood
 from ngn.representations import GlobalFeature
 
-from helpers import cycle_graph, finite_difference_grads, random_graph
+from helpers import cycle_graph, finite_difference_grads, random_graph, unfused_gcn2_layer
 
 K1 = NeighbourhoodAssignment(1)
 
@@ -134,11 +134,14 @@ class TestPlanLayout:
                 mix.append(m_block)
                 project.append(p_block)
         embed, mix, project = np.vstack(embed), block_diag(*mix), np.hstack(project)
+        # [E | C] and M [E | C] interleaved, then the bias column of ones
+        embed_op = np.ones((len(embed), 2 * (n + 2) + 1))
+        embed_op[:, 0:-1:2] = embed
+        embed_op[:, 1:-1:2] = mix @ embed
 
         assert np.array_equal(plan.edge_row_ptr, np.cumsum([0] + sizes))
         assert np.array_equal(plan.mix.toarray(), mix)
-        assert np.array_equal(plan.embed.toarray()[:, 0::2], embed)
-        assert np.array_equal(plan.embed.toarray()[:, 1::2], mix @ embed)
+        assert np.array_equal(plan.embed.toarray(), embed_op)
         assert np.array_equal(plan.project.toarray(), project)
         assert np.array_equal(plan.project_mix.toarray(), project @ mix)
         for op in (plan.mix, plan.embed, plan.project, plan.project_mix):
@@ -220,6 +223,63 @@ class TestBatchedMatchesReference:
             out = gcn2_layer_numpy(plan, message_net_from_params(params), buf, chunk_edges=chunk_edges)
             assert out.shape == (plan.node_rows, 3) and not out.any()
         assert not gcn2_layer_tensor(plan, params, ad.constant(buf)).data.any()
+
+
+class TestFusedEdgeLevel:
+    """The edge level is one sparse product (the bias rides in ``plan.embed``)
+    and, off the tape, rectifies and adds in place."""
+
+    @staticmethod
+    def spy_on_add_and_relu(monkeypatch) -> list:
+        calls = []
+        for name in ("add", "relu"):
+            original = getattr(ad, name)
+
+            def spy(*args, _original=original, _name=name):
+                calls.append((_name, args[0].shape[0]))
+                return _original(*args)
+
+            monkeypatch.setattr(ad, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_unfused_passes_bit_for_bit(self, dtype, monkeypatch):
+        rng = np.random.default_rng(11)
+        lonely = from_undirected(range(5), [(0, 1), (1, 2), (2, 0), (2, 3)])
+        graphs = [random_graph(rng, 8, 0.4), lonely, random_graph(rng, 7, 0.6)]
+        plan = compile_plan(graphs, K1)
+        def arrays(op):
+            return op.data, op.indices, op.indptr
+
+        ops = ("mix", "embed", "project", "project_mix")
+        saved_ops = {k: [a.copy() for a in arrays(getattr(plan, k))] for k in ops}
+        buf = features_to_buffer(plan, [standard_blocks(rng, g, 2) for g in graphs], 2).astype(dtype)
+        x = buf.copy()
+        calls = self.spy_on_add_and_relu(monkeypatch)
+        for depth in (1, 2, 3):
+            params = init_message_net_params(rng, depth, 6, data_in=2, c_out=3, dtype=dtype)
+            for name, p in params.items():  # nonzero biases, so that a lost add shows
+                if name.endswith("bias"):
+                    p.data = rng.standard_normal(p.data.shape).astype(dtype)
+            net = message_net_from_params(params)
+            saved = {k: p.data.copy() for k, p in params.items()}
+            for aggregation in ("sum", "mean"):
+                expected = unfused_gcn2_layer(plan, net, buf, aggregation)
+                for chunk_edges in (1, 5, None):
+                    got = gcn2_layer_numpy(plan, net, x, chunk_edges=chunk_edges, aggregation=aggregation)
+                    assert got.dtype == dtype, (depth, aggregation, chunk_edges)
+                    assert np.array_equal(got, expected), (depth, aggregation, chunk_edges)
+            assert all(np.array_equal(p.data, saved[k]) for k, p in params.items())
+        assert np.array_equal(x, buf)
+        for k, saved_arrays in saved_ops.items():
+            assert all(np.array_equal(a, b) for a, b in zip(arrays(getattr(plan, k)), saved_arrays)), k
+        # off the tape no add or rectifier runs through the taped primitives
+        assert calls == []
+
+        # the spies see the taped path's edge-row rectifier and middle-layer adds
+        taped = init_message_net_params(rng, 3, 6, data_in=2, c_out=3, dtype=dtype)
+        gcn2_layer_tensor(plan, taped, ad.constant(buf))
+        assert ("relu", plan.edge_rows) in calls and ("add", plan.edge_rows) in calls
 
 
 class TestFloat32Inference:
@@ -311,6 +371,41 @@ class TestClassifier:
         logits_t = classifier_logits(plan, params, x0, cfg)
         logits_n = classifier_logits_numpy(plan, params, x0, cfg)
         assert np.allclose(logits_t.data, logits_n, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_logits_equal_the_per_layer_numpy_stack_bit_for_bit(self, dtype):
+        """``classifier_logits_numpy`` runs ``classifier_logits`` on
+        constants; its logits, and so ``train_classifier``'s accuracy, are
+        those of the NGN layers run one by one through ``gcn2_layer_numpy``."""
+
+        def stacked_logits(plan, params, x0, cfg):
+            x = x0.astype(cfg.dtype)
+            for layer in range(cfg.ngn_layers):
+                net = message_net_from_params(params, prefix=f"ngn{layer}")
+                x = gcn2_layer_numpy(plan, net, x, aggregation=cfg.aggregation)
+                if layer < cfg.ngn_layers - 1:
+                    x = np.maximum(x, 0.0)
+            pooled = ad.segment_mean(ad.constant(x), plan.node_seg, plan.n_nodes_total)
+            pooled = ad.segment_mean(pooled, plan.graph_of_node, len(plan.graphs)).data
+            return pooled @ params["head/w"].data + params["head/b"].data
+
+        rng = np.random.default_rng(12)
+        graphs = [random_graph(rng, int(rng.integers(5, 9)), 0.5) for _ in range(8)]
+        labels = np.arange(8) % 2
+        plan = compile_plan(graphs, K1)
+        x0 = node_attrs_to_buffer(plan, [rng.standard_normal((g.n, 2)) for g in graphs])
+        for aggregation in ("sum", "mean"):
+            cfg = Gcn2Config(ngn_layers=3, msg_layers=3, hidden=5, aggregation=aggregation, dtype=dtype)
+            params = init_classifier_params(np.random.default_rng(3), 2, cfg)
+            saved = {k: p.data.copy() for k, p in params.items()}
+            logits = classifier_logits_numpy(plan, params, x0, cfg)
+            assert logits.dtype == dtype
+            assert np.array_equal(logits, stacked_logits(plan, params, x0, cfg)), aggregation
+            assert all(np.array_equal(p.data, saved[k]) for k, p in params.items())
+
+            result = train_classifier([plan], [x0], [labels], params, cfg, epochs=3, rate=1e-2, seed=0)
+            pred = stacked_logits(plan, params, x0, cfg).argmax(axis=1)
+            assert result.train_accuracy == float((pred == labels).mean()), aggregation
 
     def test_training_reduces_loss_and_is_deterministic(self):
         rng = np.random.default_rng(5)

@@ -1,8 +1,11 @@
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngn.datasets import (
     GraphDataset,
@@ -14,7 +17,7 @@ from ngn.datasets import (
     write_graph6,
     write_tu,
 )
-from ngn.errors import ContractError, ParseError
+from ngn.errors import ContractError, ParseError, ValidationError
 from ngn.graph_core import canonical_form, from_undirected
 from ngn.srg import builtin_srg_25, srg_parameters
 
@@ -146,6 +149,98 @@ class TestGraph6:
             assert srg_parameters(g) == (25, 12, 5, 6)
         keys = {canonical_form(g).encoding for g in loaded}
         assert len(keys) == len(loaded)
+
+
+def _lines(values: list) -> bytes:
+    return "".join(f"{v}\n" for v in values).encode()
+
+
+# small integers, so that generated files often refer to each other's nodes and graphs
+_ints = st.integers(-1, 6)
+_line_files = {
+    "A": st.lists(st.tuples(_ints, _ints).map(lambda e: f"{e[0]}, {e[1]}"), max_size=8).map(_lines),
+    "graph_indicator": st.lists(_ints, max_size=8).map(_lines),
+    "graph_labels": st.lists(_ints, max_size=4).map(_lines),
+    "node_labels": st.lists(_ints, max_size=8).map(_lines),
+}
+_tu_files = st.fixed_dictionaries(
+    {suffix: st.one_of(lines, st.binary(max_size=24)) for suffix, lines in _line_files.items()}
+)
+_graph6_text = st.text(st.sampled_from("?@ABCDEFw~_o\n> g"), max_size=24).map(str.encode)
+READER_ERRORS = (ParseError, ContractError, ValidationError)
+
+
+class TestReaderRobustness:
+    """Malformed files raise the package's own errors; none loads in silence."""
+
+    def test_non_utf8_bytes_raise_parse_error_at_their_line(self, tmp_path):
+        d = two_graph_fixture(tmp_path)
+        (d / "TINY_graph_indicator.txt").write_bytes(b"1\n1\n\xff\n2\n2\n")
+        with pytest.raises(ParseError) as exc:
+            load_tu(d)
+        assert exc.value.line == 3
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"Bw\nB\xc3\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph6(path)
+        assert exc.value.line == 2
+
+    def test_graph6_record_must_end_where_its_bits_end(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("C~\n")  # order 4: six bits, the full graph
+        assert len(load_graph6(path)[0].edges) == 12
+        for record in ("C~~", "B~"):  # a character left over; a nonzero padding bit
+            path.write_text(record + "\n")
+            with pytest.raises(ParseError):
+                load_graph6(path)
+
+    def test_empty_files_raise(self, tmp_path):
+        path = tmp_path / "empty.g6"
+        for text in ("", "\n \n"):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                load_graph6(path)
+        d = two_graph_fixture(tmp_path)
+        for f in d.iterdir():
+            f.write_text("")
+        with pytest.raises(ParseError):
+            load_tu(d)
+
+    @pytest.mark.parametrize("indicator", ["1\n3\n3\n", "1\n1000000000000\n"])
+    def test_graph_without_nodes_raises(self, tmp_path, indicator):
+        d = two_graph_fixture(tmp_path)
+        (d / "TINY_A.txt").write_text("")
+        (d / "TINY_node_labels.txt").unlink()
+        (d / "TINY_graph_indicator.txt").write_text(indicator)
+        with pytest.raises(ParseError):
+            load_tu(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(files=_tu_files, with_node_labels=st.booleans())
+    def test_fuzzed_tu_files_load_or_raise_package_errors(self, files, with_node_labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            for suffix, data in files.items():
+                if suffix != "node_labels" or with_node_labels:
+                    (Path(tmp) / f"FUZZ_{suffix}.txt").write_bytes(data)
+            try:
+                ds = load_tu(tmp)
+            except READER_ERRORS:
+                return
+        assert ds.graphs and len(ds.labels) == len(ds.graphs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(_graph6_text, st.binary(max_size=24)))
+    def test_fuzzed_graph6_files_load_or_raise_package_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.g6"
+            path.write_bytes(data)
+            try:
+                graphs = load_graph6(path)
+            except READER_ERRORS:
+                return
+            # what loads is exactly what the file says: it writes back the same
+            write_graph6(graphs, path)
+            assert path.read_text().split() == [line.removeprefix(">>graph6<<") for line in data.decode().split()]
 
 
 class TestFeatures:
