@@ -50,8 +50,7 @@ from . import autodiff as ad
 from .errors import ContractError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph
 from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net
-from .neighbourhoods import NeighbourhoodAssignment, _ball
-from .representations import GlobalFeature
+from .neighbourhoods import NeighbourhoodAssignment, ball
 
 
 @dataclass
@@ -60,9 +59,9 @@ class EdgePlan:
     k: int
     n_nodes_total: int
     node_rows: int
-    node_row_start: list[dict[int, int]]
-    node_ball: list[dict[int, tuple[int, ...]]]
-    node_seg: np.ndarray      # X row -> node serial
+    node_ptr: np.ndarray      # node serial -> first X row of its block
+    node_member: np.ndarray   # X row -> node serial of its ball node
+    node_seg: np.ndarray      # X row -> node serial of the block's owner
     graph_of_node: np.ndarray  # node serial -> graph index
     edge_count: int
     edge_rows: int
@@ -80,29 +79,18 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     Balls are found node by node; everything per edge is whole-array numpy
     work on global node serials (graph by graph, node ids ascending).
     """
-    node_row_start: list[dict[int, int]] = []
-    node_ball: list[dict[int, tuple[int, ...]]] = []
     ball_sizes: list[int] = []
     members: list[np.ndarray] = []  # X row -> serial of its ball node
     tails: list[np.ndarray] = []
     heads: list[np.ndarray] = []
     graph_of_node: list[int] = []
-    rows = 0
     serial = 0
     for gi, g in enumerate(graphs):
-        starts: dict[int, int] = {}
-        balls: dict[int, tuple[int, ...]] = {}
-        for p in g.nodes:
-            ball = tuple(sorted(_ball(g, [p], a.k)))
-            starts[p] = rows
-            balls[p] = ball
-            ball_sizes.append(len(ball))
-            rows += len(ball)
-        node_row_start.append(starts)
-        node_ball.append(balls)
+        balls = [ball(g, p, a.k) for p in g.nodes]
+        ball_sizes += map(len, balls)
         graph_of_node += [gi] * g.n
         ids = np.array(g.nodes, dtype=np.intp)
-        members.append(serial + np.searchsorted(ids, [u for p in g.nodes for u in balls[p]]))
+        members.append(serial + np.searchsorted(ids, [u for b in balls for u in b]))
         edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
         tails.append(serial + np.searchsorted(ids, edges[:, 0]))
         heads.append(serial + np.searchsorted(ids, edges[:, 1]))
@@ -112,6 +100,7 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     ball_size = np.array(ball_sizes, dtype=np.intp)
     ball_ptr = np.zeros(serial + 1, dtype=np.intp)
     np.cumsum(ball_size, out=ball_ptr[1:])
+    rows = int(ball_ptr[-1])
     member = _cat(members)
     tail, head = _cat(tails), _cat(heads)
     order = np.lexsort((tail, head))  # edges by (graph, head, tail)
@@ -163,8 +152,8 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
         k=a.k,
         n_nodes_total=serial,
         node_rows=rows,
-        node_row_start=node_row_start,
-        node_ball=node_ball,
+        node_ptr=ball_ptr,
+        node_member=member,
         node_seg=np.repeat(np.arange(serial, dtype=np.intp), ball_size),
         graph_of_node=np.array(graph_of_node, dtype=np.intp),
         edge_count=edge_count,
@@ -211,33 +200,8 @@ def _embed_operator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Buffer <-> GlobalFeature conversion
+# Node-row input
 # ---------------------------------------------------------------------------
-
-
-def features_to_buffer(plan: EdgePlan, feats: list[GlobalFeature], channels: int, dtype=np.float64) -> np.ndarray:
-    buf = np.zeros((plan.node_rows, channels), dtype=dtype)
-    for gi, (g, v) in enumerate(zip(plan.graphs, feats)):
-        for p in g.nodes:
-            start = plan.node_row_start[gi][p]
-            n = len(plan.node_ball[gi][p])
-            block = v.blocks[p]
-            if block.size != n * channels:
-                raise ShapeError(f"block at graph {gi} node {p} is not ({n}, {channels})")
-            buf[start : start + n] = block.reshape(n, channels)
-    return buf
-
-
-def buffer_to_features(plan: EdgePlan, buf: np.ndarray) -> list[GlobalFeature]:
-    out = []
-    for gi, g in enumerate(plan.graphs):
-        blocks = {}
-        for p in g.nodes:
-            start = plan.node_row_start[gi][p]
-            n = len(plan.node_ball[gi][p])
-            blocks[p] = buf[start : start + n].reshape(-1)
-        out.append(GlobalFeature(blocks))
-    return out
 
 
 def node_attrs_to_buffer(plan: EdgePlan, attrs: list[np.ndarray], dtype=np.float64) -> np.ndarray:
@@ -247,18 +211,13 @@ def node_attrs_to_buffer(plan: EdgePlan, attrs: list[np.ndarray], dtype=np.float
     The block at p collects the rows of every node in p's ball, which is the
     canonical embedding of per-node data into the standard feature space.
     """
+    if len(attrs) != len(plan.graphs):
+        raise ShapeError(f"{len(attrs)} attribute arrays for {len(plan.graphs)} graphs")
     channels = attrs[0].shape[1]
-    buf = np.zeros((plan.node_rows, channels), dtype=dtype)
-    for gi, g in enumerate(plan.graphs):
-        order = {u: i for i, u in enumerate(g.nodes)}
-        raw = attrs[gi]
+    for gi, (g, raw) in enumerate(zip(plan.graphs, attrs)):
         if raw.shape != (g.n, channels):
             raise ShapeError(f"attrs for graph {gi} must be ({g.n}, {channels})")
-        for p in g.nodes:
-            start = plan.node_row_start[gi][p]
-            ball = plan.node_ball[gi][p]
-            buf[start : start + len(ball)] = raw[[order[u] for u in ball]]
-    return buf
+    return np.concatenate(attrs, dtype=dtype)[plan.node_member]
 
 
 # ---------------------------------------------------------------------------

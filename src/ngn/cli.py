@@ -1,8 +1,9 @@
 """Command-line harness: law checks, experiments, benchmark, training.
 
-Every command is deterministic given ``--seed`` and writes a JSON report
-plus a CSV table to ``--out``; a human-readable table goes to stdout. Exit
-status is nonzero when a gated check fails.
+Every command is deterministic (given ``--seed``, where it takes one) and
+writes a JSON report plus a CSV table to ``--out``; a human-readable table
+goes to stdout. Each command declares only the flags it reads. Exit status
+is nonzero when a gated check fails.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .models import (
     pair_rate_and_margins,
     train_classifier,
 )
-from .neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, node_neighbourhood
+from .neighbourhoods import NeighbourhoodAssignment, ball, edge_neighbourhood, node_neighbourhood
 from .ngn_layer import NgnLayer, check_naturality
 from .representations import parse_rep_spec, rep_matrix
 from .srg import builtin_srg_25
@@ -74,7 +75,6 @@ class RunConfig:
     rate: float = 1e-3
     fold: int = 0
     out: str | None = None
-    strict_classes: bool = False
     trials: int = 200
     seeds: int = 100
     layers: int = 3
@@ -136,7 +136,7 @@ def cmd_check_naturality(cfg: RunConfig) -> dict:
 
     rng = np.random.default_rng(cfg.seed)
     rho = parse_rep_spec(cfg.rep)
-    layer = NgnLayer(rho=rho, rho_prime=rho, assignment=K1, seed=cfg.seed, strict=cfg.strict_classes)
+    layer = NgnLayer(rho=rho, rho_prime=rho, assignment=K1, seed=cfg.seed)
     net_cfg = parse_net_config(cfg.net)
 
     worst_solver = 0.0
@@ -160,12 +160,7 @@ def cmd_check_naturality(cfg: RunConfig) -> dict:
 
         c_in, c_out = 2, 3
         net = build_gcn_net(rng, net_cfg["layers"], net_cfg["hidden"], data_in=c_in, c_out=c_out)
-        blocks = GlobalFeature(
-            {
-                p: rng.standard_normal(node_neighbourhood(g, p, K1).graph.n * c_in)
-                for p in g.nodes
-            }
-        )
+        blocks = GlobalFeature({p: rng.standard_normal(len(ball(g, p, K1.k)) * c_in) for p in g.nodes})
         lhs = lift_global(phi, ngn_gcn2_forward(net, g, blocks, K1), parse_rep_spec(f"standard*{c_out}"), K1)
         rhs = ngn_gcn2_forward(net, phi.target, lift_global(phi, blocks, parse_rep_spec(f"standard*{c_in}"), K1), K1)
         worst_gcn2 = max(worst_gcn2, lhs.max_abs_diff(rhs))
@@ -204,14 +199,7 @@ def _solver_embeddings(graphs, rho_text: str, seed: int) -> np.ndarray:
 
     embs = []
     for g in graphs:
-        blocks = {}
-        for p in g.nodes:
-            nb = node_neighbourhood(g, p, K1)
-            order = {u: i for i, u in enumerate(nb.graph.nodes)}
-            vec = np.zeros(nb.graph.n)
-            for u in nb.graph.nodes:
-                vec[order[u]] = float(len(g.und_nbrs[u]))
-            blocks[p] = vec
+        blocks = {p: np.array([float(len(g.und_nbrs[u])) for u in ball(g, p, K1.k)]) for p in g.nodes}
         out = layer.forward(g, GlobalFeature(blocks))
         embs.append(np.array([b.mean() for b in out.blocks.values()]).mean(keepdims=True))
     return np.array(embs)
@@ -550,36 +538,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ngn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--data", default=None)
-        p.add_argument("--rep", default="standard*1")
-        p.add_argument("--net", default="gcn2(layers=2, hidden=16)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=100)
-        p.add_argument("--rate", type=float, default=1e-3)
-        p.add_argument("--fold", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--strict-classes", action="store_true")
+    flags = {
+        "--data": dict(default=None),
+        "--rep": dict(default="standard*1"),
+        "--net": dict(default="gcn2(layers=2, hidden=16)"),
+        "--seed": dict(type=int, default=0),
+    }
 
-    p = sub.add_parser("check-naturality", help="residuals of the commutation law")
-    common(p)
+    def command(name, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, **flags[flag])
+        p.add_argument("--out", default=None)
+        return p
+
+    p = command("check-naturality", "residuals of the commutation law", "--rep", "--net", "--seed")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--corrupt", action="store_true", help="negative control: corrupt a kernel")
 
-    p = sub.add_parser("expressiveness", help="dissimilar-pair rates on the four suites")
-    common(p)
+    p = command("expressiveness", "dissimilar-pair rates on the four suites", "--data", "--rep", "--seed")
     p.add_argument("--seeds", type=int, default=100)
 
-    p = sub.add_parser("lattice", help="lattice reduction checks")
-    common(p)
+    command("lattice", "lattice reduction checks", "--rep")
 
-    p = sub.add_parser("bench", help="forward-time scaling on square lattices")
-    common(p)
+    p = command("bench", "forward-time scaling on square lattices", "--seed")
     p.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128, 256],
                    help="torus side lengths (node counts are squares of these)")
 
-    p = sub.add_parser("train", help="desk-scale classifier training")
-    common(p)
+    p = command("train", "desk-scale classifier training", "--data", "--net", "--seed")
+    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--rate", type=float, default=1e-3)
+    p.add_argument("--fold", type=int, default=0)
     p.add_argument("--layers", type=int, default=3, help="NGN layer count")
     p.add_argument("--decay", type=float, default=0.97, help="per-epoch step-size decay")
     p.add_argument("--batch", type=int, default=32, help="minibatch size")

@@ -128,6 +128,8 @@ def load_tu(directory: str | Path) -> GraphDataset:
             raise ParseError(f"non-integer edge endpoint in {line!r}", ln) from None
         if u not in node_of or v not in node_of:
             raise ParseError(f"edge ({u}, {v}) references unknown node", ln)
+        if u == v:
+            raise ParseError(f"self-loop ({u}, {v}) rejected", ln)
         (gu, lu), (gv, lv) = node_of[u], node_of[v]
         if gu != gv:
             raise ParseError(f"edge ({u}, {v}) crosses graphs", ln)

@@ -81,9 +81,6 @@ class ConcreteGraph:
         """Neighbours ignoring edge direction."""
         return {v: self.out_nbrs[v] | self.in_nbrs[v] for v in self.nodes}
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
     def subgraph(self, keep: Iterable[int]) -> "ConcreteGraph":
         """Induced subgraph on ``keep``, inheriting parent ids."""
         keep_set = set(keep)

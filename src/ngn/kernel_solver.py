@@ -34,15 +34,23 @@ from .graph_core import (
     automorphism_generators,
     canonical_form,
     enumerate_group,
+    validate_iso,
 )
 from .neighbourhoods import (
     EdgeNeighbourhood,
     NeighbourhoodAssignment,
+    ball,
     edge_neighbourhood,
-    node_neighbourhood,
     restrict_edge_iso,
 )
-from .representations import RepSpec, rep_index, rep_index_from_perm, rep_matrix, structural_dim
+from .representations import (
+    RepSpec,
+    ball_map,
+    parse_rep_spec,
+    rep_index_from_perm,
+    rep_matrix,
+    structural_dim,
+)
 
 
 def _mark_colors(nb: EdgeNeighbourhood) -> dict[int, int]:
@@ -80,12 +88,12 @@ class EdgeClass:
     members: list[ClassMember] = field(default_factory=list)
 
     @cached_property
-    def tail_nb(self):
-        return node_neighbourhood(self.representative.graph, self.representative.marked[0], self.assignment)
+    def tail_ball(self) -> tuple[int, ...]:
+        return ball(self.representative.graph, self.representative.tail, self.assignment.k)
 
     @cached_property
-    def head_nb(self):
-        return node_neighbourhood(self.representative.graph, self.representative.marked[1], self.assignment)
+    def head_ball(self) -> tuple[int, ...]:
+        return ball(self.representative.graph, self.representative.head, self.assignment.k)
 
     @cached_property
     def group(self) -> list[GraphIso]:
@@ -166,11 +174,11 @@ class KernelBasis:
     @cached_property
     def dims(self) -> tuple[int, int]:
         ec = self.edge_class
-        return self.rho_prime.dim(ec.head_nb.graph.n), self.rho.dim(ec.tail_nb.graph.n)
+        return self.rho_prime.dim(len(ec.head_ball)), self.rho.dim(len(ec.tail_ball))
 
     def _offsets(self) -> tuple[list[int], list[int]]:
-        n_in = self.edge_class.tail_nb.graph.n
-        n_out = self.edge_class.head_nb.graph.n
+        n_in = len(self.edge_class.tail_ball)
+        n_out = len(self.edge_class.head_ball)
         in_off, acc = [], 0
         for kind, c in self.rho.parts:
             in_off.append(acc)
@@ -232,15 +240,9 @@ def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
     enumerated, and the rank equals the trace of the group-average projector
     (Burnside's lemma).
     """
-    rep = ec.representative
-    restrictions = [
-        (
-            restrict_edge_iso(chi, rep, rep, "tail", ec.assignment),
-            restrict_edge_iso(chi, rep, rep, "head", ec.assignment),
-        )
-        for chi in ec.aut.generators
-    ]
-    n_in, n_out = ec.tail_nb.graph.n, ec.head_nb.graph.n
+    tail, head = ec.tail_ball, ec.head_ball
+    perms = [(ball_map(gen.map, head, head), ball_map(gen.map, tail, tail)) for gen in ec.aut.generators]
+    n_in, n_out = len(tail), len(head)
     struct_cache: dict[tuple[str, str], np.ndarray] = {}
     pair_bases = []
     for j, (kind_out, c_out) in enumerate(rho_prime.parts):
@@ -249,8 +251,8 @@ def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
             if kinds not in struct_cache:
                 spec_out, spec_in = RepSpec(((kind_out, 1),)), RepSpec(((kind_in, 1),))
                 actions = [
-                    (rep_index(spec_out, head), rep_index(spec_in, tail))
-                    for tail, head in restrictions
+                    (rep_index_from_perm(spec_out, head_perm), rep_index_from_perm(spec_in, tail_perm))
+                    for head_perm, tail_perm in perms
                 ]
                 struct_cache[kinds] = _orbit_basis(
                     actions, structural_dim(kind_out, n_out), structural_dim(kind_in, n_in)
@@ -319,10 +321,10 @@ class SharedKernel:
 
         ``relab`` sends the member's node ids to the representative's, as
         :func:`locate_edge` returns it; ``balls`` are the member's tail and
-        head balls in ascending id order, and ``kernel`` is
-        :meth:`representative_kernel`. The tail and head node permutations
-        are the argsorts of the balls' positions under ``relab``. Placing the
-        kernel's columns and rows by them equals conjugating it by the
+        head balls (:func:`ngn.neighbourhoods.ball`), and ``kernel`` is
+        :meth:`representative_kernel`. ``relab`` moves each member ball onto
+        the representative's (:func:`ball_map`); gathering the kernel's rows
+        and columns by those index maps equals conjugating it by the
         representation matrices of the transport restricted to the two balls.
 
         Raises ValidationError unless ``relab`` maps the member onto the
@@ -337,21 +339,9 @@ class SharedKernel:
             or (relab[nb.tail], relab[nb.head]) != rep.marked
         ):
             raise ValidationError(f"relabeling of edge {nb.marked} does not map it onto its class representative")
-        cols = rep_index_from_perm(self.basis.rho, _ball_perm(relab, balls[0], ec.tail_nb.graph.nodes))
-        rows = rep_index_from_perm(self.basis.rho_prime, _ball_perm(relab, balls[1], ec.head_nb.graph.nodes))
-        realized = np.empty((rows.size, cols.size))
-        realized[rows[:, None], cols] = kernel
-        return realized
-
-
-def _ball_perm(relab: Mapping[int, int], ball: Sequence[int], rep_ball: tuple[int, ...]) -> np.ndarray:
-    """Entry i is the rank in ``ball`` of the node that ``relab`` sends to
-    the i-th node of ``rep_ball``: the argsort of the ball's positions."""
-    positions = [relab[u] for u in ball]
-    order = sorted(range(len(positions)), key=positions.__getitem__)
-    if tuple(positions[j] for j in order) != rep_ball:
-        raise ValidationError("relabeling does not map an endpoint ball onto the representative's")
-    return np.array(order, dtype=np.intp)
+        cols = rep_index_from_perm(self.basis.rho, ball_map(relab, balls[0], ec.tail_ball))
+        rows = rep_index_from_perm(self.basis.rho_prime, ball_map(relab, balls[1], ec.head_ball))
+        return kernel[rows[:, None], cols]
 
 
 CACHE_VERSION = 1
@@ -395,43 +385,67 @@ def class_cache_to_dict(kernels: list[SharedKernel]) -> dict:
 
 
 def class_cache_from_dict(payload: dict) -> dict[tuple[bytes, str, str], SharedKernel]:
-    from .representations import parse_rep_spec
+    """The solved classes of :func:`class_cache_to_dict`'s form.
 
-    if payload.get("version") != CACHE_VERSION:
-        raise ValidationError(f"unsupported class cache version {payload.get('version')!r}")
+    Raises ValidationError on anything else: a missing or ill-typed field, a
+    key that is not hex, a generator that is not a marked automorphism of
+    the representative, or bases and weights whose shapes do not fit the
+    class and the representations.
+    """
+    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
+        version = payload.get("version") if isinstance(payload, dict) else None
+        raise ValidationError(f"unsupported class cache version {version!r}")
+    if not isinstance(payload.get("entries"), list):
+        raise ValidationError("class cache entries must be a list")
     out: dict[tuple[bytes, str, str], SharedKernel] = {}
     for entry in payload["entries"]:
-        graph = ConcreteGraph.build(entry["nodes"], [tuple(e) for e in entry["edges"]])
-        rep = EdgeNeighbourhood(graph, tuple(entry["marked"]))
-        gens = tuple(
-            GraphIso.build(graph, graph, dict(tuple(p) for p in gen))
-            for gen in entry["generators"]
-        )
-        ec = EdgeClass(
-            key=bytes.fromhex(entry["key"]),
-            representative=rep,
-            assignment=NeighbourhoodAssignment(entry["k"]),
-            aut=AutGenerators(graph, tuple(rep.marked), gens),
-        )
-        pair_bases = tuple(
-            PairBasis(
-                pb["out_part"],
-                pb["in_part"],
-                pb["kind_out"],
-                pb["kind_in"],
-                pb["c_out"],
-                pb["c_in"],
-                np.array(pb["elements"]).reshape(pb["shape"]),
-            )
-            for pb in entry["pair_bases"]
-        )
-        basis = KernelBasis(ec, parse_rep_spec(entry["rho"]), parse_rep_spec(entry["rho_prime"]), pair_bases)
-        weights = [
-            np.array(w, dtype=float).reshape(pb.elements.shape[0], pb.c_in, pb.c_out)
-            for w, pb in zip(entry["weights"], pair_bases)
-        ]
-        out[(ec.key, entry["rho"], entry["rho_prime"])] = SharedKernel(basis, weights)
+        try:
+            shared = _kernel_from_entry(entry)
+            out[(shared.basis.edge_class.key, entry["rho"], entry["rho_prime"])] = shared
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed class cache entry: {exc!r}") from None
     return out
+
+
+def _kernel_from_entry(entry: dict) -> SharedKernel:
+    graph = ConcreteGraph.build(entry["nodes"], [tuple(e) for e in entry["edges"]])
+    marked = tuple(entry["marked"])
+    if len(marked) != 2 or marked not in graph.edges:
+        raise ValidationError(f"marked edge {marked} is not an edge of its representative")
+    gens = tuple(GraphIso.build(graph, graph, dict(tuple(p) for p in gen)) for gen in entry["generators"])
+    for gen in gens:
+        if not validate_iso(gen) or any(gen.map[m] != m for m in marked):
+            raise ValidationError(f"a generator of class {entry['key']!r} is not a marked automorphism")
+    ec = EdgeClass(
+        key=bytes.fromhex(entry["key"]),
+        representative=EdgeNeighbourhood(graph, marked),
+        assignment=NeighbourhoodAssignment(entry["k"]),
+        aut=AutGenerators(graph, marked, gens),
+    )
+    rho, rho_prime = parse_rep_spec(entry["rho"]), parse_rep_spec(entry["rho_prime"])
+    n_in, n_out = len(ec.tail_ball), len(ec.head_ball)
+    pair_bases = []
+    for pb in entry["pair_bases"]:
+        j, i = pb["out_part"], pb["in_part"]
+        if not (0 <= j < len(rho_prime.parts) and 0 <= i < len(rho.parts)):
+            raise ValidationError(f"basis of parts ({j}, {i}) names a part that does not exist")
+        elements = np.array(pb["elements"], dtype=float).reshape(pb["shape"])
+        kind_out, c_out = rho_prime.parts[j]
+        kind_in, c_in = rho.parts[i]
+        if (
+            (pb["kind_out"], pb["c_out"], pb["kind_in"], pb["c_in"]) != (kind_out, c_out, kind_in, c_in)
+            or elements.ndim != 3
+            or elements.shape[1:] != (structural_dim(kind_out, n_out), structural_dim(kind_in, n_in))
+        ):
+            raise ValidationError(f"basis of parts ({j}, {i}) does not fit its class and representations")
+        pair_bases.append(PairBasis(j, i, kind_out, kind_in, c_out, c_in, elements))
+    if len(entry["weights"]) != len(pair_bases):
+        raise ValidationError("one weight array per basis pair expected")
+    weights = [
+        np.array(w, dtype=float).reshape(pb.elements.shape[0], pb.c_in, pb.c_out)
+        for w, pb in zip(entry["weights"], pair_bases)
+    ]
+    return SharedKernel(KernelBasis(ec, rho, rho_prime, tuple(pair_bases)), weights)
 
 
 def eq4_residual(shared: SharedKernel) -> float:

@@ -5,6 +5,11 @@ inheriting the parent's node ids. These choices make every global
 isomorphism restrict to a local one, every edge neighbourhood contain the
 node neighbourhoods of its endpoints, and every edge isomorphism restrict
 to node isomorphisms at both ends.
+
+:func:`ball` is the one definition of a node's ball: its nodes in ascending
+id order, which is also the coordinate order of the node's standard
+feature block. Code that needs only the nodes calls it; the induced
+subgraphs serve the oracles that need the ball's edges.
 """
 
 from __future__ import annotations
@@ -63,11 +68,16 @@ def _ball(g: ConcreteGraph, seeds: list[int], k: int) -> set[int]:
     return reached
 
 
+def ball(g: ConcreteGraph, p: int, k: int) -> tuple[int, ...]:
+    """The nodes at most k hops from p, in ascending id order."""
+    return tuple(sorted(_ball(g, [p], k)))
+
+
 def node_neighbourhood(g: ConcreteGraph, p: int, a: NeighbourhoodAssignment) -> NodeNeighbourhood:
     """Induced subgraph on all nodes at most k hops from p, marked p."""
     if p not in g.node_set:
         raise NodeLookupError(f"node {p} not in graph")
-    return NodeNeighbourhood(g.subgraph(_ball(g, [p], a.k)), p)
+    return NodeNeighbourhood(g.subgraph(ball(g, p, a.k)), p)
 
 
 def edge_neighbourhood(g: ConcreteGraph, p: int, q: int, a: NeighbourhoodAssignment) -> EdgeNeighbourhood:
@@ -151,11 +161,11 @@ def check_edge_containment(
     """Criterion: the edge neighbourhood contains both endpoint node balls
     as induced subgraphs. Returns a description of the first violation."""
     for end in nb.marked:
-        ball = node_neighbourhood(g, end, a).graph
-        if not set(ball.nodes) <= set(nb.graph.nodes):
+        end_ball = node_neighbourhood(g, end, a).graph
+        if not set(end_ball.nodes) <= set(nb.graph.nodes):
             return f"node ball of {end} not contained in edge neighbourhood {nb.marked}"
-        induced = nb.graph.subgraph(ball.nodes)
-        if induced.edges != ball.edges:
+        induced = nb.graph.subgraph(end_ball.nodes)
+        if induced.edges != end_ball.edges:
             return f"node ball of {end} is not an induced subgraph of {nb.marked}"
     if nb.marked not in nb.graph.edges:
         return f"marked edge {nb.marked} missing from its own neighbourhood"

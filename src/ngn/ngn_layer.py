@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassMissError, ShapeError, ValidationError
+from .errors import ClassMissError, ParseError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso
 from .kernel_solver import (
-    EdgeClass,
     SharedKernel,
     _class_from_neighbourhood,
     class_cache_from_dict,
@@ -32,12 +31,7 @@ from .kernel_solver import (
     locate_edge,
     solve_basis,
 )
-from .neighbourhoods import (
-    EdgeNeighbourhood,
-    NeighbourhoodAssignment,
-    _ball,
-    edge_neighbourhood,
-)
+from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
 from .representations import (
     GlobalFeature,
     RepSpec,
@@ -66,13 +60,6 @@ class NgnLayer:
 
     # -- class management ---------------------------------------------------
 
-    def solve_corpus(self, corpus: list[ConcreteGraph]) -> None:
-        """Pre-solve the classes of every edge in a corpus."""
-        for g in corpus:
-            for p, q in sorted(g.edges):
-                nb = edge_neighbourhood(g, p, q, self.assignment)
-                self._resolve(nb)
-
     def _resolve(self, nb: EdgeNeighbourhood) -> tuple[SharedKernel, dict[int, int]]:
         key, relab = locate_edge(nb)
         shared = self.table.get(key)
@@ -87,20 +74,17 @@ class NgnLayer:
             self.table[key] = shared
         return shared, relab
 
-    def classes(self) -> list[EdgeClass]:
-        return [sk.basis.edge_class for sk in self.table.values()]
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, g: ConcreteGraph, v: GlobalFeature) -> GlobalFeature:
         if set(v.blocks) != set(g.nodes):
             raise ShapeError("feature blocks are not indexed by the graph's nodes")
-        balls = {p: sorted(_ball(g, [p], self.assignment.k)) for p in g.nodes}
-        for p, ball in balls.items():
-            want = self.rho.dim(len(ball))
+        balls = {p: ball(g, p, self.assignment.k) for p in g.nodes}
+        for p, nodes in balls.items():
+            want = self.rho.dim(len(nodes))
             if v.blocks[p].shape != (want,):
                 raise ShapeError(f"block at node {p}: expected dim {want}, got {v.blocks[p].shape}")
-        out = GlobalFeature({p: np.zeros(self.rho_prime.dim(len(ball))) for p, ball in balls.items()})
+        out = GlobalFeature({p: np.zeros(self.rho_prime.dim(len(nodes))) for p, nodes in balls.items()})
         kernels: dict[bytes, np.ndarray] = {}  # representative kernel per class key
         in_degree = {p: 0 for p in g.nodes}
         for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
@@ -138,24 +122,44 @@ class NgnLayer:
 
     @staticmethod
     def from_dict(payload: dict) -> "NgnLayer":
-        if payload.get("version") != LAYER_FORMAT_VERSION:
-            raise ValidationError(f"unsupported layer format version {payload.get('version')!r}")
-        layer = NgnLayer(
-            rho=parse_rep_spec(payload["rho"]),
-            rho_prime=parse_rep_spec(payload["rho_prime"]),
-            assignment=NeighbourhoodAssignment(payload["k"]),
-            aggregation=payload["aggregation"],
-            strict=payload["strict"],
-            init_scale=payload["init_scale"],
-            seed=payload["seed"],
-        )
-        for (key, _, _), shared in class_cache_from_dict(payload["classes"]).items():
+        """The layer of :meth:`to_dict`'s form. Raises ValidationError on a
+        missing or ill-typed field and on classes that do not fit the layer."""
+        if not isinstance(payload, dict) or payload.get("version") != LAYER_FORMAT_VERSION:
+            version = payload.get("version") if isinstance(payload, dict) else None
+            raise ValidationError(f"unsupported layer format version {version!r}")
+        try:
+            layer = NgnLayer(
+                rho=parse_rep_spec(payload["rho"]),
+                rho_prime=parse_rep_spec(payload["rho_prime"]),
+                assignment=NeighbourhoodAssignment(payload["k"]),
+                aggregation=payload["aggregation"],
+                strict=payload["strict"],
+                init_scale=float(payload["init_scale"]),
+                seed=payload["seed"],
+            )
+            classes = class_cache_from_dict(payload["classes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed layer: {exc!r}") from None
+        for (key, _, _), shared in classes.items():
+            basis = shared.basis
+            if (basis.rho, basis.rho_prime, basis.edge_class.assignment) != (
+                layer.rho, layer.rho_prime, layer.assignment
+            ):
+                raise ValidationError(f"class {key.hex()} was solved for another layer")
             layer.table[key] = shared
         return layer
 
     @staticmethod
     def load(path: str | Path) -> "NgnLayer":
-        return NgnLayer.from_dict(json.loads(Path(path).read_text()))
+        """:meth:`from_dict` of a JSON file; text that is not JSON raises ParseError."""
+        path = Path(path)
+        try:
+            payload = json.loads(path.read_bytes())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path.name} is not JSON: {exc.msg}", exc.lineno) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path.name} is not JSON text: {exc.reason}") from None
+        return NgnLayer.from_dict(payload)
 
 
 def check_naturality(

@@ -1,10 +1,12 @@
 """Feature-space recipes for neighbourhoods and the matrices they assign.
 
 A RepSpec is a direct sum of parts, each ``trivial`` or ``standard`` with a
-channel multiplicity. The standard part assigns one coordinate per
-neighbourhood node; local isomorphisms act by permuting those coordinates,
-so every action is an index map (:func:`rep_index_from_perm`), and the
-permutation matrices of :func:`rep_matrix` serve only as its dense oracle.
+channel multiplicity. The standard part assigns one coordinate per node of
+the ball (:func:`ngn.neighbourhoods.ball`); a node map acts on a ball by
+:func:`ball_map`, the ranks of the images in the target ball, and on the
+coordinates by :func:`rep_index_from_perm`. Every action is that index map;
+the permutation matrices of :func:`rep_matrix` serve only as its dense
+oracle.
 
 Layout convention (fixed globally): parts are concatenated in order; inside
 a standard part, coordinates are node-major with nodes ordered by ascending
@@ -16,18 +18,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso, validate_iso
-from .neighbourhoods import (
-    EdgeNeighbourhood,
-    NeighbourhoodAssignment,
-    NodeNeighbourhood,
-    _ball,
-    node_neighbourhood,
-)
+from .neighbourhoods import NeighbourhoodAssignment, ball
 
 KINDS = ("trivial", "standard")
 
@@ -77,6 +74,8 @@ _PART_RE = re.compile(r"^(trivial|standard)(?:\*(\d+))?$")
 
 def parse_rep_spec(text: str) -> RepSpec:
     """Parse the CLI text form, e.g. ``standard*16`` or ``trivial*8+standard*4``."""
+    if not isinstance(text, str):
+        raise ValidationError(f"a representation is given as text, not {type(text).__name__}")
     parts = []
     for chunk in text.strip().split("+"):
         m = _PART_RE.match(chunk.strip())
@@ -90,8 +89,21 @@ def structural_dim(kind: str, n_nodes: int) -> int:
     return 1 if kind == "trivial" else n_nodes
 
 
-def rep_dim(spec: RepSpec, nb: NodeNeighbourhood | EdgeNeighbourhood) -> int:
-    return spec.dim(nb.graph.n)
+def ball_map(mapping: Mapping[int, int], ball: Sequence[int], target_ball: Sequence[int]) -> np.ndarray:
+    """How a node map moves the nodes of one ball onto another's.
+
+    Entry i is the rank in ``target_ball`` of ``mapping[ball[i]]`` (both
+    balls in ascending id order). Raises ValidationError unless the image of
+    ``ball`` is exactly ``target_ball``.
+    """
+    rank = {v: i for i, v in enumerate(target_ball)}
+    try:
+        perm = [rank[mapping[u]] for u in ball]
+    except KeyError:
+        raise ValidationError("the node map does not send the ball into the target ball") from None
+    if len(perm) != len(rank) or len(set(perm)) != len(perm):
+        raise ValidationError("the node map does not send the ball onto the target ball")
+    return np.array(perm, dtype=np.intp)
 
 
 def rep_index(spec: RepSpec, psi: GraphIso) -> np.ndarray:
@@ -101,18 +113,14 @@ def rep_index(spec: RepSpec, psi: GraphIso) -> np.ndarray:
     This is the whole action: the matrix that :func:`rep_matrix` assigns has
     a single one per column, at these rows.
     """
-    tgt_rank = {v: i for i, v in enumerate(psi.target.nodes)}
-    return rep_index_from_perm(
-        spec, np.array([tgt_rank[psi.map[u]] for u in psi.source.nodes], dtype=np.intp)
-    )
+    return rep_index_from_perm(spec, ball_map(psi.map, psi.source.nodes, psi.target.nodes))
 
 
 def rep_index_from_perm(spec: RepSpec, node_perm: np.ndarray) -> np.ndarray:
     """Where a node permutation sends each coordinate under spec.
 
-    ``node_perm[i]`` is the rank in the target ball of the image of the
-    source ball's i-th node (balls in ascending id order). This is the one
-    place that knows the coordinate layout.
+    ``node_perm`` is a :func:`ball_map`. This is the one place that knows
+    the coordinate layout.
     """
     pieces, offset = [], 0
     for kind, c in spec.parts:
@@ -145,9 +153,6 @@ class GlobalFeature:
 
     blocks: dict[int, np.ndarray]
 
-    def copy(self) -> "GlobalFeature":
-        return GlobalFeature({p: b.copy() for p, b in self.blocks.items()})
-
     def max_abs_diff(self, other: "GlobalFeature") -> float:
         if set(self.blocks) != set(other.blocks):
             raise ShapeError("features are indexed by different node sets")
@@ -162,9 +167,7 @@ class GlobalFeature:
 def random_feature(
     rng: np.random.Generator, spec: RepSpec, g: ConcreteGraph, a: NeighbourhoodAssignment
 ) -> GlobalFeature:
-    return GlobalFeature(
-        {p: rng.standard_normal(rep_dim(spec, node_neighbourhood(g, p, a))) for p in g.nodes}
-    )
+    return GlobalFeature({p: rng.standard_normal(spec.dim(len(ball(g, p, a.k)))) for p in g.nodes})
 
 
 def lift_global(
@@ -186,12 +189,9 @@ def lift_global(
         raise ValidationError("phi is not a graph isomorphism")
     out: dict[int, np.ndarray] = {}
     for p in phi.source.nodes:
-        image = [phi.map[u] for u in sorted(_ball(phi.source, [p], a.k))]
-        target_ball = sorted(_ball(phi.target, [phi.map[p]], a.k))
-        if sorted(image) != target_ball:
-            raise ValidationError(f"phi does not map the ball of {p} onto the ball of its image")
-        rank = {u: i for i, u in enumerate(target_ball)}
-        index = rep_index_from_perm(spec, np.array([rank[u] for u in image], dtype=np.intp))
+        index = rep_index_from_perm(
+            spec, ball_map(phi.map, ball(phi.source, p, a.k), ball(phi.target, phi.map[p], a.k))
+        )
         block = v.blocks[p]
         if block.shape[0] != index.size:
             raise ShapeError(f"block at node {p} has dim {block.shape[0]}, expected {index.size}")

@@ -156,10 +156,10 @@ def dense_reference_forward(layer, g: ConcreteGraph, v):
     """
     from ngn.kernel_solver import _transport_from_relab, locate_edge
     from ngn.neighbourhoods import edge_neighbourhood, node_neighbourhood, restrict_edge_iso
-    from ngn.representations import GlobalFeature, rep_dim, rep_matrix
+    from ngn.representations import GlobalFeature, rep_matrix
 
     a = layer.assignment
-    out = {p: np.zeros(rep_dim(layer.rho_prime, node_neighbourhood(g, p, a))) for p in g.nodes}
+    out = {p: np.zeros(layer.rho_prime.dim(node_neighbourhood(g, p, a).graph.n)) for p in g.nodes}
     in_degree = dict.fromkeys(g.nodes, 0)
     for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
         nb = edge_neighbourhood(g, p, q, a)
@@ -176,6 +176,55 @@ def dense_reference_forward(layer, g: ConcreteGraph, v):
             if in_degree[q] > 1:
                 out[q] /= in_degree[q]
     return GlobalFeature(out)
+
+
+def orbit_bases_from_restrictions(ec, rho, rho_prime) -> list[np.ndarray]:
+    """``solve_basis``'s part-pair elements, in its order, with each
+    generator's action read through subgraphs: the generator restricted to
+    the representative's tail and head balls by ``restrict_edge_iso`` (which
+    validates both restrictions), and each restriction's coordinate map
+    taken by ``rep_index``. Only the orbit computation is shared."""
+    from ngn.kernel_solver import _orbit_basis
+    from ngn.neighbourhoods import node_neighbourhood, restrict_edge_iso
+    from ngn.representations import RepSpec, rep_index, structural_dim
+
+    rep, a = ec.representative, ec.assignment
+    restrictions = [
+        (restrict_edge_iso(chi, rep, rep, "tail", a), restrict_edge_iso(chi, rep, rep, "head", a))
+        for chi in ec.aut.generators
+    ]
+    n_in = node_neighbourhood(rep.graph, rep.tail, a).graph.n
+    n_out = node_neighbourhood(rep.graph, rep.head, a).graph.n
+    out = []
+    for kind_out, _ in rho_prime.parts:
+        for kind_in, _ in rho.parts:
+            actions = [
+                (rep_index(RepSpec(((kind_out, 1),)), head), rep_index(RepSpec(((kind_in, 1),)), tail))
+                for tail, head in restrictions
+            ]
+            out.append(_orbit_basis(actions, structural_dim(kind_out, n_out), structural_dim(kind_in, n_in)))
+    return out
+
+
+def features_to_buffer(plan, feats, channels: int, dtype=np.float64) -> np.ndarray:
+    """Node rows of standard-rep features, one list entry per graph of the
+    plan: the block of the plan's s-th node, reshaped to (ball size,
+    channels), fills rows ``plan.node_ptr[s]:plan.node_ptr[s + 1]``."""
+    blocks = [v.blocks[p] for g, v in zip(plan.graphs, feats) for p in g.nodes]
+    assert [b.size for b in blocks] == (np.diff(plan.node_ptr) * channels).tolist()
+    return np.concatenate([b.reshape(-1, channels) for b in blocks]).astype(dtype)
+
+
+def buffer_to_features(plan, buf: np.ndarray) -> list:
+    """The inverse of ``features_to_buffer``: one GlobalFeature per graph."""
+    from ngn.representations import GlobalFeature
+
+    out, s = [], 0
+    for g in plan.graphs:
+        ptr = plan.node_ptr[s : s + g.n + 1]
+        out.append(GlobalFeature({p: buf[ptr[i] : ptr[i + 1]].reshape(-1) for i, p in enumerate(g.nodes)}))
+        s += g.n
+    return out
 
 
 def unfused_gcn2_layer(plan, net, x: np.ndarray, aggregation: str = "sum") -> np.ndarray:

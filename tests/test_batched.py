@@ -4,10 +4,8 @@ from scipy.linalg import block_diag
 
 from ngn import autodiff as ad
 from ngn.batched import (
-    buffer_to_features,
     compile_gcn_plan,
     compile_plan,
-    features_to_buffer,
     gcn2_layer_numpy,
     gcn2_layer_tensor,
     gcn_forward_numpy,
@@ -16,6 +14,7 @@ from ngn.batched import (
     message_net_from_params,
     node_attrs_to_buffer,
 )
+from ngn.errors import ShapeError
 from ngn.graph_core import ConcreteGraph, from_undirected
 from ngn.message_net import build_gcn_net, ngn_gcn2_forward
 from ngn.models import (
@@ -31,7 +30,14 @@ from ngn.models import (
 from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood
 from ngn.representations import GlobalFeature
 
-from helpers import cycle_graph, finite_difference_grads, random_graph, unfused_gcn2_layer
+from helpers import (
+    buffer_to_features,
+    cycle_graph,
+    features_to_buffer,
+    finite_difference_grads,
+    random_graph,
+    unfused_gcn2_layer,
+)
 
 K1 = NeighbourhoodAssignment(1)
 
@@ -98,6 +104,35 @@ class TestPlanLayout:
         assert buf.shape == (9, 1)
         assert np.array_equal(buf[:3, 0], [10.0, 20.0, 30.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_attrs_gather_equals_a_per_node_loop(self, dtype):
+        rng = np.random.default_rng(13)
+        graphs = [
+            random_graph(rng, 7, 0.4, id_offset=2),
+            ConcreteGraph.build([3], []),
+            from_undirected([1, 4, 6, 9], [(1, 4), (4, 6), (6, 9)]),
+            random_graph(rng, 6, 0.5),
+        ]
+        attrs = [rng.standard_normal((g.n, 3)) for g in graphs]
+        for k in (1, 2):
+            a = NeighbourhoodAssignment(k)
+            plan = compile_plan(graphs, a)
+            # every ball's rows, node by node, each cast on assignment
+            expected = np.zeros((plan.node_rows, 3), dtype=dtype)
+            row = 0
+            for g, raw in zip(graphs, attrs):
+                order = {u: i for i, u in enumerate(g.nodes)}
+                for p in g.nodes:
+                    ball = node_neighbourhood(g, p, a).graph.nodes
+                    expected[row : row + len(ball)] = raw[[order[u] for u in ball]]
+                    row += len(ball)
+            got = node_attrs_to_buffer(plan, attrs, dtype=dtype)
+            assert got.dtype == dtype and np.array_equal(got, expected), k
+        with pytest.raises(ShapeError):
+            node_attrs_to_buffer(plan, attrs[:2] + [attrs[2][:-1]] + attrs[3:])
+        with pytest.raises(ShapeError):
+            node_attrs_to_buffer(plan, attrs[:-1])
+
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_operators_match_a_per_edge_loop(self, k):
@@ -113,8 +148,10 @@ class TestPlanLayout:
         # the layout and the operators, edge by edge, from their definitions
         n = plan.node_rows
         sizes, embed, mix, project = [], [], [], []
-        for gi, g in enumerate(graphs):
-            starts = plan.node_row_start[gi]
+        serial = 0
+        for g in graphs:
+            starts = dict(zip(g.nodes, plan.node_ptr[serial:]))
+            serial += g.n
             balls = {p: node_neighbourhood(g, p, a).graph.nodes for p in g.nodes}
             for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
                 nb = sorted(set(balls[p]) | set(balls[q]))

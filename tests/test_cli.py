@@ -1,3 +1,4 @@
+import argparse
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -30,6 +31,23 @@ class TestArgs:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["make-coffee"])
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "check-naturality": {"--rep", "--net", "--seed", "--out", "--trials", "--corrupt"},
+            "expressiveness": {"--data", "--rep", "--seed", "--out", "--seeds"},
+            "lattice": {"--rep", "--out"},
+            "bench": {"--seed", "--out", "--sizes"},
+            "train": {
+                "--data", "--net", "--seed", "--out", "--epochs", "--rate", "--fold",
+                "--layers", "--decay", "--batch",
+            },
+        }
 
     def test_config_round_trip(self):
         args = build_parser().parse_args(

@@ -77,6 +77,13 @@ class TestTuLoader:
         with pytest.raises(ParseError):
             load_tu(d)
 
+    def test_self_loop_has_line_number(self, tmp_path):
+        d = two_graph_fixture(tmp_path)
+        (d / "TINY_A.txt").write_text("1, 2\n2, 1\n3, 3\n")
+        with pytest.raises(ParseError, match=r"self-loop \(3, 3\)") as exc:
+            load_tu(d)
+        assert exc.value.line == 3
+
     def test_cross_graph_edge_rejected(self, tmp_path):
         d = two_graph_fixture(tmp_path)
         (d / "TINY_A.txt").write_text("1, 4\n")

@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 
+from ngn.cli import _random_relabel, _random_test_graph
+from ngn.errors import ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, from_undirected
 from ngn.kernel_solver import (
     EdgeClass,
@@ -15,12 +17,13 @@ from ngn.kernel_solver import (
     solve_basis,
 )
 from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, node_neighbourhood, restrict_edge_iso
-from ngn.representations import RepSpec, parse_rep_spec, rep_matrix
+from ngn.representations import RepSpec, parse_rep_spec, random_feature, rep_matrix
 
 from helpers import (
     cycle_graph,
     find_iso,
     group_average_projector,
+    orbit_bases_from_restrictions,
     path_graph,
     projector_rank,
     random_graph,
@@ -183,6 +186,25 @@ class TestSolveBasis:
         assert proj.shape == (d_out * d_in, d_out * d_in)
 
 
+    def test_bases_equal_the_restricted_subgraph_actions_on_criterion_1(self):
+        # criterion 1's graphs, drawn as its loop draws them
+        rng = np.random.default_rng(101)
+        classes = {}
+        for _ in range(200):
+            g = _random_test_graph(rng)
+            _random_relabel(rng, g)
+            random_feature(rng, STD, g, K1)
+            for ec in classify_edges([g], K1):
+                classes.setdefault(ec.key, ec)
+        assert len(classes) > 1000
+        for rho in (STD, parse_rep_spec("trivial*2+standard*3")):
+            for ec in classes.values():
+                got = [pb.elements for pb in solve_basis(ec, rho, rho).pair_bases]
+                want = orbit_bases_from_restrictions(ec, rho, rho)
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestAssembly:
     def test_weighted_assembly_matches_basis_matrices(self):
         rng = np.random.default_rng(8)
@@ -312,11 +334,31 @@ class TestRealize:
                         checked += 1
         assert checked >= 50
 
+    def test_relabeling_that_is_not_onto_the_representative_raises(self):
+        ec, basis = solve_for(bowtie(), 0, 1)
+        shared = SharedKernel.random(basis, np.random.default_rng(3))
+        nb = edge_neighbourhood(bowtie(), 0, 1, K1)
+        _, relab = locate_edge(nb)
+        balls = tuple(node_neighbourhood(nb.graph, end, K1).graph.nodes for end in nb.marked)
+        kernel = shared.representative_kernel()
+        assert shared.realize_from_transport(nb, relab, balls, kernel).shape == basis.dims
+        for bad in ({**relab, 2: relab[3]}, {u: pos + 1 for u, pos in relab.items()}):
+            with pytest.raises(ValidationError):
+                shared.realize_from_transport(nb, bad, balls, kernel)
+
+
 def _realize(shared: SharedKernel, nb, transport: GraphIso) -> np.ndarray:
     """``realize_from_transport`` for a transport from the representative
     onto ``nb``: its inverse is the relabeling the method takes."""
     balls = tuple(node_neighbourhood(nb.graph, end, K1).graph.nodes for end in nb.marked)
     return shared.realize_from_transport(nb, transport.inverse().map, balls, shared.representative_kernel())
+
+
+def _swap_marks(entry: dict) -> None:
+    """One generator that exchanges the marked nodes: an automorphism of the
+    bowtie, but not one that fixes the marks."""
+    p, q = entry["marked"]
+    entry["generators"] = [[[u, {p: q, q: p}.get(u, u)] for u in entry["nodes"]]]
 
 
 def _set_flat_weights(shared: SharedKernel, flat: np.ndarray) -> None:
@@ -364,3 +406,41 @@ class TestCache:
     def test_version_checked(self):
         with pytest.raises(Exception):
             class_cache_from_dict({"version": 99, "entries": []})
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda e: e.pop("rho"),
+            lambda e: e["weights"][0].pop(),
+            lambda e: e["weights"].pop(),
+            lambda e: e["pair_bases"][0]["elements"].pop(),
+            lambda e: e["pair_bases"][0].update(shape=[1, -1, e["pair_bases"][0]["shape"][2]]),
+            lambda e: e["pair_bases"][0].update(out_part=5),
+            lambda e: e["pair_bases"][0].update(kind_in="standard"),
+            lambda e: e.update(key="not hex"),
+            lambda e: e.update(marked=e["marked"][:1] * 2),
+            lambda e: e.update(generators=[[[u, 0] for u, _ in e["generators"][0]]]),
+            _swap_marks,
+        ],
+        ids=[
+            "no rho",
+            "weights short of a row",
+            "weights short of a pair",
+            "elements short of a row",
+            "elements of another shape",
+            "no such part",
+            "kind of another part",
+            "key not hex",
+            "marks not an edge",
+            "generator not bijective",
+            "generator moves the marks",
+        ],
+    )
+    def test_malformed_entry_raises_validation_error(self, corrupt):
+        rho = parse_rep_spec("trivial*1+standard*2")
+        _, basis = solve_for(bowtie(), 0, 1, rho, STD)
+        payload = class_cache_to_dict([SharedKernel.random(basis, np.random.default_rng(2))])
+        assert len(payload["entries"][0]["generators"]) == 1
+        corrupt(payload["entries"][0])
+        with pytest.raises(ValidationError):
+            class_cache_from_dict(payload)

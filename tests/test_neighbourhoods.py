@@ -6,6 +6,7 @@ from ngn.graph_core import ConcreteGraph, GraphIso, enumerate_group, automorphis
 from ngn.neighbourhoods import (
     EdgeNeighbourhood,
     NeighbourhoodAssignment,
+    ball,
     check_edge_containment,
     edge_neighbourhood,
     node_neighbourhood,
@@ -42,6 +43,11 @@ class TestExtraction:
     def test_unknown_node(self):
         with pytest.raises(NodeLookupError):
             node_neighbourhood(triangle(), 9, K1)
+
+    def test_ball_ignores_direction_and_ascends(self):
+        g = ConcreteGraph.build([2, 5, 7, 9, 11], [(9, 5), (5, 2), (11, 9), (7, 11)])
+        assert [ball(g, 5, k) for k in range(4)] == [(5,), (2, 5, 9), (2, 5, 9, 11), (2, 5, 7, 9, 11)]
+        assert ball(g, 5, 1) == node_neighbourhood(g, 5, K1).graph.nodes
 
     def test_edge_neighbourhood_of_path(self):
         nb = edge_neighbourhood(path_graph(0, 1, 2), 0, 1, K1)

@@ -1,8 +1,13 @@
+import json
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ngn import ngn_layer
-from ngn.errors import ClassMissError, ShapeError, ValidationError
+from ngn import kernel_solver, neighbourhoods, ngn_layer, representations
+from ngn.errors import ClassMissError, ContractError, ParseError, ShapeError, ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
 from ngn.neighbourhoods import NeighbourhoodAssignment
 from ngn.ngn_layer import NgnLayer, check_naturality
@@ -157,6 +162,30 @@ class TestIndexTransport:
         with pytest.raises(ValidationError, match="class representative"):
             layer.forward(g, v)
 
+    def test_forward_builds_no_ball_subgraph(self, monkeypatch):
+        # balls are id tuples, and a new class's generators act on them by
+        # index maps: no restricted isomorphism or node-ball subgraph is built,
+        # in the forward or in the solves it triggers
+        calls = []
+        for module in (neighbourhoods, kernel_solver, ngn_layer, representations):
+            for name in ("restrict_edge_iso", "node_neighbourhood"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def spy(*args, _original=original, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, spy)
+        rng = np.random.default_rng(16)
+        spec = parse_rep_spec("trivial*2+standard*3")
+        layer = make_layer(spec, spec)
+        g = random_capped_graph(rng, 10, 0.4, max_degree=5)
+        layer.forward(g, random_feature(rng, spec, g, K1))
+        assert len(layer.table) >= 5 and calls == []
+        next(iter(layer.table.values())).basis.edge_class.group_restrictions
+        assert "restrict_edge_iso" in calls  # the oracle's restrictions pass the spies
+
 
 class TestNaturality:
     def test_identity_relabeling_residual_zero(self):
@@ -241,9 +270,83 @@ class TestPersistence:
             outs.append(layer.forward(g, v))
         assert outs[0].max_abs_diff(outs[1]) == 0.0
 
+    def test_text_that_is_not_json_raises_parse_error(self, tmp_path):
+        path = tmp_path / "layer.json"
+        for data in (b'{"version": 1,\n "rho": ', b"\xff\xfe{}"):
+            path.write_bytes(data)
+            with pytest.raises(ParseError):
+                NgnLayer.load(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.pop("rho"),
+            lambda d: d.update(rho=5),
+            lambda d: d.update(k=2),  # the classes were solved for k = 1
+            lambda d: d["classes"]["entries"][0].update(rho="standard*2"),
+            lambda d: d.update(classes=[]),
+            lambda d: d.update(seed="x"),
+        ],
+        ids=["no rho", "rho not text", "other k", "class of another rep", "classes not a dict", "bad seed"],
+    )
+    def test_malformed_layer_raises_validation_error(self, corrupt):
+        payload = json.loads(_layer_text())
+        corrupt(payload)
+        with pytest.raises(ValidationError):
+            NgnLayer.from_dict(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_layer_files_load_or_raise_package_errors(self, data, tmp_path_factory):
+        payload = json.loads(_layer_text())
+        path = data.draw(st.none() | st.sampled_from(list(_json_paths(payload))))
+        if path == ():
+            payload = data.draw(_json_values)
+        elif path is not None:  # one field replaced or removed
+            parent = payload
+            for step in path[:-1]:
+                parent = parent[step]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_json_values)
+        raw = json.dumps(payload).encode()
+        raw = raw[: data.draw(st.integers(0, len(raw)))] if data.draw(st.booleans()) else raw
+        file = tmp_path_factory.mktemp("fuzz") / "layer.json"
+        file.write_bytes(raw)
+        try:
+            layer = NgnLayer.load(file)
+        except (ParseError, ContractError, ValidationError):
+            return
+        for shared in layer.table.values():
+            assert shared.representative_kernel().shape == shared.basis.dims
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-1e3, 1e3) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@cache
+def _layer_text() -> str:
+    """A saved layer with a few classes of both a trivial and a standard part."""
+    spec = parse_rep_spec("trivial*1+standard*1")
+    layer = make_layer(spec, spec)
+    g = from_undirected(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
+    layer.forward(g, random_feature(np.random.default_rng(0), spec, g, K1))
+    return json.dumps(layer.to_dict())
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
 
 def _dims(g, layer):
     from ngn.neighbourhoods import node_neighbourhood
-    from ngn.representations import rep_dim
 
-    return {p: rep_dim(layer.rho, node_neighbourhood(g, p, layer.assignment)) for p in g.nodes}
+    return {p: layer.rho.dim(node_neighbourhood(g, p, layer.assignment).graph.n) for p in g.nodes}

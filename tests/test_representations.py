@@ -7,10 +7,10 @@ from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood, rest
 from ngn.representations import (
     GlobalFeature,
     RepSpec,
+    ball_map,
     lift_global,
     parse_rep_spec,
     random_feature,
-    rep_dim,
     rep_matrix,
 )
 
@@ -34,18 +34,38 @@ class TestSpecText:
 class TestRepDim:
     def test_trivial_is_channel_count(self):
         nb = node_neighbourhood(path_graph(0, 1, 2), 1, K1)
-        assert rep_dim(RepSpec.trivial(8), nb) == 8
+        assert RepSpec.trivial(8).dim(nb.graph.n) == 8
 
     def test_standard_counts_neighbourhood_nodes(self):
         g = from_undirected(range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
         nb = node_neighbourhood(g, 0, K1)
         assert nb.graph.n == 5
-        assert rep_dim(RepSpec.standard(1), nb) == 5
+        assert RepSpec.standard(1).dim(nb.graph.n) == 5
 
     def test_sum(self):
         nb = node_neighbourhood(path_graph(0, 1, 2), 1, K1)
         assert nb.graph.n == 3
-        assert rep_dim(RepSpec.standard(1) + RepSpec.trivial(1), nb) == 4
+        assert (RepSpec.standard(1) + RepSpec.trivial(1)).dim(nb.graph.n) == 4
+
+
+class TestBallMap:
+    def test_ranks_of_the_images_in_the_target_ball(self):
+        mapping = {3: 20, 5: 10, 8: 30, 9: 99}
+        assert ball_map(mapping, (3, 5, 8), (10, 20, 30)).tolist() == [1, 0, 2]
+        assert ball_map(mapping, (), ()).tolist() == []
+
+    @pytest.mark.parametrize(
+        "mapping, target",
+        [
+            ({3: 20, 5: 10, 8: 31}, (10, 20, 30)),  # an image outside the target ball
+            ({3: 20, 5: 10, 8: 20}, (10, 20, 30)),  # two nodes onto one
+            ({3: 20, 5: 10, 8: 30}, (10, 20, 30, 40)),  # the target ball is larger
+            ({3: 20, 5: 10}, (10, 20, 30)),  # a ball node without an image
+        ],
+    )
+    def test_raises_unless_the_image_is_the_target_ball(self, mapping, target):
+        with pytest.raises(ValidationError):
+            ball_map(mapping, (3, 5, 8), target)
 
 
 class TestRepMatrix:
