@@ -334,6 +334,9 @@ def cmd_lattice_reduction(cfg: RunConfig) -> dict:
 
 
 def _time_call(fn, reps: int = 3) -> float:
+    """Best of ``reps`` timed calls after one untimed warm-up call, so that a
+    fresh process's first-call costs stay out of the timings."""
+    fn()
     best = np.inf
     for _ in range(reps):
         t0 = time.perf_counter()

@@ -6,19 +6,27 @@ marked automorphism of the representative neighbourhood. For permutation
 representations the commuting kernels are spanned exactly by the indicators
 of the group's orbits on (head-ball coordinate, tail-ball coordinate) pairs,
 so the basis is read off the generators' action with no numerical solve, and
-is parameterized by weights per basis element and channel pair. Kernels at
-members are obtained by transporting the representative kernel along the
-member's canonical relabeling, which permutes its rows and columns by
-index.
+is parameterized by weights per basis element and channel pair. A basis
+is kept as one orbit label per kernel entry, and a kernel is the gather
+``w[label]`` times each entry's unit-norm factor 1/sqrt(orbit size)
+(Ravanbakhsh, Schneider & Poczos, 2017: the group's orbits on index pairs
+tie the parameters). Kernels at member edges are obtained by transporting
+the representative kernel along the member's canonical relabeling, which
+permutes its rows and columns by index.
 
 Channel multiplicities never enter the solve: the constraint decouples per
 channel pair, so bases are found once per (kind, kind) part pair on
 single-channel actions.
+
+A class cache holds only what cannot be recomputed: each class's key,
+representations, representative neighbourhood and weights. Loading solves
+the representative's marked automorphisms and orbit basis again, so no file
+can carry a kernel space that breaks the constraint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -34,7 +42,6 @@ from .graph_core import (
     automorphism_generators,
     canonical_form,
     enumerate_group,
-    validate_iso,
 )
 from .neighbourhoods import (
     EdgeNeighbourhood,
@@ -70,13 +77,6 @@ def locate_edge(nb: EdgeNeighbourhood) -> tuple[bytes, dict[int, int]]:
     return form.encoding, form.relabel_map
 
 
-@dataclass(frozen=True)
-class ClassMember:
-    graph_index: int
-    edge: tuple[int, int]
-    transport: GraphIso  # representative graph -> member neighbourhood graph
-
-
 @dataclass
 class EdgeClass:
     """One isomorphism class of marked edge neighbourhoods."""
@@ -85,7 +85,6 @@ class EdgeClass:
     representative: EdgeNeighbourhood  # canonical copy on ids 0..n-1
     assignment: NeighbourhoodAssignment
     aut: AutGenerators  # automorphisms pinning p -> p and q -> q
-    members: list[ClassMember] = field(default_factory=list)
 
     @cached_property
     def tail_ball(self) -> tuple[int, ...]:
@@ -122,32 +121,30 @@ def _class_from_neighbourhood(
     return EdgeClass(key=key, representative=rep, assignment=a, aut=aut)
 
 
-def _transport_from_relab(ec: EdgeClass, nb: EdgeNeighbourhood, relab: dict[int, int]) -> GraphIso:
-    inverse = {pos: v for v, pos in relab.items()}
-    return GraphIso.build(ec.representative.graph, nb.graph, inverse)
-
-
 def classify_edges(
     corpus: list[ConcreteGraph], a: NeighbourhoodAssignment
 ) -> list[EdgeClass]:
-    """Partition every directed edge of the corpus into isomorphism classes."""
+    """The isomorphism classes of the corpus's directed edges, in the order
+    of their first edge (graphs in order, edges sorted)."""
     classes: dict[bytes, EdgeClass] = {}
-    for gi, g in enumerate(corpus):
+    for g in corpus:
         for p, q in sorted(g.edges):
             nb = edge_neighbourhood(g, p, q, a)
             key, relab = locate_edge(nb)
-            ec = classes.get(key)
-            if ec is None:
-                ec = _class_from_neighbourhood(nb, key, relab, a)
-                classes[key] = ec
-            ec.members.append(ClassMember(gi, (p, q), _transport_from_relab(ec, nb, relab)))
+            if key not in classes:
+                classes[key] = _class_from_neighbourhood(nb, key, relab, a)
     return list(classes.values())
 
 
 @dataclass(frozen=True)
 class PairBasis:
     """Orbit basis of the kernels from one input part to one output part, on
-    single-channel actions; all ``c_out * c_in`` channel pairs share it."""
+    single-channel actions; all ``c_out * c_in`` channel pairs share it.
+
+    ``labels[a, b]`` is the orbit of kernel entry (a, b). Orbit r is the
+    r-th to appear in row-major entry order, and basis element r is its
+    indicator scaled to unit Frobenius norm, so the weights of a class are
+    read in that order."""
 
     out_part: int
     in_part: int
@@ -155,7 +152,16 @@ class PairBasis:
     kind_in: str
     c_out: int
     c_in: int
-    elements: np.ndarray  # (r, n_out_struct, n_in_struct), orthonormal in Frobenius
+    labels: np.ndarray  # (n_out_struct, n_in_struct) orbit of each entry
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Each orbit's entry value in its unit-norm indicator, 1/sqrt(orbit size)."""
+        return 1.0 / np.sqrt(np.bincount(self.labels.reshape(-1)))
+
+    @property
+    def rank(self) -> int:
+        return self.norms.size
 
 
 @dataclass
@@ -169,7 +175,7 @@ class KernelBasis:
 
     @property
     def rank(self) -> int:
-        return sum(pb.elements.shape[0] * pb.c_in * pb.c_out for pb in self.pair_bases)
+        return sum(pb.rank * pb.c_in * pb.c_out for pb in self.pair_bases)
 
     @cached_property
     def dims(self) -> tuple[int, int]:
@@ -196,8 +202,9 @@ class KernelBasis:
         out: list[np.ndarray] = []
         for pb in self.pair_bases:
             ro, co = out_off[pb.out_part], in_off[pb.in_part]
-            n_o, n_i = pb.elements.shape[1], pb.elements.shape[2]
-            for b in pb.elements:
+            n_o, n_i = pb.labels.shape
+            for r in range(pb.rank):
+                b = np.where(pb.labels == r, pb.norms[r], 0.0)
                 for oc in range(pb.c_out):
                     for ic in range(pb.c_in):
                         unit = np.zeros((pb.c_out, pb.c_in))
@@ -209,11 +216,12 @@ class KernelBasis:
 
 
 def _orbit_basis(actions: list[tuple[np.ndarray, np.ndarray]], n_out: int, n_in: int) -> np.ndarray:
-    """Normalized orbit indicators of the flat entries of an (n_out, n_in) kernel.
+    """Orbit labels of the entries of an (n_out, n_in) kernel.
 
     Each action is a (head, tail) pair of index maps moving entry (a, b) to
     (head[a], tail[b]); the orbits are the connected components of the graph
-    joining every entry to its images.
+    joining every entry to its images, numbered in the order of their first
+    row-major entry.
     """
     dim = n_out * n_in
     images = np.array(
@@ -224,21 +232,16 @@ def _orbit_basis(actions: list[tuple[np.ndarray, np.ndarray]], n_out: int, n_in:
         (np.ones(images.size), images.T.reshape(-1), np.arange(dim + 1) * len(actions)),
         shape=(dim, dim),
     )
-    rank, labels = connected_components(links, directed=False)
-    sizes = np.bincount(labels, minlength=rank)
-    elements = np.zeros((rank, dim))
-    elements[labels, np.arange(dim)] = 1.0 / np.sqrt(sizes[labels])
-    return elements.reshape(rank, n_out, n_in)
+    return connected_components(links, directed=False)[1].reshape(n_out, n_in)
 
 
 def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
     """Exact orthonormal basis of the kernels commuting with the class's
     marked automorphisms.
 
-    Each part pair's basis holds the orbit indicators of the generators'
-    action on its entries, scaled to unit Frobenius norm. The group is never
-    enumerated, and the rank equals the trace of the group-average projector
-    (Burnside's lemma).
+    Each part pair's basis labels the orbits of the generators' action on
+    its entries (:class:`PairBasis`). The group is never enumerated, and the
+    rank equals the trace of the group-average projector (Burnside's lemma).
     """
     tail, head = ec.tail_ball, ec.head_ball
     perms = [(ball_map(gen.map, head, head), ball_map(gen.map, tail, tail)) for gen in ec.aut.generators]
@@ -274,25 +277,15 @@ class SharedKernel:
         if len(self.weights) != len(self.basis.pair_bases):
             raise ShapeError("one weight array per basis pair expected")
         for w, pb in zip(self.weights, self.basis.pair_bases):
-            if w.shape != (pb.elements.shape[0], pb.c_in, pb.c_out):
+            if w.shape != (pb.rank, pb.c_in, pb.c_out):
                 raise ShapeError(f"weight shape {w.shape} does not match basis pair")
-
-    @staticmethod
-    def zeros(basis: KernelBasis) -> "SharedKernel":
-        return SharedKernel(
-            basis,
-            [
-                np.zeros((pb.elements.shape[0], pb.c_in, pb.c_out))
-                for pb in basis.pair_bases
-            ],
-        )
 
     @staticmethod
     def random(basis: KernelBasis, rng: np.random.Generator, scale: float = 1.0) -> "SharedKernel":
         return SharedKernel(
             basis,
             [
-                scale * rng.standard_normal((pb.elements.shape[0], pb.c_in, pb.c_out))
+                scale * rng.standard_normal((pb.rank, pb.c_in, pb.c_out))
                 for pb in basis.pair_bases
             ],
         )
@@ -303,10 +296,10 @@ class SharedKernel:
         k = np.zeros((d_out, d_in))
         for pb, w in zip(self.basis.pair_bases, self.weights):
             ro, co = out_off[pb.out_part], in_off[pb.in_part]
-            n_o, n_i = pb.elements.shape[1], pb.elements.shape[2]
-            block = np.einsum("rab,rio->aobi", pb.elements, w).reshape(
-                n_o * pb.c_out, n_i * pb.c_in
-            )
+            n_o, n_i = pb.labels.shape
+            # entry (a, b) of channel pair (i, o) is w[r, i, o] * norms[r] for its orbit r
+            gathered = (w * pb.norms[:, None, None])[pb.labels]
+            block = gathered.transpose(0, 3, 1, 2).reshape(n_o * pb.c_out, n_i * pb.c_in)
             k[ro : ro + n_o * pb.c_out, co : co + n_i * pb.c_in] += block
         return k
 
@@ -344,12 +337,13 @@ class SharedKernel:
         return kernel[rows[:, None], cols]
 
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def class_cache_to_dict(kernels: list[SharedKernel]) -> dict:
-    """Serializable form of solved classes, keyed by canonical encoding and
-    representation text forms. Members are corpus-bound and not persisted."""
+    """Serializable form of solved classes: each class's key, representations,
+    representative neighbourhood and weights. Generators and bases are
+    derived from the representative, so they are not written."""
     entries = []
     for sk in kernels:
         ec = sk.basis.edge_class
@@ -362,22 +356,6 @@ def class_cache_to_dict(kernels: list[SharedKernel]) -> dict:
                 "nodes": list(ec.representative.graph.nodes),
                 "edges": sorted(list(e) for e in ec.representative.graph.edges),
                 "marked": list(ec.representative.marked),
-                "generators": [
-                    [list(pair) for pair in gen.mapping] for gen in ec.aut.generators
-                ],
-                "pair_bases": [
-                    {
-                        "out_part": pb.out_part,
-                        "in_part": pb.in_part,
-                        "kind_out": pb.kind_out,
-                        "kind_in": pb.kind_in,
-                        "c_out": pb.c_out,
-                        "c_in": pb.c_in,
-                        "elements": pb.elements.tolist(),
-                        "shape": list(pb.elements.shape),
-                    }
-                    for pb in sk.basis.pair_bases
-                ],
                 "weights": [w.tolist() for w in sk.weights],
             }
         )
@@ -385,12 +363,12 @@ def class_cache_to_dict(kernels: list[SharedKernel]) -> dict:
 
 
 def class_cache_from_dict(payload: dict) -> dict[tuple[bytes, str, str], SharedKernel]:
-    """The solved classes of :func:`class_cache_to_dict`'s form.
+    """The solved classes of :func:`class_cache_to_dict`'s form, with each
+    basis solved again from its representative.
 
-    Raises ValidationError on anything else: a missing or ill-typed field, a
-    key that is not hex, a generator that is not a marked automorphism of
-    the representative, or bases and weights whose shapes do not fit the
-    class and the representations.
+    Raises ValidationError on anything else: another version, a missing or
+    ill-typed field, a key that is not hex, marks that are not an edge of the
+    representative, or weights whose shapes do not fit the solved basis.
     """
     if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
         version = payload.get("version") if isinstance(payload, dict) else None
@@ -402,7 +380,7 @@ def class_cache_from_dict(payload: dict) -> dict[tuple[bytes, str, str], SharedK
         try:
             shared = _kernel_from_entry(entry)
             out[(shared.basis.edge_class.key, entry["rho"], entry["rho_prime"])] = shared
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:
             raise ValidationError(f"malformed class cache entry: {exc!r}") from None
     return out
 
@@ -412,40 +390,14 @@ def _kernel_from_entry(entry: dict) -> SharedKernel:
     marked = tuple(entry["marked"])
     if len(marked) != 2 or marked not in graph.edges:
         raise ValidationError(f"marked edge {marked} is not an edge of its representative")
-    gens = tuple(GraphIso.build(graph, graph, dict(tuple(p) for p in gen)) for gen in entry["generators"])
-    for gen in gens:
-        if not validate_iso(gen) or any(gen.map[m] != m for m in marked):
-            raise ValidationError(f"a generator of class {entry['key']!r} is not a marked automorphism")
     ec = EdgeClass(
         key=bytes.fromhex(entry["key"]),
         representative=EdgeNeighbourhood(graph, marked),
         assignment=NeighbourhoodAssignment(entry["k"]),
-        aut=AutGenerators(graph, marked, gens),
+        aut=automorphism_generators(graph, marked=list(marked)),
     )
-    rho, rho_prime = parse_rep_spec(entry["rho"]), parse_rep_spec(entry["rho_prime"])
-    n_in, n_out = len(ec.tail_ball), len(ec.head_ball)
-    pair_bases = []
-    for pb in entry["pair_bases"]:
-        j, i = pb["out_part"], pb["in_part"]
-        if not (0 <= j < len(rho_prime.parts) and 0 <= i < len(rho.parts)):
-            raise ValidationError(f"basis of parts ({j}, {i}) names a part that does not exist")
-        elements = np.array(pb["elements"], dtype=float).reshape(pb["shape"])
-        kind_out, c_out = rho_prime.parts[j]
-        kind_in, c_in = rho.parts[i]
-        if (
-            (pb["kind_out"], pb["c_out"], pb["kind_in"], pb["c_in"]) != (kind_out, c_out, kind_in, c_in)
-            or elements.ndim != 3
-            or elements.shape[1:] != (structural_dim(kind_out, n_out), structural_dim(kind_in, n_in))
-        ):
-            raise ValidationError(f"basis of parts ({j}, {i}) does not fit its class and representations")
-        pair_bases.append(PairBasis(j, i, kind_out, kind_in, c_out, c_in, elements))
-    if len(entry["weights"]) != len(pair_bases):
-        raise ValidationError("one weight array per basis pair expected")
-    weights = [
-        np.array(w, dtype=float).reshape(pb.elements.shape[0], pb.c_in, pb.c_out)
-        for w, pb in zip(entry["weights"], pair_bases)
-    ]
-    return SharedKernel(KernelBasis(ec, rho, rho_prime, tuple(pair_bases)), weights)
+    basis = solve_basis(ec, parse_rep_spec(entry["rho"]), parse_rep_spec(entry["rho_prime"]))
+    return SharedKernel(basis, [np.array(w, dtype=float) for w in entry["weights"]])
 
 
 def eq4_residual(shared: SharedKernel) -> float:

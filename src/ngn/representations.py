@@ -62,12 +62,6 @@ class RepSpec:
         """Dimension on a neighbourhood of ``n_nodes`` nodes."""
         return sum(structural_dim(kind, n_nodes) * c for kind, c in self.parts)
 
-    def pure_standard_channels(self) -> int | None:
-        """Channel count if this is a single standard part, else None."""
-        if len(self.parts) == 1 and self.parts[0][0] == "standard":
-            return self.parts[0][1]
-        return None
-
 
 _PART_RE = re.compile(r"^(trivial|standard)(?:\*(\d+))?$")
 

@@ -145,6 +145,47 @@ def tau_row_permutation(psi: GraphIso) -> np.ndarray:
     return perm
 
 
+def edge_transport(ec, nb) -> GraphIso:
+    """The transport from class ``ec``'s representative onto the marked
+    neighbourhood ``nb``: the inverse of the canonical relabeling that
+    ``locate_edge`` gives, which must land in ``ec``."""
+    from ngn.kernel_solver import locate_edge
+
+    key, relab = locate_edge(nb)
+    assert key == ec.key, "the neighbourhood is not in this class"
+    return GraphIso.build(ec.representative.graph, nb.graph, {pos: v for v, pos in relab.items()})
+
+
+def class_members(ec, g: ConcreteGraph) -> list[tuple[tuple[int, int], GraphIso]]:
+    """(edge, transport) for every directed edge of ``g`` in class ``ec``, in
+    sorted edge order; see ``edge_transport``."""
+    from ngn.kernel_solver import locate_edge
+    from ngn.neighbourhoods import edge_neighbourhood
+
+    out = []
+    for p, q in sorted(g.edges):
+        nb = edge_neighbourhood(g, p, q, ec.assignment)
+        if locate_edge(nb)[0] == ec.key:
+            out.append(((p, q), edge_transport(ec, nb)))
+    return out
+
+
+# A layer saved in version 1 of the class cache's format, which stored each
+# class's generators and dense orbit bases next to its weights.
+VERSION_1_LAYER = (
+    '{"version": 1, "rho": "trivial*1", "rho_prime": "trivial*1", "k": 1, "aggregation": "sum",'
+    ' "strict": false, "init_scale": 1.0, "seed": 0, "classes": {"version": 1, "entries": ['
+    '{"key": "0003000000010002e400", "rho": "trivial*1", "rho_prime": "trivial*1", "k": 1,'
+    ' "nodes": [0, 1, 2], "edges": [[0, 2], [1, 2], [2, 0], [2, 1]], "marked": [1, 2], "generators": [],'
+    ' "pair_bases": [{"out_part": 0, "in_part": 0, "kind_out": "trivial", "kind_in": "trivial", "c_out": 1,'
+    ' "c_in": 1, "elements": [[[1.0]]], "shape": [1, 1, 1]}], "weights": [[[[0.126]]]]},'
+    ' {"key": "0003000000010002aa00", "rho": "trivial*1", "rho_prime": "trivial*1", "k": 1,'
+    ' "nodes": [0, 1, 2], "edges": [[0, 1], [1, 0], [1, 2], [2, 1]], "marked": [1, 2], "generators": [],'
+    ' "pair_bases": [{"out_part": 0, "in_part": 0, "kind_out": "trivial", "kind_in": "trivial", "c_out": 1,'
+    ' "c_in": 1, "elements": [[[1.0]]], "shape": [1, 1, 1]}], "weights": [[[[-0.132]]]]}]}}'
+)
+
+
 def dense_reference_forward(layer, g: ConcreteGraph, v):
     """The solver layer's forward, one dense conjugation per edge.
 
@@ -154,7 +195,7 @@ def dense_reference_forward(layer, g: ConcreteGraph, v):
     and tail balls by ``restrict_edge_iso``. Only the class lookup is shared
     with the layer; the transport is built independently of its index maps.
     """
-    from ngn.kernel_solver import _transport_from_relab, locate_edge
+    from ngn.kernel_solver import locate_edge
     from ngn.neighbourhoods import edge_neighbourhood, node_neighbourhood, restrict_edge_iso
     from ngn.representations import GlobalFeature, rep_matrix
 
@@ -163,10 +204,9 @@ def dense_reference_forward(layer, g: ConcreteGraph, v):
     in_degree = dict.fromkeys(g.nodes, 0)
     for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
         nb = edge_neighbourhood(g, p, q, a)
-        key, relab = locate_edge(nb)
-        shared = layer.table[key]
+        shared = layer.table[locate_edge(nb)[0]]
         ec = shared.basis.edge_class
-        transport = _transport_from_relab(ec, nb, relab)
+        transport = edge_transport(ec, nb)
         q_mat = rep_matrix(layer.rho_prime, restrict_edge_iso(transport, ec.representative, nb, "head", a)).entries
         p_mat = rep_matrix(layer.rho, restrict_edge_iso(transport, ec.representative, nb, "tail", a)).entries
         out[q] += (q_mat @ shared.representative_kernel() @ p_mat.T) @ v.blocks[p]
@@ -178,8 +218,8 @@ def dense_reference_forward(layer, g: ConcreteGraph, v):
     return GlobalFeature(out)
 
 
-def orbit_bases_from_restrictions(ec, rho, rho_prime) -> list[np.ndarray]:
-    """``solve_basis``'s part-pair elements, in its order, with each
+def orbit_labels_from_restrictions(ec, rho, rho_prime) -> list[np.ndarray]:
+    """``solve_basis``'s part-pair orbit labels, in its order, with each
     generator's action read through subgraphs: the generator restricted to
     the representative's tail and head balls by ``restrict_edge_iso`` (which
     validates both restrictions), and each restriction's coordinate map

@@ -14,6 +14,7 @@ from ngn.ngn_layer import NgnLayer, check_naturality
 from ngn.representations import GlobalFeature, RepSpec, parse_rep_spec, random_feature
 
 from helpers import (
+    VERSION_1_LAYER,
     complete_graph,
     cycle_graph,
     dense_reference_forward,
@@ -277,6 +278,12 @@ class TestPersistence:
             with pytest.raises(ParseError):
                 NgnLayer.load(path)
 
+    def test_layer_nesting_a_version_1_class_cache_raises_validation_error(self):
+        payload = json.loads(VERSION_1_LAYER)
+        assert payload["version"] == ngn_layer.LAYER_FORMAT_VERSION
+        with pytest.raises(ValidationError, match="class cache version 1"):
+            NgnLayer.from_dict(payload)
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -320,6 +327,7 @@ class TestPersistence:
             return
         for shared in layer.table.values():
             assert shared.representative_kernel().shape == shared.basis.dims
+            assert kernel_solver.eq4_residual(shared) < 1e-10
 
 
 _json_values = st.recursive(
