@@ -151,18 +151,6 @@ def relu_(a: Tensor) -> Tensor:
     return a
 
 
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    out_data = a.data.sum(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            a._accumulate(np.full_like(a.data, g))
-        else:
-            a._accumulate(np.expand_dims(g, axis) * np.ones_like(a.data))
-
-    return _make(out_data, (a,), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         a._accumulate(g.reshape(a.data.shape))

@@ -49,14 +49,13 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .errors import ContractError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph
-from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net
+from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net, build_gcn_net
 from .neighbourhoods import NeighbourhoodAssignment, ball
 
 
 @dataclass
 class EdgePlan:
     graphs: list[ConcreteGraph]
-    k: int
     n_nodes_total: int
     node_rows: int
     node_ptr: np.ndarray      # node serial -> first X row of its block
@@ -81,19 +80,11 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     """
     ball_sizes: list[int] = []
     members: list[np.ndarray] = []  # X row -> serial of its ball node
-    tails: list[np.ndarray] = []
-    heads: list[np.ndarray] = []
-    graph_of_node: list[int] = []
     serial = 0
-    for gi, g in enumerate(graphs):
+    for g in graphs:
         balls = [ball(g, p, a.k) for p in g.nodes]
         ball_sizes += map(len, balls)
-        graph_of_node += [gi] * g.n
-        ids = np.array(g.nodes, dtype=np.intp)
-        members.append(serial + np.searchsorted(ids, [u for b in balls for u in b]))
-        edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
-        tails.append(serial + np.searchsorted(ids, edges[:, 0]))
-        heads.append(serial + np.searchsorted(ids, edges[:, 1]))
+        members.append(serial + np.searchsorted(np.array(g.nodes, dtype=np.intp), [u for b in balls for u in b]))
         serial += g.n
 
     n_serial = max(serial, 1)
@@ -102,7 +93,7 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     np.cumsum(ball_size, out=ball_ptr[1:])
     rows = int(ball_ptr[-1])
     member = _cat(members)
-    tail, head = _cat(tails), _cat(heads)
+    tail, head = _edge_serials(graphs)
     order = np.lexsort((tail, head))  # edges by (graph, head, tail)
     tail, head = tail[order], head[order]
     edge_count = tail.size
@@ -149,13 +140,12 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     project_mix.sort_indices()
     return EdgePlan(
         graphs=list(graphs),
-        k=a.k,
         n_nodes_total=serial,
         node_rows=rows,
         node_ptr=ball_ptr,
         node_member=member,
         node_seg=np.repeat(np.arange(serial, dtype=np.intp), ball_size),
-        graph_of_node=np.array(graph_of_node, dtype=np.intp),
+        graph_of_node=_graph_of_node(graphs),
         edge_count=edge_count,
         edge_rows=y_rows,
         edge_row_ptr=edge_row_ptr,
@@ -165,6 +155,23 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
         project=project,
         project_mix=project_mix,
     )
+
+
+def _edge_serials(graphs: list[ConcreteGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head serials of every edge. Node serials number the nodes
+    graph by graph, ids ascending."""
+    tails, heads, serial = [], [], 0
+    for g in graphs:
+        ids = np.array(g.nodes, dtype=np.intp)
+        edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+        tails.append(serial + np.searchsorted(ids, edges[:, 0]))
+        heads.append(serial + np.searchsorted(ids, edges[:, 1]))
+        serial += g.n
+    return _cat(tails), _cat(heads)
+
+
+def _graph_of_node(graphs: list[ConcreteGraph]) -> np.ndarray:
+    return np.repeat(np.arange(len(graphs), dtype=np.intp), [g.n for g in graphs])
 
 
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
@@ -234,7 +241,8 @@ def init_message_net_params(
     dtype=np.float64,
     prefix: str = "msg",
 ) -> dict[str, ad.Tensor]:
-    net = _glorot_net(rng, [data_in + 2] + [hidden] * (n_layers - 1) + [c_out], dtype)
+    """``build_gcn_net``'s weights as tensors named ``{prefix}/l{i}/...``."""
+    net = build_gcn_net(rng, n_layers, hidden, data_in, c_out, dtype)
     params: dict[str, ad.Tensor] = {}
     for i, layer in enumerate(net.layers):
         params[f"{prefix}/l{i}/w_self"] = ad.param(layer.w_self, dtype=dtype)
@@ -243,21 +251,21 @@ def init_message_net_params(
     return params
 
 
+def _layer_params(params: dict[str, ad.Tensor], prefix: str) -> list[tuple[ad.Tensor, ad.Tensor, ad.Tensor]]:
+    """(w_self, w_neigh, bias) of the layers named ``{prefix}/l{i}/...``, in order."""
+    layers = []
+    while f"{prefix}/l{len(layers)}/w_self" in params:
+        i = len(layers)
+        layers.append(tuple(params[f"{prefix}/l{i}/{name}"] for name in ("w_self", "w_neigh", "bias")))
+    return layers
+
+
 def message_net_from_params(params: dict[str, ad.Tensor], prefix: str = "msg") -> GcnMessageNet:
     """Ndarray view of tensor params, for the per-edge reference path."""
-    layers = []
-    i = 0
-    while f"{prefix}/l{i}/w_self" in params:
-        layers.append(
-            GcnLayerParams(
-                w_self=params[f"{prefix}/l{i}/w_self"].data,
-                w_neigh=params[f"{prefix}/l{i}/w_neigh"].data,
-                bias=params[f"{prefix}/l{i}/bias"].data,
-                final=f"{prefix}/l{i + 1}/w_self" not in params,
-            )
-        )
-        i += 1
-    return GcnMessageNet(layers)
+    layers = _layer_params(params, prefix)
+    return GcnMessageNet(
+        [GcnLayerParams(w.data, n.data, b.data, final=i == len(layers) - 1) for i, (w, n, b) in enumerate(layers)]
+    )
 
 
 def gcn2_layer_tensor(
@@ -269,11 +277,7 @@ def gcn2_layer_tensor(
 ) -> ad.Tensor:
     """One NGN layer (differentiable), with the first and last message-net
     products on node rows (see the module docstring)."""
-    layers = []
-    while f"{prefix}/l{len(layers)}/w_self" in params:
-        i = len(layers)
-        layers.append(tuple(params[f"{prefix}/l{i}/{name}"] for name in ("w_self", "w_neigh", "bias")))
-    return _gcn2_layer(plan, layers, x, None, aggregation)
+    return _gcn2_layer(plan, _layer_params(params, prefix), x, None, aggregation)
 
 
 def gcn2_layer_numpy(
@@ -413,28 +417,12 @@ class GcnPlan:
 
 
 def compile_gcn_plan(graphs: list[ConcreteGraph]) -> GcnPlan:
-    offsets = []
-    total = 0
-    for g in graphs:
-        offsets.append(total)
-        total += g.n
-    rows, cols, vals = [], [], []
-    graph_of_node = np.zeros(total, dtype=np.intp)
-    for gi, g in enumerate(graphs):
-        order = {u: offsets[gi] + i for i, u in enumerate(g.nodes)}
-        graph_of_node[offsets[gi] : offsets[gi] + g.n] = gi
-        in_deg = {u: 0 for u in g.nodes}
-        for u, w in g.edges:
-            in_deg[w] += 1
-        for u, w in sorted(g.edges):
-            rows.append(order[w])
-            cols.append(order[u])
-            vals.append(1.0 / in_deg[w])
-    mix = sp.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))),
-        shape=(total, total),
-    )
-    return GcnPlan(list(graphs), total, mix, graph_of_node)
+    """The in-neighbour mean of every graph, block-diagonal on node serials:
+    row u holds 1 / in_degree(u) at each in-neighbour of u."""
+    total = sum(g.n for g in graphs)
+    tail, head = _edge_serials(graphs)
+    mix = _csr(1.0 / np.bincount(head, minlength=total)[head], head, tail, (total, total))
+    return GcnPlan(list(graphs), total, mix, _graph_of_node(graphs))
 
 
 def build_plain_gcn(

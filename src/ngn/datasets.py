@@ -10,13 +10,15 @@ original ids kept alongside.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ContractError, GenerationError, ParseError
-from .graph_core import ConcreteGraph, canonical_form, from_undirected
+from .graph_core import ConcreteGraph, from_undirected, unique_up_to_isomorphism
 
 
 @dataclass
@@ -36,10 +38,6 @@ class GraphDataset:
                 if len(labs) != g.n:
                     raise ContractError("node labels must cover every node")
 
-    @property
-    def mean_nodes(self) -> float:
-        return float(np.mean([g.n for g in self.graphs])) if self.graphs else 0.0
-
 
 # ---------------------------------------------------------------------------
 # TU-style text format
@@ -58,6 +56,21 @@ def _read_lines(path: Path) -> list[str]:
         raise ParseError(f"{path.name} is not UTF-8 text: {exc.reason}", data.count(b"\n", 0, exc.start) + 1) from None
 
 
+def _read_ints(path: Path, what: str) -> list[int]:
+    """The integers of a file holding one per line; blank lines are skipped,
+    and any other line raises ParseError with its line number."""
+    values = []
+    for ln, line in enumerate(_read_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ParseError(f"bad {what} {line!r}", ln) from None
+    return values
+
+
 def load_tu(directory: str | Path) -> GraphDataset:
     """Load a dataset directory of the standard four/five text files.
 
@@ -71,30 +84,14 @@ def load_tu(directory: str | Path) -> GraphDataset:
         raise ParseError(f"no *_A.txt file in {directory}")
     name = a_files[0].name[: -len("_A.txt")]
 
-    indicator: list[int] = []
-    for ln, line in enumerate(_read_lines(directory / f"{name}_graph_indicator.txt"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            indicator.append(int(line))
-        except ValueError:
-            raise ParseError(f"bad graph indicator {line!r}", ln) from None
+    indicator = _read_ints(directory / f"{name}_graph_indicator.txt", "graph indicator")
     if not indicator:
         raise ParseError(f"{name}_graph_indicator.txt lists no node")
     n_graphs = max(indicator)
     if n_graphs > len(indicator):  # checked before anything is sized by n_graphs
         raise ParseError(f"graph indicator {n_graphs} for {len(indicator)} nodes leaves a graph without nodes")
 
-    raw_labels: list[int] = []
-    for ln, line in enumerate(_read_lines(directory / f"{name}_graph_labels.txt"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw_labels.append(int(line))
-        except ValueError:
-            raise ParseError(f"bad graph label {line!r}", ln) from None
+    raw_labels = _read_ints(directory / f"{name}_graph_labels.txt", "graph label")
     if len(raw_labels) != n_graphs:
         raise ParseError(
             f"{len(raw_labels)} graph labels for {n_graphs} graphs", len(raw_labels)
@@ -139,15 +136,7 @@ def load_tu(directory: str | Path) -> GraphDataset:
     labels_path = directory / f"{name}_node_labels.txt"
     if labels_path.exists():
         node_labels = [[0] * c for c in counts]
-        flat: list[int] = []
-        for ln, line in enumerate(_read_lines(labels_path), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                flat.append(int(line))
-            except ValueError:
-                raise ParseError(f"bad node label {line!r}", ln) from None
+        flat = _read_ints(labels_path, "node label")
         if len(flat) != len(indicator):
             raise ParseError(f"{len(flat)} node labels for {len(indicator)} nodes", len(flat))
         for global_id, lab in enumerate(flat, 1):
@@ -274,12 +263,16 @@ def write_graph6(graphs: list[ConcreteGraph], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def degree_features(graphs: list[ConcreteGraph]) -> list[np.ndarray]:
+    """Per graph, one row per node (ascending ids) holding its degree,
+    edge direction ignored."""
+    return [np.array([[float(len(g.und_nbrs[u]))] for u in g.nodes]) for g in graphs]
+
+
 def initial_features(ds: GraphDataset, mode: str) -> list[np.ndarray]:
     """Per-node feature rows: one-hot node labels, or the vertex degree."""
     if mode == "degree":
-        return [
-            np.array([[float(len(g.und_nbrs[u]))] for u in g.nodes]) for g in ds.graphs
-        ]
+        return degree_features(ds.graphs)
     if mode == "onehot-label":
         if ds.node_labels is None:
             raise ContractError("dataset has no node labels; one-hot features unavailable")
@@ -349,6 +342,15 @@ def _random_regular(rng: np.random.Generator, n: int, d: int, swaps: int) -> Con
     return from_undirected(range(n), edge_list)
 
 
+def _distinct(draws: Iterable[ConcreteGraph], what: str) -> list[ConcreteGraph]:
+    """The first SUITE_SIZE pairwise non-isomorphic graphs of ``draws``,
+    which are drawn no further; GenerationError if they run out first."""
+    graphs = list(islice(unique_up_to_isomorphism(draws), SUITE_SIZE))
+    if len(graphs) < SUITE_SIZE:
+        raise GenerationError(f"could not generate enough distinct {what} graphs")
+    return graphs
+
+
 def synth_suites(
     seed: int, srg_graphs: list[ConcreteGraph] | None = None, retry_cap: int = 2000
 ) -> dict[str, list[ConcreteGraph]]:
@@ -361,36 +363,10 @@ def synth_suites(
     """
     rng = np.random.default_rng(seed)
     p = SUITE_DEGREE / (SUITE_NODES - 1)
-
-    random_suite: list[ConcreteGraph] = []
-    seen: set[bytes] = set()
-    tries = 0
-    while len(random_suite) < SUITE_SIZE:
-        tries += 1
-        if tries > retry_cap:
-            raise GenerationError("could not generate enough distinct non-regular graphs")
-        g = _gnp(rng, SUITE_NODES, p)
-        if _is_regular(g):
-            continue
-        key = canonical_form(g).encoding
-        if key in seen:
-            continue
-        seen.add(key)
-        random_suite.append(g)
-
-    regular_suite: list[ConcreteGraph] = []
-    seen = set()
-    tries = 0
-    while len(regular_suite) < SUITE_SIZE:
-        tries += 1
-        if tries > retry_cap:
-            raise GenerationError("could not generate enough distinct regular graphs")
-        g = _random_regular(rng, SUITE_NODES, SUITE_DEGREE, swaps=150)
-        key = canonical_form(g).encoding
-        if key in seen:
-            continue
-        seen.add(key)
-        regular_suite.append(g)
+    gnp_draws = (_gnp(rng, SUITE_NODES, p) for _ in range(retry_cap))
+    random_suite = _distinct((g for g in gnp_draws if not _is_regular(g)), "non-regular")
+    regular_draws = (_random_regular(rng, SUITE_NODES, SUITE_DEGREE, swaps=150) for _ in range(retry_cap))
+    regular_suite = _distinct(regular_draws, "regular")
 
     if srg_graphs is None:
         from .srg import builtin_srg_25

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, NodeLookupError, ValidationError
 
@@ -138,9 +138,6 @@ class GraphIso:
         except KeyError:
             raise NodeLookupError(f"node {v} not in isomorphism domain") from None
 
-    def inverse(self) -> "GraphIso":
-        return GraphIso(self.target, self.source, tuple(sorted((j, i) for i, j in self.mapping)))
-
     def compose(self, other: "GraphIso") -> "GraphIso":
         """Return self after other (``self ∘ other``)."""
         if other.target.nodes != self.source.nodes or other.target.edges != self.source.edges:
@@ -150,9 +147,6 @@ class GraphIso:
             self.target,
             tuple(sorted((v, self.map[w]) for v, w in other.mapping)),
         )
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in self.mapping)
 
 
 def validate_iso(candidate: GraphIso) -> bool:
@@ -356,6 +350,17 @@ def canonical_form(g: ConcreteGraph, colors: Mapping[int, int] | None = None) ->
     cells = [sorted(v for v in g.nodes if color_rank[v] == r) for r in range(len(distinct))]
     enc, order, _ = _search(g, cells, color_rank)
     return CanonicalForm(enc, tuple(sorted((v, i) for i, v in enumerate(order))))
+
+
+def unique_up_to_isomorphism(graphs: Iterable[ConcreteGraph]) -> Iterator[ConcreteGraph]:
+    """Each graph whose canonical form was not seen before, in order; lazy,
+    so it draws no graph past the last one its consumer takes."""
+    seen: set[bytes] = set()
+    for g in graphs:
+        key = canonical_form(g).encoding
+        if key not in seen:
+            seen.add(key)
+            yield g
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,17 @@ def locate_edge(nb: EdgeNeighbourhood) -> tuple[bytes, dict[int, int]]:
     return form.encoding, form.relabel_map
 
 
+def _maps_onto(relab: Mapping[int, int], nb: EdgeNeighbourhood, rep: EdgeNeighbourhood) -> bool:
+    """Whether ``relab`` maps ``nb`` onto ``rep``: nodes onto nodes, edges
+    onto edges, marks onto marks."""
+    image = nb.graph.relabel(relab)
+    return (
+        image.nodes == rep.graph.nodes
+        and image.edges == rep.graph.edges
+        and (relab[nb.tail], relab[nb.head]) == rep.marked
+    )
+
+
 @dataclass
 class EdgeClass:
     """One isomorphism class of marked edge neighbourhoods."""
@@ -324,13 +335,7 @@ class SharedKernel:
         representative: marks onto marks, edges onto edges, balls onto balls.
         """
         ec = self.basis.edge_class
-        rep = ec.representative
-        image = nb.graph.relabel(relab)
-        if (
-            image.nodes != rep.graph.nodes
-            or image.edges != rep.graph.edges
-            or (relab[nb.tail], relab[nb.head]) != rep.marked
-        ):
+        if not _maps_onto(relab, nb, ec.representative):
             raise ValidationError(f"relabeling of edge {nb.marked} does not map it onto its class representative")
         cols = rep_index_from_perm(self.basis.rho, ball_map(relab, balls[0], ec.tail_ball))
         rows = rep_index_from_perm(self.basis.rho_prime, ball_map(relab, balls[1], ec.head_ball))
@@ -367,8 +372,9 @@ def class_cache_from_dict(payload: dict) -> dict[tuple[bytes, str, str], SharedK
     basis solved again from its representative.
 
     Raises ValidationError on anything else: another version, a missing or
-    ill-typed field, a key that is not hex, marks that are not an edge of the
-    representative, or weights whose shapes do not fit the solved basis.
+    ill-typed field, a key that is not hex or not the canonical key of its
+    representative, marks that are not an edge of the representative, or
+    weights whose shapes do not fit the solved basis.
     """
     if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
         version = payload.get("version") if isinstance(payload, dict) else None
@@ -376,23 +382,28 @@ def class_cache_from_dict(payload: dict) -> dict[tuple[bytes, str, str], SharedK
     if not isinstance(payload.get("entries"), list):
         raise ValidationError("class cache entries must be a list")
     out: dict[tuple[bytes, str, str], SharedKernel] = {}
-    for entry in payload["entries"]:
+    for index, entry in enumerate(payload["entries"]):
         try:
-            shared = _kernel_from_entry(entry)
+            shared = _kernel_from_entry(entry, index)
             out[(shared.basis.edge_class.key, entry["rho"], entry["rho_prime"])] = shared
         except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:
             raise ValidationError(f"malformed class cache entry: {exc!r}") from None
     return out
 
 
-def _kernel_from_entry(entry: dict) -> SharedKernel:
+def _kernel_from_entry(entry: dict, index: int) -> SharedKernel:
     graph = ConcreteGraph.build(entry["nodes"], [tuple(e) for e in entry["edges"]])
     marked = tuple(entry["marked"])
     if len(marked) != 2 or marked not in graph.edges:
         raise ValidationError(f"marked edge {marked} is not an edge of its representative")
+    rep = EdgeNeighbourhood(graph, marked)
+    key = bytes.fromhex(entry["key"])
+    canonical_key, relab = locate_edge(rep)
+    if key != canonical_key or not _maps_onto(relab, rep, rep):
+        raise ValidationError(f"class cache entry {index}: key and representative do not match their canonical form")
     ec = EdgeClass(
-        key=bytes.fromhex(entry["key"]),
-        representative=EdgeNeighbourhood(graph, marked),
+        key=key,
+        representative=rep,
         assignment=NeighbourhoodAssignment(entry["k"]),
         aut=automorphism_generators(graph, marked=list(marked)),
     )

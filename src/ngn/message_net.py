@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .graph_core import ConcreteGraph
-from .neighbourhoods import (
-    EdgeNeighbourhood,
-    NeighbourhoodAssignment,
-    edge_neighbourhood,
-    node_neighbourhood,
-)
+from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball, edge_neighbourhood
 from .representations import GlobalFeature
 
 
@@ -36,16 +31,12 @@ class EdgeGraphFeature:
     """Per-node rows over an edge neighbourhood: data plus two marker columns."""
 
     nb: EdgeNeighbourhood
-    values: np.ndarray  # (|V(G_pq)|, data_channels + 2)
+    values: np.ndarray  # (|V(G_pq)|, data channels + 2)
 
     def __post_init__(self):
         n = self.nb.graph.n
         if self.values.shape[0] != n or self.values.shape[1] < 2:
             raise ShapeError("edge feature rows must cover the neighbourhood and carry markers")
-
-    @property
-    def data_channels(self) -> int:
-        return self.values.shape[1] - 2
 
 
 @dataclass
@@ -92,16 +83,21 @@ def build_gcn_net(
     return _glorot_net(rng, [data_in + 2] + [hidden] * (n_layers - 1) + [c_out], dtype)
 
 
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A Glorot-uniform (fan_in, fan_out) float64 draw."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, (fan_in, fan_out))
+
+
 def _glorot_net(rng: np.random.Generator, widths: list[int], dtype) -> GcnMessageNet:
     """Glorot-uniform weights (w_self, then w_neigh, layer by layer) in
     float64 draws cast to ``dtype``, zero biases; only the last layer is final."""
     layers = []
     for i, (a, b) in enumerate(zip(widths, widths[1:])):
-        bound = np.sqrt(6.0 / (a + b))
         layers.append(
             GcnLayerParams(
-                w_self=rng.uniform(-bound, bound, (a, b)).astype(dtype),
-                w_neigh=rng.uniform(-bound, bound, (a, b)).astype(dtype),
+                w_self=_glorot(rng, a, b).astype(dtype),
+                w_neigh=_glorot(rng, a, b).astype(dtype),
                 bias=np.zeros(b, dtype=dtype),
                 final=(i == len(widths) - 2),
             )
@@ -134,7 +130,7 @@ def embed_alpha(
     that ball get zero data. Marker columns are appended, one-hot at p and q.
     """
     p, q = nb.marked
-    tail_nodes = node_neighbourhood(nb.graph, p, a).graph.nodes
+    tail_nodes = ball(nb.graph, p, a.k)
     if v_p.ndim != 2 or v_p.shape[0] != len(tail_nodes):
         raise ShapeError(
             f"tail feature must have one row per ball node ({len(tail_nodes)}), got {v_p.shape}"
@@ -184,7 +180,7 @@ def gcn2_message(
         raise ShapeError("embedded width does not match the network input width")
     for layer in net.layers:
         f = gcn_layer_forward(layer, f)
-    head_nodes = node_neighbourhood(nb.graph, nb.marked[1], a).graph.nodes
+    head_nodes = ball(nb.graph, nb.marked[1], a.k)
     index = {v: i for i, v in enumerate(nb.graph.nodes)}
     return f.values[[index[u] for u in head_nodes], :]
 
@@ -206,7 +202,7 @@ def ngn_gcn2_forward(
         raise ValidationError(f"unknown aggregation {aggregation!r}")
     c_in = net.in_channels - 2
     c_out = net.out_channels
-    balls = {p: node_neighbourhood(g, p, a).graph.nodes for p in g.nodes}
+    balls = {p: ball(g, p, a.k) for p in g.nodes}
     out = {p: np.zeros((len(balls[p]), c_out)) for p in g.nodes}
     in_deg = {p: 0 for p in g.nodes}
     for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):

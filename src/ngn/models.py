@@ -17,10 +17,10 @@ from .batched import (
     gcn2_layer_tensor,
     gcn_forward_numpy,
     init_message_net_params,
-    message_net_from_params,
+    node_attrs_to_buffer,
 )
 from .errors import GenerationError
-from .message_net import GcnMessageNet
+from .message_net import _glorot, build_gcn_net
 from .neighbourhoods import NeighbourhoodAssignment
 
 
@@ -53,8 +53,7 @@ def init_classifier_params(
             )
         )
         width_in = cfg.hidden
-    bound = np.sqrt(6.0 / (cfg.hidden + cfg.classes))
-    params["head/w"] = ad.param(rng.uniform(-bound, bound, (cfg.hidden, cfg.classes)), dtype=cfg.dtype)
+    params["head/w"] = ad.param(_glorot(rng, cfg.hidden, cfg.classes), dtype=cfg.dtype)
     params["head/b"] = ad.param(np.zeros(cfg.classes), dtype=cfg.dtype)
     return params
 
@@ -182,16 +181,11 @@ def gcn2_embeddings(
     at unlucky seeds (see ``EmbeddingConfig``).
     """
     rng = np.random.default_rng(seed)
-    from .batched import node_attrs_to_buffer
-
     x = node_attrs_to_buffer(plan, attrs, dtype=cfg.dtype)
     width = attrs[0].shape[1]
     for layer in range(cfg.ngn_layers):
         c_out = cfg.out if layer == cfg.ngn_layers - 1 else cfg.hidden
-        params = init_message_net_params(
-            rng, cfg.layers, cfg.hidden, data_in=width, c_out=c_out, dtype=cfg.dtype, prefix=f"m{layer}"
-        )
-        net = message_net_from_params(params, prefix=f"m{layer}")
+        net = build_gcn_net(rng, cfg.layers, cfg.hidden, data_in=width, c_out=c_out, dtype=cfg.dtype)
         x = gcn2_layer_numpy(plan, net, x, chunk_edges=cfg.chunk_edges)
         if layer < cfg.ngn_layers - 1:
             np.maximum(x, 0, out=x)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NodeLookupError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso, validate_iso
 
@@ -88,31 +86,6 @@ def edge_neighbourhood(g: ConcreteGraph, p: int, q: int, a: NeighbourhoodAssignm
     return EdgeNeighbourhood(g.subgraph(keep), (p, q))
 
 
-def restrict_global_iso(
-    phi: GraphIso,
-    nb: NodeNeighbourhood | EdgeNeighbourhood,
-    a: NeighbourhoodAssignment,
-) -> GraphIso:
-    """Restrict a global isomorphism to a neighbourhood of its source.
-
-    Returns the local isomorphism onto the corresponding neighbourhood in
-    phi.target; the result maps marked node(s) to marked node(s).
-    """
-    if not validate_iso(phi):
-        raise ValidationError("phi is not a graph isomorphism")
-    if isinstance(nb, NodeNeighbourhood):
-        target_nb = node_neighbourhood(phi.target, phi.apply(nb.marked), a)
-    else:
-        p, q = nb.marked
-        target_nb = edge_neighbourhood(phi.target, phi.apply(p), phi.apply(q), a)
-    local = GraphIso.build(
-        nb.graph, target_nb.graph, {v: phi.apply(v) for v in nb.graph.nodes}
-    )
-    if not validate_iso(local):
-        raise ValidationError("restriction failed; was nb extracted with this assignment?")
-    return local
-
-
 def restrict_edge_iso(
     psi: GraphIso,
     source: EdgeNeighbourhood,
@@ -143,86 +116,3 @@ def restrict_edge_iso(
     if not validate_iso(local):
         raise ValidationError("edge isomorphism does not restrict cleanly")
     return local
-
-
-@dataclass(frozen=True)
-class AssignmentReport:
-    header: str
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_edge_containment(
-    g: ConcreteGraph, nb: EdgeNeighbourhood, a: NeighbourhoodAssignment
-) -> str | None:
-    """Criterion: the edge neighbourhood contains both endpoint node balls
-    as induced subgraphs. Returns a description of the first violation."""
-    for end in nb.marked:
-        end_ball = node_neighbourhood(g, end, a).graph
-        if not set(end_ball.nodes) <= set(nb.graph.nodes):
-            return f"node ball of {end} not contained in edge neighbourhood {nb.marked}"
-        induced = nb.graph.subgraph(end_ball.nodes)
-        if induced.edges != end_ball.edges:
-            return f"node ball of {end} is not an induced subgraph of {nb.marked}"
-    if nb.marked not in nb.graph.edges:
-        return f"marked edge {nb.marked} missing from its own neighbourhood"
-    return None
-
-
-def validate_assignment(
-    a: NeighbourhoodAssignment,
-    corpus: list[ConcreteGraph],
-    seed: int = 0,
-    samples: int = 5,
-) -> AssignmentReport:
-    """Check the neighbourhood-assignment criteria over a corpus.
-
-    Containment is checked exhaustively; restriction of global and edge
-    isomorphisms is checked on sampled random relabelings.
-    """
-    rng = np.random.default_rng(seed)
-    header = f"k={a.k} hop assignment, symmetric balls (direction ignored)"
-    violations: list[str] = []
-
-    def fail(msg: str) -> AssignmentReport:
-        return AssignmentReport(header, (msg,))
-
-    for gi, g in enumerate(corpus):
-        for p, q in sorted(g.edges):
-            msg = check_edge_containment(g, edge_neighbourhood(g, p, q, a), a)
-            if msg:
-                return fail(f"graph {gi}: {msg}")
-
-    for gi, g in enumerate(corpus):
-        if g.n == 0:
-            continue
-        for _ in range(samples):
-            new_ids = [int(x) for x in rng.permutation(list(g.nodes))]
-            phi = GraphIso.build(g, g.relabel(dict(zip(g.nodes, new_ids))), dict(zip(g.nodes, new_ids)))
-            for p in g.nodes:
-                nb = node_neighbourhood(g, p, a)
-                try:
-                    local = restrict_global_iso(phi, nb, a)
-                except ValidationError as exc:
-                    return fail(f"graph {gi}: node restriction at {p} failed: {exc}")
-                if local.apply(p) != phi.apply(p):
-                    return fail(f"graph {gi}: restriction at {p} does not preserve the mark")
-            for p, q in sorted(g.edges):
-                nb = edge_neighbourhood(g, p, q, a)
-                try:
-                    psi = restrict_global_iso(phi, nb, a)
-                except ValidationError as exc:
-                    return fail(f"graph {gi}: edge restriction at ({p},{q}) failed: {exc}")
-                target_nb = edge_neighbourhood(phi.target, phi.apply(p), phi.apply(q), a)
-                for end in ("tail", "head"):
-                    try:
-                        restrict_edge_iso(psi, nb, target_nb, end, a)
-                    except ValidationError as exc:
-                        return fail(
-                            f"graph {gi}: edge iso at ({p},{q}) does not restrict to {end}: {exc}"
-                        )
-
-    return AssignmentReport(header, tuple(violations))

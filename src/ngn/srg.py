@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_core import ConcreteGraph, canonical_form, from_undirected
+from .graph_core import ConcreteGraph, from_undirected, unique_up_to_isomorphism
 
 _P = 5  # base prime; the field has 25 elements represented as a + b*x
 
@@ -136,12 +136,6 @@ def builtin_srg_25() -> list[ConcreteGraph]:
         candidates.append(latin_square_graph(square))
     candidates.extend([complement(g) for g in list(candidates)])
 
-    out: list[ConcreteGraph] = []
-    seen: set[bytes] = set()
     for g in candidates:
         assert srg_parameters(g) == (25, 12, 5, 6), "construction broke SRG parameters"
-        key = canonical_form(g).encoding
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
+    return list(unique_up_to_isomorphism(candidates))

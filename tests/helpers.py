@@ -94,6 +94,35 @@ def random_relabeling(rng: np.random.Generator, g: ConcreteGraph, fresh_ids: boo
     return GraphIso.build(g, g.relabel(mapping), mapping)
 
 
+def inverse(iso: GraphIso) -> GraphIso:
+    return GraphIso.build(iso.target, iso.source, {j: i for i, j in iso.mapping})
+
+
+def is_identity(iso: GraphIso) -> bool:
+    return all(i == j for i, j in iso.mapping)
+
+
+def restrict_global_iso(phi: GraphIso, nb, a) -> GraphIso:
+    """Restrict a global isomorphism to a node or edge neighbourhood of its
+    source: the local isomorphism onto the corresponding neighbourhood in
+    phi.target, which maps marked node(s) to marked node(s)."""
+    from ngn.errors import ValidationError
+    from ngn.graph_core import validate_iso
+    from ngn.neighbourhoods import NodeNeighbourhood, edge_neighbourhood, node_neighbourhood
+
+    if not validate_iso(phi):
+        raise ValidationError("phi is not a graph isomorphism")
+    if isinstance(nb, NodeNeighbourhood):
+        target_nb = node_neighbourhood(phi.target, phi.apply(nb.marked), a)
+    else:
+        p, q = nb.marked
+        target_nb = edge_neighbourhood(phi.target, phi.apply(p), phi.apply(q), a)
+    local = GraphIso.build(nb.graph, target_nb.graph, {v: phi.apply(v) for v in nb.graph.nodes})
+    if not validate_iso(local):
+        raise ValidationError("restriction failed; was nb extracted with this assignment?")
+    return local
+
+
 def group_average_projector(ec, rho, rho_prime) -> np.ndarray:
     """Brute-force projector onto constraint solutions: average over the whole
     group of the action k -> Q k P^{-1}, i.e. (1/|A|) sum kron(Q, P) acting

@@ -19,9 +19,9 @@ from ngn.autodiff import (
     load_checkpoint,
     matmul,
     param,
-    reduce_sum,
     relu,
     relu_,
+    reshape,
     row_scale,
     scale,
     save_checkpoint,
@@ -33,6 +33,13 @@ from ngn.autodiff import (
 from ngn.errors import ContractError, ShapeError
 
 from helpers import finite_difference_grads
+
+
+def total(a: Tensor) -> Tensor:
+    """The sum of every entry as a 0-d tensor: the entries as one row, times
+    a column of ones. Its backward hands each entry the upstream gradient."""
+    ones = constant(np.ones((a.data.size, 1), dtype=a.dtype))
+    return reshape(matmul(reshape(a, (1, -1)), ones), ())
 
 
 class TestPrimitives:
@@ -66,7 +73,7 @@ class TestPrimitives:
         w = param(a32.copy())
         out = relu_(w)
         assert out is not w and np.array_equal(w.data, a32)
-        backward(reduce_sum(out))
+        backward(total(out))
         assert np.array_equal(w.grad, (a32 > 0).astype(np.float32))
 
     def test_uniform_logits_cross_entropy_is_log_c(self):
@@ -120,7 +127,7 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             concat_rows([parts[0], constant(np.zeros((1, 2)))])
         weights = rng.standard_normal((6, 3))
-        backward(reduce_sum(row_scale(concat_rows(parts), weights[:, 0]) @ constant(np.ones((3, 1)))))
+        backward(total(row_scale(concat_rows(parts), weights[:, 0]) @ constant(np.ones((3, 1)))))
         assert np.array_equal(parts[0].grad, np.repeat(weights[:2, :1], 3, axis=1))
         assert parts[1].grad.shape == (0, 3)
         assert np.array_equal(parts[2].grad, np.repeat(weights[2:, :1], 3, axis=1))
@@ -166,7 +173,7 @@ class TestSumIntoRows:
         g = np.repeat(vals[:, :1], 3, axis=1)
         assert not np.array_equal(add_at(idx[::-1], g[::-1]), add_at(idx, g))
         src = Tensor(np.zeros((n_rows, 3), dtype=dtype), requires_grad=True)
-        backward(reduce_sum(row_scale(gather_rows(src, idx), vals[:, 0])))
+        backward(total(row_scale(gather_rows(src, idx), vals[:, 0])))
         assert src.grad.dtype == dtype
         assert np.array_equal(src.grad, add_at(idx, g))
 
@@ -175,13 +182,13 @@ class TestBackward:
     def test_linear_loss_gradient(self):
         w = param(np.array([[1.0, 2.0], [3.0, 4.0]]))
         x = constant(np.array([[5.0], [7.0]]))
-        loss = reduce_sum(matmul(w, x))
+        loss = total(matmul(w, x))
         backward(loss)
         assert np.array_equal(w.grad, np.array([[5.0, 7.0], [5.0, 7.0]]))
 
     def test_loss_grad_of_itself_is_one(self):
         x = param(np.array(3.0))
-        loss = reduce_sum(x)
+        loss = total(x)
         backward(loss)
         assert loss.grad == 1.0
 
@@ -192,7 +199,7 @@ class TestBackward:
 
     def test_double_backward_rejected(self):
         x = param(np.ones((2, 2)))
-        loss = reduce_sum(x)
+        loss = total(x)
         backward(loss)
         with pytest.raises(ContractError):
             backward(loss)
@@ -200,7 +207,7 @@ class TestBackward:
     def test_disconnected_parameter_gets_zero(self):
         x = param(np.ones((2, 2)))
         lonely = param(np.ones(3))
-        loss = reduce_sum(relu(x))
+        loss = total(relu(x))
         grads = grads_of(loss, {"x": x, "lonely": lonely})
         assert np.all(grads["lonely"] == 0)
 
@@ -253,7 +260,7 @@ class TestBackward:
             g = relu(g)
             g = segment_mean(g, seg, 2)
             out = scatter_add_rows(g, np.array([0, 2]), 3)
-            return scale(reduce_sum(reduce_sum(out, axis=1)), 1.0 / 3)
+            return scale(total(out), 1.0 / 3)
 
         analytic = grads_of(forward(x), {"x": x})
         numeric = finite_difference_grads(lambda: forward(Tensor(x.data, True)).data, {"x": x})
@@ -265,7 +272,7 @@ class TestBackward:
 
         def run():
             p = param(x_val.copy())
-            loss = reduce_sum(relu(matmul(p, constant(x_val.T))))
+            loss = total(relu(matmul(p, constant(x_val.T))))
             backward(loss)
             return loss.data.copy(), p.grad.copy()
 

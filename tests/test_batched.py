@@ -16,7 +16,7 @@ from ngn.batched import (
 )
 from ngn.errors import ShapeError
 from ngn.graph_core import ConcreteGraph, from_undirected
-from ngn.message_net import build_gcn_net, ngn_gcn2_forward
+from ngn.message_net import build_gcn_net, neighbour_mean_matrix, ngn_gcn2_forward
 from ngn.models import (
     EmbeddingConfig,
     Gcn2Config,
@@ -83,6 +83,18 @@ class TestInitializers:
                 assert layer.bias.dtype == dtype and not layer.bias.any()
                 assert layer.final == (i == len(expected) - 1)
 
+    def test_classifier_head_is_the_draw_after_the_message_nets(self):
+        cfg = Gcn2Config(ngn_layers=2, msg_layers=2, hidden=7, classes=3)
+        params = init_classifier_params(np.random.default_rng(8), 2, cfg)
+        rng = np.random.default_rng(8)
+        for widths in ([2 + 2, 7, 7], [7 + 2, 7, 7]):
+            for a, b in zip(widths, widths[1:]):
+                bound = np.sqrt(6.0 / (a + b))
+                rng.uniform(-bound, bound, (2, a, b))  # w_self, then w_neigh
+        bound = np.sqrt(6.0 / (7 + 3))
+        assert np.array_equal(params["head/w"].data, rng.uniform(-bound, bound, (7, 3)))
+        assert not params["head/b"].data.any()
+
 
 class TestPlanLayout:
     def test_buffer_round_trip(self):
@@ -94,6 +106,16 @@ class TestPlanLayout:
         back = buffer_to_features(plan, buf)
         for orig, round_tripped in zip(feats, back):
             assert orig.max_abs_diff(round_tripped) == 0.0
+
+    def test_gcn_plan_is_the_block_diagonal_of_neighbour_means(self):
+        # non-contiguous ids, a digraph whose node 7 has no in-edges, and an edgeless graph
+        digraph = ConcreteGraph.build([3, 7, 10, 12], [(7, 3), (3, 10), (10, 3), (12, 10), (7, 12)])
+        graphs = [random_graph(np.random.default_rng(3), 6, 0.5, id_offset=20), digraph, cycle_graph(4, 9, 5),
+                  ConcreteGraph.build([8], [])]
+        plan = compile_gcn_plan(graphs)
+        assert plan.mix.has_canonical_format and plan.n_nodes_total == 14
+        assert np.array_equal(plan.mix.toarray(), block_diag(*(neighbour_mean_matrix(g) for g in graphs)))
+        assert plan.graph_of_node.tolist() == [0] * 6 + [1] * 4 + [2] * 3 + [3]
 
     def test_node_attr_gathering(self):
         g = cycle_graph(0, 1, 2)

@@ -49,6 +49,37 @@ class TestArgs:
             },
         }
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["check-naturality"], RunConfig("check-naturality")),
+            (
+                ["check-naturality", "--rep", "trivial*2", "--net", "gcn2(layers=1, hidden=4)", "--seed", "5",
+                 "--out", "o", "--trials", "3", "--corrupt"],
+                RunConfig("check-naturality", rep="trivial*2", net="gcn2(layers=1, hidden=4)", seed=5, out="o",
+                          trials=3, corrupt=True),
+            ),
+            (["expressiveness"], RunConfig("expressiveness")),
+            (
+                ["expressiveness", "--data", "s.g6", "--rep", "standard*2", "--seed", "1", "--seeds", "4"],
+                RunConfig("expressiveness", data="s.g6", rep="standard*2", seed=1, seeds=4),
+            ),
+            (["lattice"], RunConfig("lattice")),
+            (["lattice", "--rep", "standard*2", "--out", "o"], RunConfig("lattice", rep="standard*2", out="o")),
+            (["bench"], RunConfig("bench")),
+            (["bench", "--seed", "2", "--sizes", "5", "6"], RunConfig("bench", seed=2, sizes=[5, 6])),
+            (["train"], RunConfig("train")),
+            (
+                ["train", "--data", "d", "--net", "gcn2(layers=3, hidden=8)", "--epochs", "2", "--rate", "0.5",
+                 "--fold", "3", "--layers", "1", "--decay", "0.5", "--batch", "4"],
+                RunConfig("train", data="d", net="gcn2(layers=3, hidden=8)", epochs=2, rate=0.5, fold=3, layers=1,
+                          decay=0.5, batch=4),
+            ),
+        ],
+    )
+    def test_flags_not_given_keep_the_run_config_defaults(self, argv, expected):
+        assert config_from_args(build_parser().parse_args(argv)) == expected
+
     def test_config_round_trip(self):
         args = build_parser().parse_args(
             ["train", "--data", "x", "--rate", "0.01", "--epochs", "7", "--seed", "3"]

@@ -71,6 +71,20 @@ class TestTuLoader:
             load_tu(d)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "file, what",
+        [("graph_indicator", "graph indicator"), ("graph_labels", "graph label"), ("node_labels", "node label")],
+    )
+    def test_non_integer_line_names_its_kind_and_line(self, tmp_path, file, what):
+        d = two_graph_fixture(tmp_path)
+        path = d / f"TINY_{file}.txt"
+        lines = path.read_text().splitlines()
+        lines[1:2] = ["", "x"]  # a blank line is skipped, but counted
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"bad {what} 'x'") as exc:
+            load_tu(d)
+        assert exc.value.line == 3
+
     def test_out_of_range_indicator(self, tmp_path):
         d = two_graph_fixture(tmp_path)
         (d / "TINY_A.txt").write_text("1, 9\n")
@@ -101,7 +115,7 @@ class TestTuLoader:
         ds = load_tu(MUTAG_DIR)
         assert len(ds.graphs) == 188
         assert ds.n_classes == 2
-        assert abs(ds.mean_nodes - 17.9) < 0.05
+        assert abs(np.mean([g.n for g in ds.graphs]) - 17.9) < 0.05
         width = len({l for labs in ds.node_labels for l in labs})
         assert initial_features(ds, "onehot-label")[0].shape[1] == width
 

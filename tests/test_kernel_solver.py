@@ -28,6 +28,8 @@ from helpers import (
     cycle_graph,
     find_iso,
     group_average_projector,
+    inverse,
+    is_identity,
     orbit_labels_from_restrictions,
     path_graph,
     projector_rank,
@@ -267,7 +269,7 @@ class TestRealize:
         # transporting along a marked automorphism also fixes the kernel,
         # because the kernel satisfies the class constraint
         auto = ec.aut.generators[0]
-        assert not auto.is_identity()
+        assert not is_identity(auto)
         assert np.allclose(
             _realize(shared, rep, auto),
             shared.representative_kernel(),
@@ -377,7 +379,7 @@ def _realize(shared: SharedKernel, nb, transport: GraphIso) -> np.ndarray:
     """``realize_from_transport`` for a transport from the representative
     onto ``nb``: its inverse is the relabeling the method takes."""
     balls = tuple(node_neighbourhood(nb.graph, end, K1).graph.nodes for end in nb.marked)
-    return shared.realize_from_transport(nb, transport.inverse().map, balls, shared.representative_kernel())
+    return shared.realize_from_transport(nb, inverse(transport).map, balls, shared.representative_kernel())
 
 
 def _set_flat_weights(shared: SharedKernel, flat: np.ndarray) -> None:
@@ -386,6 +388,13 @@ def _set_flat_weights(shared: SharedKernel, flat: np.ndarray) -> None:
         n = w.size
         w[...] = flat[at : at + n].reshape(w.shape)
         at += n
+
+
+def _reverse_ids(entry):
+    """Renumber a cache entry's representative v -> n - 1 - v: the same
+    class under its key, but no longer in canonical position."""
+    n = len(entry["nodes"])
+    entry.update(edges=[[n - 1 - i, n - 1 - j] for i, j in entry["edges"]], marked=[n - 1 - v for v in entry["marked"]])
 
 
 class TestCache:
@@ -430,14 +439,18 @@ class TestCache:
             lambda e: e["weights"][0].pop(),
             lambda e: e["weights"].pop(),
             lambda e: e.update(key="not hex"),
+            lambda e: e.update(key=e["key"][:-2] + ("01" if e["key"][-2:] == "00" else "00")),
             lambda e: e.update(marked=e["marked"][:1] * 2),
+            _reverse_ids,
         ],
         ids=[
             "no rho",
             "weights short of a row",
             "weights short of a pair",
             "key not hex",
+            "key of another class",
             "marks not an edge",
+            "representative off its canonical labeling",
         ],
     )
     def test_malformed_entry_raises_validation_error(self, corrupt):

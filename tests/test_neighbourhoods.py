@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,12 @@ from ngn.neighbourhoods import (
     EdgeNeighbourhood,
     NeighbourhoodAssignment,
     ball,
-    check_edge_containment,
     edge_neighbourhood,
     node_neighbourhood,
     restrict_edge_iso,
-    restrict_global_iso,
-    validate_assignment,
 )
 
-from helpers import cycle_graph, path_graph, random_graph, random_relabeling
+from helpers import cycle_graph, is_identity, path_graph, random_graph, random_relabeling, restrict_global_iso
 
 K1 = NeighbourhoodAssignment(1)
 
@@ -82,7 +81,7 @@ class TestRestriction:
         g = triangle()
         phi = GraphIso.identity(g)
         local = restrict_global_iso(phi, node_neighbourhood(g, 1, K1), K1)
-        assert local.is_identity()
+        assert is_identity(local)
 
     def test_end_node_restriction_of_relabeled_path(self):
         g = path_graph(0, 1, 2)
@@ -153,7 +152,7 @@ class TestRestriction:
             if iso.apply(p) == p and iso.apply(q) == q
         ]
         assert len(group) == 2
-        mirror = next(iso for iso in group if not iso.is_identity())
+        mirror = next(iso for iso in group if not is_identity(iso))
         tail_nb = node_neighbourhood(nb.graph, p, K1)
         tail = restrict_edge_iso(mirror, nb, nb, "tail", K1)
         common = set(g.und_nbrs[p]) & set(g.und_nbrs[q])
@@ -165,6 +164,94 @@ class TestRestriction:
         moved = [w for w in tail_nb.graph.nodes if tail.apply(w) != w]
         assert len(moved) == 4 and common <= set(moved)
         assert all(tail.apply(tail.apply(w)) == w for w in tail_nb.graph.nodes)
+
+
+# ---------------------------------------------------------------------------
+# The neighbourhood-assignment criteria, checked over a corpus
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AssignmentReport:
+    header: str
+    violations: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def check_edge_containment(
+    g: ConcreteGraph, nb: EdgeNeighbourhood, a: NeighbourhoodAssignment
+) -> str | None:
+    """Criterion: the edge neighbourhood contains both endpoint node balls
+    as induced subgraphs. Returns a description of the first violation."""
+    for end in nb.marked:
+        end_ball = node_neighbourhood(g, end, a).graph
+        if not set(end_ball.nodes) <= set(nb.graph.nodes):
+            return f"node ball of {end} not contained in edge neighbourhood {nb.marked}"
+        induced = nb.graph.subgraph(end_ball.nodes)
+        if induced.edges != end_ball.edges:
+            return f"node ball of {end} is not an induced subgraph of {nb.marked}"
+    if nb.marked not in nb.graph.edges:
+        return f"marked edge {nb.marked} missing from its own neighbourhood"
+    return None
+
+
+def validate_assignment(
+    a: NeighbourhoodAssignment,
+    corpus: list[ConcreteGraph],
+    seed: int = 0,
+    samples: int = 5,
+) -> AssignmentReport:
+    """Check the neighbourhood-assignment criteria over a corpus.
+
+    Containment is checked exhaustively; restriction of global and edge
+    isomorphisms is checked on sampled random relabelings.
+    """
+    rng = np.random.default_rng(seed)
+    header = f"k={a.k} hop assignment, symmetric balls (direction ignored)"
+    violations: list[str] = []
+
+    def fail(msg: str) -> AssignmentReport:
+        return AssignmentReport(header, (msg,))
+
+    for gi, g in enumerate(corpus):
+        for p, q in sorted(g.edges):
+            msg = check_edge_containment(g, edge_neighbourhood(g, p, q, a), a)
+            if msg:
+                return fail(f"graph {gi}: {msg}")
+
+    for gi, g in enumerate(corpus):
+        if g.n == 0:
+            continue
+        for _ in range(samples):
+            new_ids = [int(x) for x in rng.permutation(list(g.nodes))]
+            phi = GraphIso.build(g, g.relabel(dict(zip(g.nodes, new_ids))), dict(zip(g.nodes, new_ids)))
+            for p in g.nodes:
+                nb = node_neighbourhood(g, p, a)
+                try:
+                    local = restrict_global_iso(phi, nb, a)
+                except ValidationError as exc:
+                    return fail(f"graph {gi}: node restriction at {p} failed: {exc}")
+                if local.apply(p) != phi.apply(p):
+                    return fail(f"graph {gi}: restriction at {p} does not preserve the mark")
+            for p, q in sorted(g.edges):
+                nb = edge_neighbourhood(g, p, q, a)
+                try:
+                    psi = restrict_global_iso(phi, nb, a)
+                except ValidationError as exc:
+                    return fail(f"graph {gi}: edge restriction at ({p},{q}) failed: {exc}")
+                target_nb = edge_neighbourhood(phi.target, phi.apply(p), phi.apply(q), a)
+                for end in ("tail", "head"):
+                    try:
+                        restrict_edge_iso(psi, nb, target_nb, end, a)
+                    except ValidationError as exc:
+                        return fail(
+                            f"graph {gi}: edge iso at ({p},{q}) does not restrict to {end}: {exc}"
+                        )
+
+    return AssignmentReport(header, tuple(violations))
 
 
 class TestValidateAssignment:

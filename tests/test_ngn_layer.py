@@ -284,6 +284,22 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="class cache version 1"):
             NgnLayer.from_dict(payload)
 
+    def test_swapped_class_keys_raise_at_load(self, tmp_path):
+        # a triangle with a pendant edge has five edge classes under standard*1;
+        # two of them with their keys exchanged are refused when the file is
+        # read, not at the next forward
+        layer = make_layer()
+        g = from_undirected(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
+        layer.forward(g, random_feature(np.random.default_rng(0), layer.rho, g, K1))
+        payload = layer.to_dict()
+        entries = payload["classes"]["entries"]
+        assert len(entries) == 5
+        entries[1]["key"], entries[3]["key"] = entries[3]["key"], entries[1]["key"]
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="class cache entry 1"):
+            NgnLayer.load(path)
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -3,7 +3,7 @@ import pytest
 
 from ngn.errors import ValidationError
 from ngn.graph_core import GraphIso, from_undirected
-from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood, restrict_global_iso
+from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood
 from ngn.representations import (
     GlobalFeature,
     RepSpec,
@@ -14,7 +14,7 @@ from ngn.representations import (
     rep_matrix,
 )
 
-from helpers import path_graph, random_capped_graph, random_graph, random_relabeling
+from helpers import inverse, path_graph, random_capped_graph, random_graph, random_relabeling, restrict_global_iso
 
 K1 = NeighbourhoodAssignment(1)
 
@@ -109,7 +109,7 @@ class TestRepMatrix:
             assert np.array_equal(lhs, rhs)
             m = rep_matrix(spec, f).entries
             assert np.array_equal(m @ m.T, np.eye(m.shape[0]))
-            inv = rep_matrix(spec, f.inverse()).entries
+            inv = rep_matrix(spec, inverse(f)).entries
             assert np.array_equal(inv, m.T)
 
 
