@@ -99,13 +99,16 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     edge_count = tail.size
     edge_ids = np.arange(edge_count, dtype=np.intp)
 
-    # X rows of each edge's tail and head balls, and their keys (edge, node)
+    # X rows of each edge's tail and head balls, and their keys (edge, node),
+    # each strictly increasing
     tail_rows = _ranges(ball_ptr[tail], ball_size[tail])
     tail_keys = np.repeat(edge_ids, ball_size[tail]) * n_serial + member[tail_rows]
     head_rows = _ranges(ball_ptr[head], ball_size[head])
     head_keys = np.repeat(edge_ids, ball_size[head]) * n_serial + member[head_rows]
-    # edge rows: the union of both balls, by (edge, node)
-    keys = np.union1d(tail_keys, head_keys)
+    # edge rows: the union of both balls, by (edge, node), and the edge row
+    # of every tail-ball and head-ball key
+    keys, tail_pos, head_pos = _merge_sorted(tail_keys, head_keys)
+    del tail_keys, head_keys
     y_rows = keys.size
     row_edge, row_node = np.divmod(keys, n_serial)
     edge_row_ptr = np.searchsorted(row_edge, np.arange(edge_count + 1))
@@ -127,15 +130,17 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     # are the extra input rows node_rows (tail) and node_rows + 1 (head)
     ec = _csr(
         np.ones(tail_rows.size + 2 * edge_count),
-        np.concatenate([np.searchsorted(keys, tail_keys), np.searchsorted(keys, edge_ids * n_serial + tail),
+        np.concatenate([tail_pos, np.searchsorted(keys, edge_ids * n_serial + tail),
                         np.searchsorted(keys, edge_ids * n_serial + head)]),
         np.concatenate([tail_rows, np.full(edge_count, rows), np.full(edge_count, rows + 1)]),
         (y_rows, rows + 2),
     )
+    del tail_rows, tail_pos, keys, row_edge, row_node
     embed = _embed_operator(ec, mix @ ec)
     del ec
     # S P: each head-ball edge row added into its row of the head's block
-    project = _csr(np.ones(head_rows.size), head_rows, np.searchsorted(keys, head_keys), (rows, y_rows))
+    project = _csr(np.ones(head_rows.size), head_rows, head_pos, (rows, y_rows))
+    del head_rows, head_pos
     project_mix = project @ mix
     project_mix.sort_indices()
     return EdgePlan(
@@ -176,6 +181,24 @@ def _graph_of_node(graphs: list[ConcreteGraph]) -> np.ndarray:
 
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.union1d(a, b)`` of two strictly increasing arrays, and the
+    position in it of every element of ``a`` and of ``b``. A stable sort of
+    the concatenation merges the two runs; the running count of an
+    adjacent-distinct mask, scattered back through the sort order, gives
+    the positions."""
+    both = np.concatenate([a, b])
+    order = np.argsort(both, kind="stable")
+    both = both[order]
+    new = np.ones(both.size, dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=new[1:])
+    keys = both[new]
+    del both
+    pos = np.empty_like(order)
+    pos[order] = np.cumsum(new) - 1
+    return keys, pos[: a.size], pos[a.size :]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -201,13 +201,16 @@ def _solver_embeddings(graphs, rho_text: str, seed: int) -> np.ndarray:
 
 def cmd_expressiveness(cfg: RunConfig) -> dict:
     """Dissimilar-pair rates of GCN and GCN² on the four suites."""
+    start = time.perf_counter()
     srg = load_graph6(cfg.data) if cfg.data else builtin_srg_25()
     suites = synth_suites(cfg.seed, srg_graphs=srg)
     emb_cfg = EmbeddingConfig()
+    suites_done = time.perf_counter()
 
     plans = {name: compile_plan(graphs, K1) for name, graphs in suites.items()}
     gcn_plans = {name: compile_gcn_plan(graphs) for name, graphs in suites.items()}
     attrs = {name: degree_features(graphs) for name, graphs in suites.items()}
+    setup_seconds = {"suites": suites_done - start, "plans": time.perf_counter() - suites_done}
 
     embedders = {
         "gcn": lambda name, s: gcn_embeddings(gcn_plans[name], attrs[name], s, emb_cfg),
@@ -252,6 +255,7 @@ def cmd_expressiveness(cfg: RunConfig) -> dict:
         "the near miss of a suite that must separate), median is over every pair of every seed",
         "solver_isomorphic_rate": float(np.mean(solver_iso_rates)),
         "ppgn": None,  # not implemented; column intentionally absent
+        "setup_seconds": setup_seconds,
         "seconds": time.time() - t0,
     }
     rows = [
@@ -336,16 +340,16 @@ def _warm_up(fn, seconds: float = 1.0) -> None:
         fn()
 
 
-def _time_call(fn, reps: int = 3) -> float:
-    """Best of ``reps`` timed calls after one untimed warm-up call, so that a
-    fresh process's first-call costs stay out of the timings."""
+def _time_calls(fn, reps: int = 3) -> list[float]:
+    """Seconds of ``reps`` timed calls after one untimed warm-up call, so
+    that a fresh process's first-call costs stay out of the timings."""
     fn()
-    best = np.inf
+    seconds = []
     for _ in range(reps):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        seconds.append(time.perf_counter() - t0)
+    return seconds
 
 
 def cmd_benchmark(cfg: RunConfig) -> dict:
@@ -363,8 +367,10 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
     for m in cfg.sizes:
         g = square_torus(m)
         n = g.n
+        t0 = time.perf_counter()
         plan = compile_plan([g], K1)
         gcn_plan = compile_gcn_plan([g])
+        compile_seconds = time.perf_counter() - t0
         attrs = degree_features([g])
         x0 = node_attrs_to_buffer(plan, attrs, dtype=np.float32)
         x0_gcn = attrs[0].astype(np.float32)
@@ -382,9 +388,18 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
 
         if not rows:
             _warm_up(run_gcn2)
-        t2 = _time_call(run_gcn2)
-        t1 = _time_call(run_gcn)
-        rows.append({"nodes": n, "gcn2_seconds": t2, "gcn_seconds": t1, "ratio": t2 / t1})
+        gcn2_calls = _time_calls(run_gcn2)
+        t2, t1 = min(gcn2_calls), min(_time_calls(run_gcn))
+        rows.append(
+            {
+                "nodes": n,
+                "compile_seconds": compile_seconds,
+                "gcn2_seconds": t2,
+                "gcn_seconds": t1,
+                "ratio": t2 / t1,
+                "gcn2_calls_seconds": gcn2_calls,
+            }
+        )
 
     log_n = np.log([r["nodes"] for r in rows])
     log_t = np.log([r["gcn2_seconds"] for r in rows])

@@ -353,14 +353,41 @@ def canonical_form(g: ConcreteGraph, colors: Mapping[int, int] | None = None) ->
 
 
 def unique_up_to_isomorphism(graphs: Iterable[ConcreteGraph]) -> Iterator[ConcreteGraph]:
-    """Each graph whose canonical form was not seen before, in order; lazy,
-    so it draws no graph past the last one its consumer takes."""
-    seen: set[bytes] = set()
+    """Each graph not isomorphic to one yielded before, in order; lazy, so it
+    draws no graph past the last one its consumer takes.
+
+    Graphs are bucketed by an exact isomorphism invariant first. A graph
+    alone in its bucket is new without a canonical form; canonical forms are
+    computed only for the members of a bucket that a second graph reaches.
+    """
+    lone: dict[tuple, ConcreteGraph] = {}  # invariant -> its only graph so far
+    forms: dict[tuple, set[bytes]] = {}  # invariant -> encodings, once it collided
     for g in graphs:
-        key = canonical_form(g).encoding
-        if key not in seen:
-            seen.add(key)
+        key = _degree_triangle_invariant(g)
+        if key not in lone and key not in forms:
+            lone[key] = g
             yield g
+            continue
+        seen = forms.setdefault(key, set())
+        if key in lone:
+            seen.add(canonical_form(lone.pop(key)).encoding)
+        encoding = canonical_form(g).encoding
+        if encoding not in seen:
+            seen.add(encoding)
+            yield g
+
+
+def _degree_triangle_invariant(g: ConcreteGraph) -> tuple[tuple[int, int, int], ...]:
+    """Sorted (out-degree, in-degree, triangles through the node) over the
+    nodes; triangles ignore edge direction and self-loops. Isomorphic graphs
+    have equal invariants."""
+    nbrs = {v: s - {v} for v, s in g.und_nbrs.items()}
+    return tuple(
+        sorted(
+            (len(g.out_nbrs[v]), len(g.in_nbrs[v]), sum(len(nbrs[u] & nb) for u in nb) // 2)
+            for v, nb in nbrs.items()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

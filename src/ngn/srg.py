@@ -126,7 +126,7 @@ def builtin_srg_25() -> list[ConcreteGraph]:
 
     Candidates: the quadratic-residue graph, one Latin-square graph per
     intercalate-count bucket of the reduced squares, and all complements.
-    Deduplicated by canonical form.
+    Deduplicated up to isomorphism.
     """
     candidates = [paley_25()]
     buckets: dict[int, list[list[int]]] = {}

@@ -52,6 +52,16 @@ def find_iso(a: ConcreteGraph, b: ConcreteGraph, pins=()) -> GraphIso | None:
     return GraphIso.build(a, b, {u: node_at[pos] for u, pos in form_a.relabeling})
 
 
+def unique_by_canonical_form(graphs):
+    """Reference dedup: each graph whose canonical form was not seen before, in order."""
+    seen: set[bytes] = set()
+    for g in graphs:
+        encoding = canonical_form(g).encoding
+        if encoding not in seen:
+            seen.add(encoding)
+            yield g
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float, id_offset: int = 0) -> ConcreteGraph:
     """Symmetrized G(n, p) on ids offset..offset+n-1."""
     nodes = [id_offset + i for i in range(n)]

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -14,8 +17,10 @@ from ngn.batched import (
     message_net_from_params,
     node_attrs_to_buffer,
 )
+from ngn.datasets import synth_suites
 from ngn.errors import ShapeError
 from ngn.graph_core import ConcreteGraph, from_undirected
+from ngn.lattices import square_torus
 from ngn.message_net import build_gcn_net, neighbour_mean_matrix, ngn_gcn2_forward
 from ngn.models import (
     EmbeddingConfig,
@@ -205,6 +210,57 @@ class TestPlanLayout:
         assert np.array_equal(plan.project_mix.toarray(), project @ mix)
         for op in (plan.mix, plan.embed, plan.project, plan.project_mix):
             assert op.has_canonical_format
+
+
+# sha256 over every operator's data, indices and indptr and the layout arrays
+# (see plan_digest). Plan compilation must reproduce them bit for bit.
+PINNED_PLAN_SHA256 = {
+    "random": "7b57df0364c6e7dd0ffa098493b4b065eda43a2eddb2449bdcd25abbee70be2c",
+    "regular": "f1a2e1e286939704c8c48a9522b997d42a5c7cb46fdca7ec1727985b2d8ee719",
+    "strongly_regular": "b5642e51e8f1190c8a1056508f8de08a78e0ee4c55ed1abfea9c87fd17faefa1",
+    "isomorphic": "8a3a880728199edbf00813a18960af5beebb029bd690c7ecec609c8b79aca541",
+    "torus32": "14e99c3a39785128c229ec0d61b2e0f545e7ae0cd8f40383d8545c0dd2f74fc1",
+    "random[:10], k=2": "32b58fd4dd550cd99022b041784e86bebed640f326298e23bd3ce9512cee0fbf",
+}
+
+
+def plan_digest(plan) -> str:
+    digest = hashlib.sha256()
+    for op in (plan.mix, plan.embed, plan.project, plan.project_mix):
+        for a in (op.data, op.indices, op.indptr):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    for a in (plan.edge_row_ptr, plan.edge_head_end, plan.node_ptr, plan.node_member):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+class TestPlanCompilation:
+    def test_plan_digests_pinned(self):
+        suites = synth_suites(0)
+        batches = {name: (graphs, K1) for name, graphs in suites.items()}
+        batches["torus32"] = ([square_torus(32)], K1)
+        batches["random[:10], k=2"] = (suites["random"][:10], NeighbourhoodAssignment(2))
+        assert {name: plan_digest(compile_plan(*b)) for name, b in batches.items()} == PINNED_PLAN_SHA256
+
+    def test_empty_batch(self):
+        plan = compile_plan([], K1)
+        assert (plan.n_nodes_total, plan.node_rows, plan.edge_count, plan.edge_rows) == (0, 0, 0, 0)
+        assert plan.edge_row_ptr.tolist() == [0] and plan.embed.shape == (0, 5)
+
+    def test_peak_memory_is_bounded_by_what_the_plan_keeps(self):
+        # a fresh graph, so that the neighbour sets compile_plan builds on it
+        # count as kept. The ratio reads 2.20; holding the merge's sort
+        # temporaries reads 2.33, and keeping the key lists and the arrays
+        # that only the operators before `embed` use reads 2.44
+        g = square_torus(64)
+        tracemalloc.start()
+        try:
+            plan = compile_plan([g], K1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.edge_rows == 8 * plan.edge_count  # two 5-node balls share 2 nodes
+        assert peak <= 2.3 * kept, (peak, kept)
 
 
 class TestBatchedMatchesReference:

@@ -17,7 +17,10 @@ from ngn.cli import (
     config_from_args,
     main,
 )
-from ngn.datasets import write_graph6
+from ngn.batched import compile_gcn_plan, compile_plan
+from ngn.datasets import degree_features, synth_suites, write_graph6
+from ngn.models import EmbeddingConfig, dissimilar_pair_rate, gcn2_embeddings, gcn_embeddings
+from ngn.neighbourhoods import NeighbourhoodAssignment
 from ngn.srg import builtin_srg_25
 
 from helpers import make_synthetic_tu
@@ -132,10 +135,16 @@ class TestLatticeCommand:
             assert r["basis_rank"] == r["projector_rank"]
 
 
+@pytest.fixture(scope="module")
+def expressiveness_run(tmp_path_factory):
+    """One two-seed ``expressiveness`` run, its report and its output directory."""
+    out = tmp_path_factory.mktemp("expr")
+    return cmd_expressiveness(RunConfig(command="expressiveness", seeds=2, seed=0, out=str(out))), out
+
+
 class TestExpressivenessCommand:
-    def test_small_seed_run(self, tmp_path):
-        cfg = RunConfig(command="expressiveness", seeds=2, seed=0, out=str(tmp_path))
-        report = cmd_expressiveness(cfg)
+    def test_small_seed_run(self, expressiveness_run):
+        report, out = expressiveness_run
         rates = report["rates"]
         assert rates["gcn"]["strongly_regular"] == 0.0
         assert rates["gcn"]["isomorphic"] <= 1e-3
@@ -143,12 +152,11 @@ class TestExpressivenessCommand:
         assert rates["gcn2"]["strongly_regular"] >= 0.99
         assert report["solver_isomorphic_rate"] <= 1e-3
         assert report["ppgn"] is None
-        assert (tmp_path / "report.csv").exists()
+        assert (out / "report.csv").exists()
 
-    def test_report_carries_pair_margins(self, tmp_path):
-        cfg = RunConfig(command="expressiveness", seeds=2, seed=0, out=str(tmp_path))
-        report = cmd_expressiveness(cfg)
-        assert json.loads((tmp_path / "report.json").read_text())["pair_margins"] == report["pair_margins"]
+    def test_report_carries_pair_margins(self, expressiveness_run):
+        report, out = expressiveness_run
+        assert json.loads((out / "report.json").read_text())["pair_margins"] == report["pair_margins"]
         for model, by_suite in report["pair_margins"].items():
             assert set(by_suite) == set(report["suite_sizes"])
             for suite, m in by_suite.items():
@@ -158,6 +166,21 @@ class TestExpressivenessCommand:
                 # a margin above 1 is a dissimilar pair
                 assert (rate == 1.0) == (m["min"] > 1.0)
                 assert (rate == 0.0) == (m["max"] <= 1.0)
+
+    def test_report_carries_setup_seconds_and_the_same_rates(self, expressiveness_run):
+        report, out = expressiveness_run
+        setup = report["setup_seconds"]
+        assert set(setup) == {"suites", "plans"} and all(v > 0 for v in setup.values())
+        assert json.loads((out / "report.json").read_text())["setup_seconds"] == setup
+        # the rates of a run without the timers: the library calls alone
+        emb_cfg = EmbeddingConfig()
+        for name, graphs in synth_suites(0).items():
+            plan, gcn_plan = compile_plan(graphs, NeighbourhoodAssignment(1)), compile_gcn_plan(graphs)
+            attrs = degree_features(graphs)
+            for model, embed in (("gcn2", gcn2_embeddings), ("gcn", gcn_embeddings)):
+                p = plan if model == "gcn2" else gcn_plan
+                rates = [dissimilar_pair_rate(embed(p, attrs, s, emb_cfg)) for s in range(2)]
+                assert report["rates"][model][name] == float(np.mean(rates)), (model, name)
 
     def test_user_supplied_srg_file(self, tmp_path):
         path = tmp_path / "srg.g6"
@@ -173,6 +196,15 @@ class TestBenchCommand:
         report = cmd_benchmark(cfg)
         assert [r["nodes"] for r in report["rows"]] == [36, 81]
         assert all(r["gcn2_seconds"] > 0 for r in report["rows"])
+        # each size's compile time and its three timed calls; the slope is
+        # fitted to the best of the three
+        for r in report["rows"]:
+            assert r["compile_seconds"] > 0
+            assert len(r["gcn2_calls_seconds"]) == 3 and r["gcn2_seconds"] == min(r["gcn2_calls_seconds"])
+        best = [min(r["gcn2_calls_seconds"]) for r in report["rows"]]
+        slope = np.polyfit(np.log([36, 81]), np.log(best), 1)[0]
+        assert report["loglog_slope_gcn2"] == float(slope)
+        assert json.loads((tmp_path / "report.json").read_text())["rows"] == report["rows"]
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "bench.svg").exists()
         # the plot is real: one polyline per model, one point per size

@@ -1,9 +1,10 @@
 import hashlib
+from itertools import count, islice
 
 import numpy as np
 import pytest
 
-from ngn import graph_core
+from ngn import datasets, graph_core, srg
 from ngn.datasets import synth_suites
 from ngn.errors import CapacityError, ValidationError
 from ngn.graph_core import (
@@ -14,6 +15,7 @@ from ngn.graph_core import (
     canonical_form,
     enumerate_group,
     from_undirected,
+    unique_up_to_isomorphism,
     validate_iso,
 )
 from ngn.kernel_solver import locate_edge
@@ -33,6 +35,7 @@ from helpers import (
     random_digraph,
     random_graph,
     random_relabeling,
+    unique_by_canonical_form,
 )
 
 # sha256 over the concatenated canonical encodings that test_encodings_pinned
@@ -184,6 +187,95 @@ class TestCanonicalForm:
         monkeypatch.setattr(graph_core, "_encode", counting)
         canonical_form(paley_25())
         assert 0 < len(leaves) < 60
+
+
+def assert_same_as_reference(graphs):
+    got = list(unique_up_to_isomorphism(graphs))
+    expected = list(unique_by_canonical_form(graphs))
+    assert [id(g) for g in got] == [id(g) for g in expected]
+    return got
+
+
+class TestUniqueUpToIsomorphism:
+    """Bucketing by the degree/triangle invariant keeps exactly the graphs
+    that canonical forms alone keep, in the same order."""
+
+    def test_srg_candidates_share_one_invariant(self, monkeypatch):
+        # builtin_srg_25 deduplicates its candidates by this one call
+        monkeypatch.setattr(srg, "unique_up_to_isomorphism", list)
+        candidates = builtin_srg_25()
+        assert len({graph_core._degree_triangle_invariant(g) for g in candidates}) == 1
+        monkeypatch.undo()
+        got = assert_same_as_reference(candidates)
+        assert len(got) < len(candidates)
+        assert [g.edges for g in got] == [g.edges for g in builtin_srg_25()]
+
+    def test_relabeled_copies_in_a_random_stream(self):
+        rng = np.random.default_rng(4)
+        originals = [random_graph(rng, int(rng.integers(4, 9)), 0.4) for _ in range(30)]
+        # 2-regular and triangle-free on 8 nodes: equal invariants, not isomorphic
+        two_squares = ConcreteGraph.build(range(8), cycle_graph(0, 1, 2, 3).edges | cycle_graph(4, 5, 6, 7).edges)
+        originals += [cycle_graph(*range(8)), two_squares]
+        stream = list(originals)
+        for _ in range(40):
+            g = originals[int(rng.integers(len(originals)))]
+            stream.insert(int(rng.integers(len(stream) + 1)), random_relabeling(rng, g, fresh_ids=True).target)
+        assert len(assert_same_as_reference(stream)) < len(stream)
+
+    def test_directed_graphs_with_self_loops_and_isolated_nodes(self):
+        rng = np.random.default_rng(9)
+        stream = []
+        for _ in range(40):
+            g = random_digraph(rng, int(rng.integers(1, 6)), 0.35)
+            loops = [(v, v) for v in g.nodes if rng.random() < 0.3]
+            isolated = range(g.n, g.n + int(rng.integers(0, 3)))
+            g = ConcreteGraph.build(list(g.nodes) + list(isolated), list(g.edges) + loops, allow_self_loops=True)
+            stream.append(g)
+            if rng.random() < 0.5:
+                stream.append(random_relabeling(rng, g, fresh_ids=True).target)
+        # a loop moved to another node, an edge reversed, one more isolated node
+        path = ConcreteGraph.build(range(3), [(0, 1), (1, 2)])
+        stream += [
+            ConcreteGraph.build(range(3), [(0, 1), (1, 2), (0, 0)], allow_self_loops=True),
+            ConcreteGraph.build(range(3), [(0, 1), (1, 2), (2, 2)], allow_self_loops=True),
+            path,
+            ConcreteGraph.build(range(3), [(1, 0), (1, 2)]),
+            ConcreteGraph.build(range(4), path.edges),
+        ]
+        assert_same_as_reference(stream)
+
+    def test_distinct_invariants_need_no_canonical_form(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("canonical form computed without an invariant collision")
+
+        monkeypatch.setattr(graph_core, "canonical_form", forbidden)
+        paths = [path_graph(*range(n)) for n in range(1, 8)]
+        assert list(unique_up_to_isomorphism(paths)) == paths
+
+    def test_draws_only_what_its_consumer_takes(self):
+        drawn = []
+
+        def paths_each_twice():
+            for n in count(1):
+                for g in (path_graph(*range(n)), path_graph(*range(n - 1, -1, -1))):
+                    drawn.append(g)
+                    yield g
+
+        k = 6
+        kept = list(islice(unique_up_to_isomorphism(paths_each_twice()), k))
+        assert [g.n for g in kept] == list(range(1, k + 1))
+        # every path but the last one taken was followed by its skipped copy
+        assert len(drawn) == k + (k - 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synth_suites_equal_canonical_only_dedup(self, seed, monkeypatch):
+        got = synth_suites(seed)
+        for module in (datasets, srg):
+            monkeypatch.setattr(module, "unique_up_to_isomorphism", unique_by_canonical_form)
+        expected = synth_suites(seed)
+        assert list(got) == list(expected)
+        for name in got:
+            assert [(g.nodes, g.edges) for g in got[name]] == [(g.nodes, g.edges) for g in expected[name]], name
 
 
 class TestFindIso:
