@@ -38,7 +38,7 @@ from .datasets import (
 )
 from .errors import NgnError
 from .graph_core import GraphIso, automorphism_generators, enumerate_group
-from .kernel_solver import _class_from_neighbourhood, locate_edge, solve_basis
+from .kernel_solver import edge_class, locate_edge, solve_basis
 from .lattices import king_torus, square_torus, triangular_torus
 from .message_net import build_gcn_net, parse_net_config
 from .models import (
@@ -296,8 +296,7 @@ def cmd_lattice_reduction(cfg: RunConfig) -> dict:
 
         p, q = center, sorted(g.und_nbrs[center])[0]
         enb = edge_neighbourhood(g, p, q, K1)
-        key, relab = locate_edge(enb)
-        ec = _class_from_neighbourhood(enb, key, relab, K1)
+        ec = edge_class(locate_edge(enb)[2], K1)
         edge_order = len(ec.group)
         basis = solve_basis(ec, rho, rho)
         oracle = _projector_rank(ec, rho, rho)

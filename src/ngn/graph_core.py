@@ -1,11 +1,13 @@
 """Concrete graphs, isomorphisms, canonical forms, and automorphism groups.
 
-Everything here is exact. One individualization-refinement search gives both
-the canonical labeling and the automorphism generators: equitable refinement
-(degree / neighbour-degree partitioning), backtracking over the first
-smallest non-singleton cell, and pruning by the automorphisms that leaves
-with equal encodings reveal. Those automorphisms generate the group, which
-only :func:`enumerate_group`, the oracle path, lists. This is feasible
+Everything here is exact. One individualization-refinement search, entered
+only through :func:`automorphism_generators`, gives both the canonical
+labeling and the automorphism generators of a graph with some nodes marked:
+equitable refinement (degree / neighbour-degree partitioning), backtracking
+over the first smallest non-singleton cell, and pruning by the automorphisms
+that leaves with equal encodings reveal. Those automorphisms generate the
+group, which only :func:`enumerate_group`, the oracle path, lists.
+:func:`canonical_form` is the search with nothing marked. This is feasible
 because the graphs this package canonicalizes are small: k-hop
 neighbourhoods and desk-scale benchmark graphs.
 """
@@ -217,7 +219,7 @@ def _refine(g: ConcreteGraph, cells: list[list[int]]) -> list[list[int]]:
             return cells
 
 
-def _encode(g: ConcreteGraph, order: list[int], color_rank: dict[int, int]) -> bytes:
+def _encode(g: ConcreteGraph, order: list[int], initial_cell: dict[int, int]) -> bytes:
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     bits = bytearray((n * n + 7) // 8)
@@ -227,7 +229,7 @@ def _encode(g: ConcreteGraph, order: list[int], color_rank: dict[int, int]) -> b
     head = bytearray()
     head += n.to_bytes(2, "big")
     for v in order:
-        head += color_rank[v].to_bytes(2, "big")
+        head += initial_cell[v].to_bytes(2, "big")
     return bytes(head) + bytes(bits)
 
 
@@ -235,8 +237,9 @@ def _encode(g: ConcreteGraph, order: list[int], color_rank: dict[int, int]) -> b
 class CanonicalForm:
     """Canonical adjacency encoding plus the relabeling that produced it.
 
-    Two graphs (with matching colorings) have equal encodings iff they are
-    isomorphic by a color-preserving isomorphism.
+    Two graphs with equally many marks have equal encodings iff some
+    isomorphism maps the i-th mark of one onto the i-th mark of the other,
+    for every i.
     """
 
     encoding: bytes
@@ -264,17 +267,15 @@ def _orbits(cell: list[int], gens: list[dict[int, int]]) -> dict[int, int]:
     return {v: find(v) for v in cell}
 
 
-def _search(
-    g: ConcreteGraph, cells: list[list[int]], color_rank: Mapping[int, int]
-) -> tuple[bytes, list[int], list[dict[int, int]]]:
+def _search(g: ConcreteGraph, cells: list[list[int]]) -> tuple[bytes, list[int], list[dict[int, int]]]:
     """Individualization-refinement search from an ordered partition.
 
     Each tree node refines its partition and branches on the vertices of its
     first smallest non-singleton cell; a leaf is a discrete partition, read
-    as a node order. Returns the smallest leaf encoding, the first leaf order
-    in depth-first order that gives it, and generators of the automorphisms
-    that preserve the initial partition. Raises CapacityError above
-    ``SIZE_CAP`` nodes.
+    as a node order and encoded with each node's initial cell index. Returns
+    the smallest leaf encoding, the first leaf order in depth-first order
+    that gives it, and generators of the automorphisms that preserve the
+    initial partition. Raises CapacityError above ``SIZE_CAP`` nodes.
 
     A leaf whose encoding equals the first leaf's or the best leaf's is that
     leaf's image under the automorphism mapping one order onto the other.
@@ -289,6 +290,7 @@ def _search(
     """
     if g.n > SIZE_CAP:
         raise CapacityError(f"graph has {g.n} nodes, cap is {SIZE_CAP}")
+    initial_cell = {v: i for i, cell in enumerate(cells) for v in cell}
     first = best = None  # (encoding, order, path) of the first and best leaves
     gens: list[dict[int, int]] = []
 
@@ -299,7 +301,7 @@ def _search(
         branching = [i for i, c in enumerate(cells) if len(c) > 1]
         if not branching:
             order = [c[0] for c in cells]
-            leaf = (_encode(g, order, color_rank), order, path)
+            leaf = (_encode(g, order, initial_cell), order, path)
             if first is None:
                 first = best = leaf
                 return None
@@ -331,25 +333,11 @@ def _search(
     return best[0], best[1], gens
 
 
-def canonical_form(g: ConcreteGraph, colors: Mapping[int, int] | None = None) -> CanonicalForm:
-    """Canonicalize ``g``, optionally respecting an initial node coloring.
-
-    Colors are normalized to dense ranks, so only the partition they induce
-    matters. The encoding is the smallest over the leaves of the search
-    tree, which makes the result relabeling-invariant.
-    """
-    if colors is None:
-        colors = {v: 0 for v in g.nodes}
-    else:
-        missing = set(g.nodes) - set(colors)
-        if missing:
-            raise NodeLookupError(f"colors missing for nodes {sorted(missing)}")
-    distinct = sorted(set(colors[v] for v in g.nodes))
-    rank_of = {c: r for r, c in enumerate(distinct)}
-    color_rank = {v: rank_of[colors[v]] for v in g.nodes}
-    cells = [sorted(v for v in g.nodes if color_rank[v] == r) for r in range(len(distinct))]
-    enc, order, _ = _search(g, cells, color_rank)
-    return CanonicalForm(enc, tuple(sorted((v, i) for i, v in enumerate(order))))
+def canonical_form(g: ConcreteGraph) -> CanonicalForm:
+    """Canonicalize ``g``: the form that :func:`automorphism_generators`
+    finds with nothing marked. The encoding is the smallest over the leaves
+    of the search tree, which makes the result relabeling-invariant."""
+    return automorphism_generators(g).form
 
 
 def unique_up_to_isomorphism(graphs: Iterable[ConcreteGraph]) -> Iterator[ConcreteGraph]:
@@ -397,29 +385,37 @@ def _degree_triangle_invariant(g: ConcreteGraph) -> tuple[tuple[int, int, int], 
 
 @dataclass(frozen=True)
 class AutGenerators:
-    """Generators of the automorphism group fixing every marked node."""
+    """What one search of ``graph`` with ``marked`` pinned gives: generators
+    of the automorphisms fixing every marked node, and the canonical form."""
 
     graph: ConcreteGraph
     marked: tuple[int, ...]
-    generators: tuple[GraphIso, ...]
+    maps: tuple[dict[int, int], ...]  # the generators as node maps
+    form: CanonicalForm
+
+    @cached_property
+    def generators(self) -> tuple[GraphIso, ...]:
+        return tuple(GraphIso.build(self.graph, self.graph, m) for m in self.maps)
 
 
 def automorphism_generators(g: ConcreteGraph, marked: Sequence[int] = ()) -> AutGenerators:
-    """Generating set for the group of automorphisms fixing ``marked``.
+    """Generating set for the group of automorphisms fixing ``marked``, and
+    the canonical form of ``g`` with those marks, from one search.
 
-    Each marked node is its own singleton colour in the search that
-    :func:`canonical_form` runs; the automorphisms that search meets
-    generate the whole group, which is never enumerated.
+    The search starts from the unmarked nodes as one cell, followed by each
+    marked node as its own singleton cell in mark order; a leaf encodes each
+    node's cell index. The automorphisms the search meets generate the whole
+    group, which is never enumerated.
     """
     for m in marked:
         if m not in g.node_set:
             raise NodeLookupError(f"marked node {m} not in graph")
     pinned = list(dict.fromkeys(marked))
     rest = sorted(g.node_set - set(pinned))
-    cells = [[m] for m in pinned] + ([rest] if rest else [])
-    color_rank = {v: i for i, cell in enumerate(cells) for v in cell}
-    _, _, gens = _search(g, cells, color_rank)
-    return AutGenerators(g, tuple(marked), tuple(GraphIso.build(g, g, m) for m in gens))
+    cells = ([rest] if rest else []) + [[m] for m in pinned]
+    enc, order, gens = _search(g, cells)
+    form = CanonicalForm(enc, tuple(sorted((v, i) for i, v in enumerate(order))))
+    return AutGenerators(g, tuple(marked), tuple(gens), form)
 
 
 def enumerate_group(gens: AutGenerators, order_cap: int = GROUP_ORDER_CAP) -> list[GraphIso]:

@@ -18,10 +18,16 @@ Channel multiplicities never enter the solve: the constraint decouples per
 channel pair, so bases are found once per (kind, kind) part pair on
 single-channel actions.
 
+Each edge runs one canonical search (:func:`locate_edge`), which gives its
+class key, its canonical relabeling and its marked automorphisms. A new
+class takes those automorphisms, conjugated onto its representative, from
+that search; it never searches again.
+
 A class cache holds only what cannot be recomputed: each class's key,
-representations, representative neighbourhood and weights. Loading solves
-the representative's marked automorphisms and orbit basis again, so no file
-can carry a kernel space that breaks the constraint.
+representations, representative neighbourhood and weights. Loading runs one
+search of each representative, which checks its key and gives its marked
+automorphisms, and solves the orbit basis again, so no file can carry a
+kernel space that breaks the constraint.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ShapeError, ValidationError
 from .graph_core import (
     AutGenerators,
+    CanonicalForm,
     ConcreteGraph,
     GraphIso,
     automorphism_generators,
-    canonical_form,
     enumerate_group,
 )
 from .neighbourhoods import (
@@ -60,21 +66,16 @@ from .representations import (
 )
 
 
-def _mark_colors(nb: EdgeNeighbourhood) -> dict[int, int]:
-    colors = {v: 0 for v in nb.graph.nodes}
-    colors[nb.marked[0]] = 1
-    colors[nb.marked[1]] = 2
-    return colors
-
-
-def locate_edge(nb: EdgeNeighbourhood) -> tuple[bytes, dict[int, int]]:
-    """Canonical key of a marked edge neighbourhood plus its relabeling.
+def locate_edge(nb: EdgeNeighbourhood) -> tuple[bytes, dict[int, int], AutGenerators]:
+    """Canonical key of a marked edge neighbourhood, its relabeling and its
+    marked automorphisms, all from one search with the tail and then the
+    head pinned.
 
     The relabeling maps original ids to canonical positions; its inverse is
     the transport from the class representative onto this neighbourhood.
     """
-    form = canonical_form(nb.graph, colors=_mark_colors(nb))
-    return form.encoding, form.relabel_map
+    aut = automorphism_generators(nb.graph, nb.marked)
+    return aut.form.encoding, aut.form.relabel_map, aut
 
 
 def _maps_onto(relab: Mapping[int, int], nb: EdgeNeighbourhood, rep: EdgeNeighbourhood) -> bool:
@@ -122,14 +123,16 @@ class EdgeClass:
         ]
 
 
-def _class_from_neighbourhood(
-    nb: EdgeNeighbourhood, key: bytes, relab: dict[int, int], a: NeighbourhoodAssignment
-) -> EdgeClass:
-    rep_graph = nb.graph.relabel(relab)
-    rep_marked = (relab[nb.marked[0]], relab[nb.marked[1]])
-    rep = EdgeNeighbourhood(rep_graph, rep_marked)
-    aut = automorphism_generators(rep_graph, marked=list(rep_marked))
-    return EdgeClass(key=key, representative=rep, assignment=a, aut=aut)
+def edge_class(aut: AutGenerators, a: NeighbourhoodAssignment) -> EdgeClass:
+    """The class of the neighbourhood that :func:`locate_edge` searched to
+    give ``aut``. Its representative is that neighbourhood relabeled onto
+    canonical positions, and its marked automorphisms are ``aut``'s
+    generators conjugated by the relabeling, so no second search runs."""
+    relab = aut.form.relabel_map
+    rep = EdgeNeighbourhood(aut.graph.relabel(relab), (relab[aut.marked[0]], relab[aut.marked[1]]))
+    maps = tuple({relab[v]: relab[w] for v, w in gen.items()} for gen in aut.maps)
+    form = CanonicalForm(aut.form.encoding, tuple((v, v) for v in rep.graph.nodes))
+    return EdgeClass(aut.form.encoding, rep, a, AutGenerators(rep.graph, rep.marked, maps, form))
 
 
 def classify_edges(
@@ -141,9 +144,9 @@ def classify_edges(
     for g in corpus:
         for p, q in sorted(g.edges):
             nb = edge_neighbourhood(g, p, q, a)
-            key, relab = locate_edge(nb)
+            key, _, aut = locate_edge(nb)
             if key not in classes:
-                classes[key] = _class_from_neighbourhood(nb, key, relab, a)
+                classes[key] = edge_class(aut, a)
     return list(classes.values())
 
 
@@ -255,7 +258,7 @@ def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
     rank equals the trace of the group-average projector (Burnside's lemma).
     """
     tail, head = ec.tail_ball, ec.head_ball
-    perms = [(ball_map(gen.map, head, head), ball_map(gen.map, tail, tail)) for gen in ec.aut.generators]
+    perms = [(ball_map(gen, head, head), ball_map(gen, tail, tail)) for gen in ec.aut.maps]
     n_in, n_out = len(tail), len(head)
     struct_cache: dict[tuple[str, str], np.ndarray] = {}
     pair_bases = []
@@ -398,15 +401,10 @@ def _kernel_from_entry(entry: dict, index: int) -> SharedKernel:
         raise ValidationError(f"marked edge {marked} is not an edge of its representative")
     rep = EdgeNeighbourhood(graph, marked)
     key = bytes.fromhex(entry["key"])
-    canonical_key, relab = locate_edge(rep)
+    canonical_key, relab, aut = locate_edge(rep)
     if key != canonical_key or not _maps_onto(relab, rep, rep):
         raise ValidationError(f"class cache entry {index}: key and representative do not match their canonical form")
-    ec = EdgeClass(
-        key=key,
-        representative=rep,
-        assignment=NeighbourhoodAssignment(entry["k"]),
-        aut=automorphism_generators(graph, marked=list(marked)),
-    )
+    ec = EdgeClass(key, rep, NeighbourhoodAssignment(entry["k"]), aut)
     basis = solve_basis(ec, parse_rep_spec(entry["rho"]), parse_rep_spec(entry["rho_prime"]))
     return SharedKernel(basis, [np.array(w, dtype=float) for w in entry["weights"]])
 

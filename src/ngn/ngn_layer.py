@@ -6,11 +6,13 @@ messages (sum by default, mean behind a flag). Because every class kernel
 satisfies its automorphism constraint and transport is functorial, the layer
 commutes with feature transport along any graph isomorphism.
 
-A forward computes every node's k-ball once. Each edge is resolved to its
-class and the canonical relabeling of its neighbourhood, and the class's
-representative kernel (built at most once per call) is placed by the row
-and column index maps that the relabeling gives on the two endpoint balls.
-No isomorphism object is built per edge, and nothing outlives the call.
+A forward computes every node's k-ball once. Each edge runs one canonical
+search of its neighbourhood, which gives its class key and canonical
+relabeling, and for a new class also the marked automorphisms that its
+basis is solved from. The class's representative kernel (built at most once
+per call) is placed by the row and column index maps that the relabeling
+gives on the two endpoint balls. No isomorphism object is built per edge,
+and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .errors import ClassMissError, ParseError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso
 from .kernel_solver import (
     SharedKernel,
-    _class_from_neighbourhood,
     class_cache_from_dict,
     class_cache_to_dict,
+    edge_class,
     locate_edge,
     solve_basis,
 )
@@ -61,15 +63,14 @@ class NgnLayer:
     # -- class management ---------------------------------------------------
 
     def _resolve(self, nb: EdgeNeighbourhood) -> tuple[SharedKernel, dict[int, int]]:
-        key, relab = locate_edge(nb)
+        key, relab, aut = locate_edge(nb)
         shared = self.table.get(key)
         if shared is None:
             if self.strict:
                 raise ClassMissError(
                     f"edge {nb.marked} belongs to an unsolved class and strict mode is on"
                 )
-            ec = _class_from_neighbourhood(nb, key, relab, self.assignment)
-            basis = solve_basis(ec, self.rho, self.rho_prime)
+            basis = solve_basis(edge_class(aut, self.assignment), self.rho, self.rho_prime)
             shared = SharedKernel.random(basis, self._rng, scale=self.init_scale)
             self.table[key] = shared
         return shared, relab

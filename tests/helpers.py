@@ -2,8 +2,8 @@
 
 The oracles are deliberately independent of the library's own search and
 solver code paths: they enumerate permutations or average over the whole
-group directly. ``find_iso`` is not an oracle; it is built on
-``canonical_form``.
+group directly. ``find_iso`` is not an oracle; it is built on the
+library's canonical search.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ngn.graph_core import ConcreteGraph, GraphIso, canonical_form, from_undirected
+from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, canonical_form, from_undirected
 
 
 def brute_isos(a: ConcreteGraph, b: ConcreteGraph, pins=()) -> list[dict[int, int]]:
@@ -36,16 +36,13 @@ def brute_automorphisms(g: ConcreteGraph, marked=()) -> list[dict[int, int]]:
 def find_iso(a: ConcreteGraph, b: ConcreteGraph, pins=()) -> GraphIso | None:
     """Some isomorphism a -> b mapping each pinned pair, or None.
 
-    Both graphs are canonicalized with each pinned pair as one matching
-    singleton colour; equal encodings mean the canonical relabeling of ``a``
-    followed by the inverse of ``b``'s is such an isomorphism.
+    Both graphs are canonicalized with the pinned nodes marked in pin order,
+    so each pinned pair is one matching singleton cell; equal encodings mean
+    the canonical relabeling of ``a`` followed by the inverse of ``b``'s is
+    such an isomorphism.
     """
-    colors_a = dict.fromkeys(a.nodes, 0)
-    colors_b = dict.fromkeys(b.nodes, 0)
-    for color, (u, v) in enumerate(pins, start=1):
-        colors_a[u] = colors_b[v] = color
-    form_a = canonical_form(a, colors_a)
-    form_b = canonical_form(b, colors_b)
+    form_a = automorphism_generators(a, [u for u, _ in pins]).form
+    form_b = automorphism_generators(b, [v for _, v in pins]).form
     if form_a.encoding != form_b.encoding:
         return None
     node_at = {pos: v for v, pos in form_b.relabeling}
@@ -190,7 +187,7 @@ def edge_transport(ec, nb) -> GraphIso:
     ``locate_edge`` gives, which must land in ``ec``."""
     from ngn.kernel_solver import locate_edge
 
-    key, relab = locate_edge(nb)
+    key, relab, _ = locate_edge(nb)
     assert key == ec.key, "the neighbourhood is not in this class"
     return GraphIso.build(ec.representative.graph, nb.graph, {pos: v for v, pos in relab.items()})
 

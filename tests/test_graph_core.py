@@ -151,10 +151,10 @@ class TestCanonicalForm:
 
     def test_colored_form_separates_markings(self):
         g = path_graph(0, 1, 2)
-        end = canonical_form(g, colors={0: 1, 1: 0, 2: 0})
-        mid = canonical_form(g, colors={0: 0, 1: 1, 2: 0})
+        end = automorphism_generators(g, [0]).form
+        mid = automorphism_generators(g, [1]).form
         assert end.encoding != mid.encoding
-        other_end = canonical_form(g, colors={0: 0, 1: 0, 2: 1})
+        other_end = automorphism_generators(g, [2]).form
         assert end.encoding == other_end.encoding
 
     def test_size_cap(self):
@@ -378,14 +378,14 @@ class TestAutomorphisms:
 class TestEnumerateGroup:
     def test_identity_only(self):
         g = triangle()
-        gens = AutGenerators(g, (), ())
+        gens = AutGenerators(g, (), (), canonical_form(g))
         group = enumerate_group(gens)
         assert len(group) == 1 and is_identity(group[0])
 
     def test_single_order_two_generator(self):
         g = path_graph(0, 1, 2)
-        flip = GraphIso.build(g, g, {0: 2, 1: 1, 2: 0})
-        group = enumerate_group(AutGenerators(g, (), (flip,)))
+        flip = {0: 2, 1: 1, 2: 0}
+        group = enumerate_group(AutGenerators(g, (), (flip,), canonical_form(g)))
         assert len(group) == 2
 
     def test_cap_enforced(self):

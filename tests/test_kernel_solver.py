@@ -7,7 +7,7 @@ import pytest
 
 from ngn.cli import _random_relabel, _random_test_graph
 from ngn.errors import ValidationError
-from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, from_undirected
+from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, enumerate_group, from_undirected, validate_iso
 from ngn.kernel_solver import (
     CACHE_VERSION,
     EdgeClass,
@@ -33,6 +33,7 @@ from helpers import (
     orbit_labels_from_restrictions,
     path_graph,
     projector_rank,
+    random_digraph,
     random_graph,
     random_relabeling,
 )
@@ -48,7 +49,7 @@ def bowtie():
 
 
 def class_of(g, p, q):
-    key, _ = locate_edge(edge_neighbourhood(g, p, q, K1))
+    key, _, _ = locate_edge(edge_neighbourhood(g, p, q, K1))
     return next(c for c in classify_edges([g], K1) if c.key == key)
 
 
@@ -232,6 +233,33 @@ def _criterion_1_classes() -> tuple[EdgeClass, ...]:
     return tuple(classes.values())
 
 
+class TestConjugatedGenerators:
+    """A new class takes its generators from the search that keyed its first
+    edge, conjugated onto the representative; they must generate the group
+    that a search of the representative itself gives."""
+
+    @staticmethod
+    def _classes() -> list[EdgeClass]:
+        rng = np.random.default_rng(18)
+        corpus = [random_graph(rng, int(rng.integers(4, 10)), rng.uniform(0.2, 0.8)) for _ in range(15)]
+        corpus += [random_digraph(rng, int(rng.integers(4, 9)), rng.uniform(0.2, 0.5)) for _ in range(10)]
+        return classify_edges(corpus, K1) + list(_criterion_1_classes())
+
+    def test_each_generator_is_a_marked_automorphism_of_the_representative(self):
+        for ec in self._classes():
+            rep = ec.representative
+            assert (ec.aut.graph, ec.aut.marked) == (rep.graph, rep.marked)
+            for gen in ec.aut.generators:
+                assert validate_iso(gen)
+                assert all(gen.apply(m) == m for m in rep.marked)
+
+    def test_group_equals_the_group_of_the_representative_s_own_search(self):
+        for ec in self._classes():
+            rep = ec.representative
+            own = enumerate_group(automorphism_generators(rep.graph, rep.marked))
+            assert {chi.mapping for chi in ec.group} == {chi.mapping for chi in own}
+
+
 class TestAssembly:
     def test_weighted_assembly_matches_basis_matrices(self):
         rng = np.random.default_rng(8)
@@ -366,7 +394,7 @@ class TestRealize:
         ec, basis = solve_for(bowtie(), 0, 1)
         shared = SharedKernel.random(basis, np.random.default_rng(3))
         nb = edge_neighbourhood(bowtie(), 0, 1, K1)
-        _, relab = locate_edge(nb)
+        _, relab, _ = locate_edge(nb)
         balls = tuple(node_neighbourhood(nb.graph, end, K1).graph.nodes for end in nb.marked)
         kernel = shared.representative_kernel()
         assert shared.realize_from_transport(nb, relab, balls, kernel).shape == basis.dims

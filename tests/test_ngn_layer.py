@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngn import kernel_solver, neighbourhoods, ngn_layer, representations
+from ngn import graph_core, kernel_solver, neighbourhoods, ngn_layer, representations
 from ngn.errors import ClassMissError, ContractError, ParseError, ShapeError, ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
 from ngn.neighbourhoods import NeighbourhoodAssignment
@@ -136,8 +136,8 @@ class TestIndexTransport:
         locate = ngn_layer.locate_edge
 
         def shifted(nb):
-            key, relab = locate(nb)
-            return key, {u: (pos + 1) % nb.graph.n for u, pos in relab.items()}
+            key, relab, aut = locate(nb)
+            return key, {u: (pos + 1) % nb.graph.n for u, pos in relab.items()}, aut
 
         monkeypatch.setattr(ngn_layer, "locate_edge", shifted)
         with pytest.raises(ValidationError):
@@ -154,10 +154,10 @@ class TestIndexTransport:
         locate = ngn_layer.locate_edge
 
         def swapped(nb):
-            key, relab = locate(nb)
+            key, relab, aut = locate(nb)
             if nb.marked == (0, 1):
                 relab = {**relab, 3: relab[4], 4: relab[3]}
-            return key, relab
+            return key, relab, aut
 
         monkeypatch.setattr(ngn_layer, "locate_edge", swapped)
         with pytest.raises(ValidationError, match="class representative"):
@@ -186,6 +186,45 @@ class TestIndexTransport:
         assert len(layer.table) >= 5 and calls == []
         next(iter(layer.table.values())).basis.edge_class.group_restrictions
         assert "restrict_edge_iso" in calls  # the oracle's restrictions pass the spies
+
+
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = graph_core._search
+
+    def counting(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(graph_core, "_search", counting)
+    return calls
+
+
+class TestOneSearch:
+    """The search that keys an edge also gives its class's generators."""
+
+    def _solved_layer(self):
+        rng = np.random.default_rng(17)
+        g = random_capped_graph(rng, 10, 0.4, max_degree=5)
+        layer = make_layer()
+        v = random_feature(rng, layer.rho, g, K1)
+        return layer, g, v
+
+    def test_fresh_forward_runs_one_search_per_edge(self, monkeypatch):
+        layer, g, v = self._solved_layer()
+        calls = _count_searches(monkeypatch)
+        layer.forward(g, v)
+        assert len(layer.table) >= 5
+        assert len(calls) == len(g.edges)
+
+    def test_load_runs_one_search_per_class(self, monkeypatch):
+        layer, g, v = self._solved_layer()
+        layer.forward(g, v)
+        payload = layer.to_dict()
+        calls = _count_searches(monkeypatch)
+        loaded = NgnLayer.from_dict(payload)
+        assert len(loaded.table) == len(layer.table) >= 5
+        assert len(calls) == len(loaded.table)
 
 
 class TestNaturality:
