@@ -276,12 +276,13 @@ def cmd_expressiveness(cfg: RunConfig) -> dict:
 
 
 def _projector_rank(ec, rho, rho_prime) -> int:
-    mats = []
-    for chi_tail, chi_head in ec.group_restrictions:
-        p_mat = rep_matrix(rho, chi_tail).entries
-        q_mat = rep_matrix(rho_prime, chi_head).entries
-        mats.append(np.kron(q_mat, p_mat))
-    return int(round(float(np.trace(sum(mats) / len(mats)))))
+    """Trace of the group-average projector, the mean of trace(Q ⊗ P) =
+    trace(Q) · trace(P) over the group's dense representation matrices."""
+    traces = [
+        np.trace(rep_matrix(rho_prime, chi_head)) * np.trace(rep_matrix(rho, chi_tail))
+        for chi_tail, chi_head in ec.group_restrictions
+    ]
+    return int(round(float(np.mean(traces))))
 
 
 def cmd_lattice_reduction(cfg: RunConfig) -> dict:
@@ -492,7 +493,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     for batch in batches:
         idx = [train_idx[i] for i in batch]
         graphs = [ds.graphs[i] for i in idx]
-        plan = compile_plan(graphs, NeighbourhoodAssignment(mcfg.k))
+        plan = compile_plan(graphs, K1)
         plans.append(plan)
         inputs.append(node_attrs_to_buffer(plan, [feats[i] for i in idx], dtype=mcfg.dtype))
         labels.append(np.array([ds.labels[i] for i in idx], dtype=np.intp))
@@ -513,7 +514,7 @@ def cmd_train(cfg: RunConfig) -> dict:
         return report
 
     test_graphs = [ds.graphs[i] for i in sorted(test_idx)]
-    test_plan = compile_plan(test_graphs, NeighbourhoodAssignment(mcfg.k))
+    test_plan = compile_plan(test_graphs, K1)
     test_x = node_attrs_to_buffer(test_plan, [feats[i] for i in sorted(test_idx)], dtype=mcfg.dtype)
     test_y = np.array([ds.labels[i] for i in sorted(test_idx)], dtype=np.intp)
     pred = classifier_logits_numpy(test_plan, params, test_x, mcfg).argmax(axis=1)

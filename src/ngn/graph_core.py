@@ -250,9 +250,9 @@ class CanonicalForm:
         return dict(self.relabeling)
 
 
-def _orbits(cell: list[int], gens: list[dict[int, int]]) -> dict[int, int]:
-    """A representative of each vertex's orbit under ``gens``, all of which
-    map ``cell`` onto itself."""
+def _orbits(cell: list[int], gens: Sequence[Mapping[int, int] | Sequence[int]]) -> dict[int, int]:
+    """The smallest vertex of each vertex's orbit under ``gens``, all of
+    which map ``cell`` onto itself (each indexed by vertex)."""
     root = {v: v for v in cell}
 
     def find(v: int) -> int:

@@ -22,12 +22,6 @@ Each edge runs one canonical search (:func:`locate_edge`), which gives its
 class key, its canonical relabeling and its marked automorphisms. A new
 class takes those automorphisms, conjugated onto its representative, from
 that search; it never searches again.
-
-A class cache holds only what cannot be recomputed: each class's key,
-representations, representative neighbourhood and weights. Loading runs one
-search of each representative, which checks its key and gives its marked
-automorphisms, and solves the orbit basis again, so no file can carry a
-kernel space that breaks the constraint.
 """
 
 from __future__ import annotations
@@ -37,8 +31,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ShapeError, ValidationError
 from .graph_core import (
@@ -46,6 +38,7 @@ from .graph_core import (
     CanonicalForm,
     ConcreteGraph,
     GraphIso,
+    _orbits,
     automorphism_generators,
     enumerate_group,
 )
@@ -59,7 +52,6 @@ from .neighbourhoods import (
 from .representations import (
     RepSpec,
     ball_map,
-    parse_rep_spec,
     rep_index_from_perm,
     rep_matrix,
     structural_dim,
@@ -233,20 +225,14 @@ def _orbit_basis(actions: list[tuple[np.ndarray, np.ndarray]], n_out: int, n_in:
     """Orbit labels of the entries of an (n_out, n_in) kernel.
 
     Each action is a (head, tail) pair of index maps moving entry (a, b) to
-    (head[a], tail[b]); the orbits are the connected components of the graph
-    joining every entry to its images, numbered in the order of their first
-    row-major entry.
+    (head[a], tail[b]). The orbits are joined by :func:`_orbits`' union-find
+    over the entries' images, which roots each orbit at its smallest entry,
+    its first in row-major order; ranking the roots numbers the orbits in
+    that order.
     """
-    dim = n_out * n_in
-    images = np.array(
-        [(head[:, None] * n_in + tail[None, :]).reshape(-1) for head, tail in actions], dtype=np.intp
-    ).reshape(len(actions), dim)
-    # row e of the adjacency lists entry e's image under every action
-    links = csr_matrix(
-        (np.ones(images.size), images.T.reshape(-1), np.arange(dim + 1) * len(actions)),
-        shape=(dim, dim),
-    )
-    return connected_components(links, directed=False)[1].reshape(n_out, n_in)
+    images = [(head[:, None] * n_in + tail[None, :]).reshape(-1).tolist() for head, tail in actions]
+    roots = _orbits(list(range(n_out * n_in)), images)
+    return np.unique(list(roots.values()), return_inverse=True)[1].reshape(n_out, n_in)
 
 
 def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
@@ -295,13 +281,9 @@ class SharedKernel:
                 raise ShapeError(f"weight shape {w.shape} does not match basis pair")
 
     @staticmethod
-    def random(basis: KernelBasis, rng: np.random.Generator, scale: float = 1.0) -> "SharedKernel":
+    def random(basis: KernelBasis, rng: np.random.Generator) -> "SharedKernel":
         return SharedKernel(
-            basis,
-            [
-                scale * rng.standard_normal((pb.rank, pb.c_in, pb.c_out))
-                for pb in basis.pair_bases
-            ],
+            basis, [rng.standard_normal((pb.rank, pb.c_in, pb.c_out)) for pb in basis.pair_bases]
         )
 
     def representative_kernel(self) -> np.ndarray:
@@ -345,78 +327,14 @@ class SharedKernel:
         return kernel[rows[:, None], cols]
 
 
-CACHE_VERSION = 2
-
-
-def class_cache_to_dict(kernels: list[SharedKernel]) -> dict:
-    """Serializable form of solved classes: each class's key, representations,
-    representative neighbourhood and weights. Generators and bases are
-    derived from the representative, so they are not written."""
-    entries = []
-    for sk in kernels:
-        ec = sk.basis.edge_class
-        entries.append(
-            {
-                "key": ec.key.hex(),
-                "rho": str(sk.basis.rho),
-                "rho_prime": str(sk.basis.rho_prime),
-                "k": ec.assignment.k,
-                "nodes": list(ec.representative.graph.nodes),
-                "edges": sorted(list(e) for e in ec.representative.graph.edges),
-                "marked": list(ec.representative.marked),
-                "weights": [w.tolist() for w in sk.weights],
-            }
-        )
-    return {"version": CACHE_VERSION, "entries": entries}
-
-
-def class_cache_from_dict(payload: dict) -> dict[tuple[bytes, str, str], SharedKernel]:
-    """The solved classes of :func:`class_cache_to_dict`'s form, with each
-    basis solved again from its representative.
-
-    Raises ValidationError on anything else: another version, a missing or
-    ill-typed field, a key that is not hex or not the canonical key of its
-    representative, marks that are not an edge of the representative, or
-    weights whose shapes do not fit the solved basis.
-    """
-    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-        version = payload.get("version") if isinstance(payload, dict) else None
-        raise ValidationError(f"unsupported class cache version {version!r}")
-    if not isinstance(payload.get("entries"), list):
-        raise ValidationError("class cache entries must be a list")
-    out: dict[tuple[bytes, str, str], SharedKernel] = {}
-    for index, entry in enumerate(payload["entries"]):
-        try:
-            shared = _kernel_from_entry(entry, index)
-            out[(shared.basis.edge_class.key, entry["rho"], entry["rho_prime"])] = shared
-        except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:
-            raise ValidationError(f"malformed class cache entry: {exc!r}") from None
-    return out
-
-
-def _kernel_from_entry(entry: dict, index: int) -> SharedKernel:
-    graph = ConcreteGraph.build(entry["nodes"], [tuple(e) for e in entry["edges"]])
-    marked = tuple(entry["marked"])
-    if len(marked) != 2 or marked not in graph.edges:
-        raise ValidationError(f"marked edge {marked} is not an edge of its representative")
-    rep = EdgeNeighbourhood(graph, marked)
-    key = bytes.fromhex(entry["key"])
-    canonical_key, relab, aut = locate_edge(rep)
-    if key != canonical_key or not _maps_onto(relab, rep, rep):
-        raise ValidationError(f"class cache entry {index}: key and representative do not match their canonical form")
-    ec = EdgeClass(key, rep, NeighbourhoodAssignment(entry["k"]), aut)
-    basis = solve_basis(ec, parse_rep_spec(entry["rho"]), parse_rep_spec(entry["rho_prime"]))
-    return SharedKernel(basis, [np.array(w, dtype=float) for w in entry["weights"]])
-
-
 def eq4_residual(shared: SharedKernel) -> float:
     """Worst Frobenius residual of the constraint over basis and group."""
     ec = shared.basis.edge_class
     worst = 0.0
     mats = shared.basis.basis_matrices()
     for chi_tail, chi_head in ec.group_restrictions:
-        p_mat = rep_matrix(shared.basis.rho, chi_tail).entries
-        q_mat = rep_matrix(shared.basis.rho_prime, chi_head).entries
+        p_mat = rep_matrix(shared.basis.rho, chi_tail)
+        q_mat = rep_matrix(shared.basis.rho_prime, chi_head)
         for k in mats:
             worst = max(worst, float(np.sqrt(np.sum((q_mat @ k - k @ p_mat) ** 2))))
     return worst

@@ -21,7 +21,6 @@ from .batched import (
 )
 from .errors import GenerationError
 from .message_net import _glorot, build_gcn_net
-from .neighbourhoods import NeighbourhoodAssignment
 
 
 @dataclass
@@ -30,7 +29,6 @@ class Gcn2Config:
     msg_layers: int = 2
     hidden: int = 16
     classes: int = 2
-    k: int = 1
     aggregation: str = "sum"
     dtype: type = np.float64
 

@@ -27,8 +27,8 @@ class NeighbourhoodAssignment:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError("hop count must be non-negative")
+        if type(self.k) is not int or self.k < 0:
+            raise ValidationError(f"hop count must be a natural number, not {self.k!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,15 @@ basis is solved from. The class's representative kernel (built at most once
 per call) is placed by the row and column index maps that the relabeling
 gives on the two endpoint balls. No isomorphism object is built per edge,
 and nothing outlives the call.
+
+A new class draws its weights from a generator seeded by the layer's seed
+and the class key, so they depend on neither the order in which classes are
+met nor on whether the layer was saved and loaded in between. This module
+alone reads and writes the layer file: the layer's fields once, then each
+class's key, representative neighbourhood and weights. Loading runs one
+search of each representative, which checks its key and canonical position
+and gives its marked automorphisms, and solves the orbit basis again, so no
+file can carry a kernel space that breaks the constraint.
 """
 
 from __future__ import annotations
@@ -25,14 +34,7 @@ import numpy as np
 
 from .errors import ClassMissError, ParseError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso
-from .kernel_solver import (
-    SharedKernel,
-    class_cache_from_dict,
-    class_cache_to_dict,
-    edge_class,
-    locate_edge,
-    solve_basis,
-)
+from .kernel_solver import SharedKernel, edge_class, locate_edge, solve_basis
 from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
 from .representations import (
     GlobalFeature,
@@ -41,7 +43,7 @@ from .representations import (
     parse_rep_spec,
 )
 
-LAYER_FORMAT_VERSION = 1
+LAYER_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -51,14 +53,16 @@ class NgnLayer:
     assignment: NeighbourhoodAssignment
     aggregation: str = "sum"
     strict: bool = False
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.aggregation not in ("sum", "mean"):
             raise ValidationError(f"unknown aggregation {self.aggregation!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValidationError(f"seed must be a natural number, not {self.seed!r}")
+        if type(self.strict) is not bool:
+            raise ValidationError(f"strict must be true or false, not {self.strict!r}")
         self.table: dict[bytes, SharedKernel] = {}
-        self._rng = np.random.default_rng(self.seed)
 
     # -- class management ---------------------------------------------------
 
@@ -71,7 +75,8 @@ class NgnLayer:
                     f"edge {nb.marked} belongs to an unsolved class and strict mode is on"
                 )
             basis = solve_basis(edge_class(aut, self.assignment), self.rho, self.rho_prime)
-            shared = SharedKernel.random(basis, self._rng, scale=self.init_scale)
+            rng = np.random.default_rng([self.seed, int.from_bytes(key, "big")])
+            shared = SharedKernel.random(basis, rng)
             self.table[key] = shared
         return shared, relab
 
@@ -106,6 +111,21 @@ class NgnLayer:
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The layer file's form: the layer's fields, then each class's key,
+        representative neighbourhood and weights. Generators and bases are
+        derived from the representative, so they are not written."""
+        classes = []
+        for key, shared in self.table.items():
+            rep = shared.basis.edge_class.representative
+            classes.append(
+                {
+                    "key": key.hex(),
+                    "nodes": list(rep.graph.nodes),
+                    "edges": sorted(list(e) for e in rep.graph.edges),
+                    "marked": list(rep.marked),
+                    "weights": [w.tolist() for w in shared.weights],
+                }
+            )
         return {
             "version": LAYER_FORMAT_VERSION,
             "rho": str(self.rho),
@@ -113,9 +133,8 @@ class NgnLayer:
             "k": self.assignment.k,
             "aggregation": self.aggregation,
             "strict": self.strict,
-            "init_scale": self.init_scale,
             "seed": self.seed,
-            "classes": class_cache_to_dict(list(self.table.values())),
+            "classes": classes,
         }
 
     def save(self, path: str | Path) -> None:
@@ -123,8 +142,15 @@ class NgnLayer:
 
     @staticmethod
     def from_dict(payload: dict) -> "NgnLayer":
-        """The layer of :meth:`to_dict`'s form. Raises ValidationError on a
-        missing or ill-typed field and on classes that do not fit the layer."""
+        """The layer of :meth:`to_dict`'s form, with each class's basis
+        solved again from its representative.
+
+        Raises ValidationError on anything else: another version, a missing
+        or ill-typed field, a key that is not hex or not the canonical key
+        of its representative, a representative off its canonical labeling,
+        marks that are not an edge of the representative, or weights whose
+        shapes do not fit the solved basis.
+        """
         if not isinstance(payload, dict) or payload.get("version") != LAYER_FORMAT_VERSION:
             version = payload.get("version") if isinstance(payload, dict) else None
             raise ValidationError(f"unsupported layer format version {version!r}")
@@ -135,20 +161,29 @@ class NgnLayer:
                 assignment=NeighbourhoodAssignment(payload["k"]),
                 aggregation=payload["aggregation"],
                 strict=payload["strict"],
-                init_scale=float(payload["init_scale"]),
                 seed=payload["seed"],
             )
-            classes = class_cache_from_dict(payload["classes"])
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(payload["classes"], list):
+                raise ValidationError("layer classes must be a list")
+            for index, entry in enumerate(payload["classes"]):
+                shared = layer._class_from_entry(entry, index)
+                layer.table[shared.basis.edge_class.key] = shared
+        except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:
             raise ValidationError(f"malformed layer: {exc!r}") from None
-        for (key, _, _), shared in classes.items():
-            basis = shared.basis
-            if (basis.rho, basis.rho_prime, basis.edge_class.assignment) != (
-                layer.rho, layer.rho_prime, layer.assignment
-            ):
-                raise ValidationError(f"class {key.hex()} was solved for another layer")
-            layer.table[key] = shared
         return layer
+
+    def _class_from_entry(self, entry: dict, index: int) -> SharedKernel:
+        graph = ConcreteGraph.build(entry["nodes"], [tuple(e) for e in entry["edges"]])
+        marked = tuple(entry["marked"])
+        if len(marked) != 2 or marked not in graph.edges:
+            raise ValidationError(f"class {index}: marked edge {marked} is not an edge of its representative")
+        rep = EdgeNeighbourhood(graph, marked)
+        key, _, aut = locate_edge(rep)
+        ec = edge_class(aut, self.assignment)
+        if bytes.fromhex(entry["key"]) != key or ec.representative != rep:
+            raise ValidationError(f"class {index}: key and representative do not match their canonical form")
+        basis = solve_basis(ec, self.rho, self.rho_prime)
+        return SharedKernel(basis, [np.array(w, dtype=float) for w in entry["weights"]])
 
     @staticmethod
     def load(path: str | Path) -> "NgnLayer":

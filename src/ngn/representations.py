@@ -124,21 +124,14 @@ def rep_index_from_perm(spec: RepSpec, node_perm: np.ndarray) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """The invertible linear map a representation assigns to an isomorphism."""
-
-    entries: np.ndarray
-
-
-def rep_matrix(spec: RepSpec, psi: GraphIso) -> RepMatrix:
+def rep_matrix(spec: RepSpec, psi: GraphIso) -> np.ndarray:
     """Permutation matrix of psi's action under spec."""
     if not validate_iso(psi):
         raise ValidationError("psi does not preserve edges")
     index = rep_index(spec, psi)
     entries = np.zeros((index.size, index.size))
     entries[index, np.arange(index.size)] = 1.0
-    return RepMatrix(entries)
+    return entries
 
 
 @dataclass

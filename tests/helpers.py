@@ -139,8 +139,8 @@ def group_average_projector(ec, rho, rho_prime) -> np.ndarray:
 
     mats = []
     for chi_tail, chi_head in ec.group_restrictions:
-        p_mat = rep_matrix(rho, chi_tail).entries
-        q_mat = rep_matrix(rho_prime, chi_head).entries
+        p_mat = rep_matrix(rho, chi_tail)
+        q_mat = rep_matrix(rho_prime, chi_head)
         mats.append(np.kron(q_mat, p_mat))
     return sum(mats) / len(mats)
 
@@ -243,8 +243,8 @@ def dense_reference_forward(layer, g: ConcreteGraph, v):
         shared = layer.table[locate_edge(nb)[0]]
         ec = shared.basis.edge_class
         transport = edge_transport(ec, nb)
-        q_mat = rep_matrix(layer.rho_prime, restrict_edge_iso(transport, ec.representative, nb, "head", a)).entries
-        p_mat = rep_matrix(layer.rho, restrict_edge_iso(transport, ec.representative, nb, "tail", a)).entries
+        q_mat = rep_matrix(layer.rho_prime, restrict_edge_iso(transport, ec.representative, nb, "head", a))
+        p_mat = rep_matrix(layer.rho, restrict_edge_iso(transport, ec.representative, nb, "tail", a))
         out[q] += (q_mat @ shared.representative_kernel() @ p_mat.T) @ v.blocks[p]
         in_degree[q] += 1
     if layer.aggregation == "mean":

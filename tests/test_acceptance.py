@@ -132,8 +132,8 @@ def test_criterion_3_message_network_naturality():
         v_p = rng.standard_normal((psi_tail.source.n, c))
         from ngn.representations import rep_matrix
 
-        p_mat = rep_matrix(RepSpec.standard(1), psi_tail).entries
-        q_mat = rep_matrix(RepSpec.standard(1), psi_head).entries
+        p_mat = rep_matrix(RepSpec.standard(1), psi_tail)
+        q_mat = rep_matrix(RepSpec.standard(1), psi_head)
         lhs = q_mat @ gcn2_message(net, v_p, nb, K1)
         rhs = gcn2_message(net, p_mat @ v_p, target_nb, K1)
         worst_edge = max(worst_edge, float(np.max(np.abs(lhs - rhs))))

@@ -1,4 +1,3 @@
-import json
 import time
 from functools import cache
 
@@ -9,11 +8,8 @@ from ngn.cli import _random_relabel, _random_test_graph
 from ngn.errors import ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, automorphism_generators, enumerate_group, from_undirected, validate_iso
 from ngn.kernel_solver import (
-    CACHE_VERSION,
     EdgeClass,
     SharedKernel,
-    class_cache_from_dict,
-    class_cache_to_dict,
     classify_edges,
     eq4_residual,
     locate_edge,
@@ -23,7 +19,6 @@ from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, node
 from ngn.representations import RepSpec, parse_rep_spec, random_feature, rep_matrix
 
 from helpers import (
-    VERSION_1_LAYER,
     class_members,
     cycle_graph,
     find_iso,
@@ -384,8 +379,8 @@ class TestRealize:
                         nb = edge_neighbourhood(g, *edge, K1)
                         psi_tail = restrict_edge_iso(transport, ec.representative, nb, "tail", K1)
                         psi_head = restrict_edge_iso(transport, ec.representative, nb, "head", K1)
-                        q_mat = rep_matrix(rho_prime, psi_head).entries
-                        dense = q_mat @ k @ rep_matrix(rho, psi_tail).entries.T
+                        q_mat = rep_matrix(rho_prime, psi_head)
+                        dense = q_mat @ k @ rep_matrix(rho, psi_tail).T
                         assert np.array_equal(_realize(shared, nb, transport), dense)
                         checked += 1
         assert checked >= 50
@@ -416,75 +411,3 @@ def _set_flat_weights(shared: SharedKernel, flat: np.ndarray) -> None:
         n = w.size
         w[...] = flat[at : at + n].reshape(w.shape)
         at += n
-
-
-def _reverse_ids(entry):
-    """Renumber a cache entry's representative v -> n - 1 - v: the same
-    class under its key, but no longer in canonical position."""
-    n = len(entry["nodes"])
-    entry.update(edges=[[n - 1 - i, n - 1 - j] for i, j in entry["edges"]], marked=[n - 1 - v for v in entry["marked"]])
-
-
-class TestCache:
-    def test_round_trip(self):
-        # through JSON text, labels and representative kernels come back bit for bit
-        rng = np.random.default_rng(7)
-        g = random_graph(rng, 7, 0.4)
-        classes = classify_edges([g], K1)
-        kernels = [
-            SharedKernel.random(solve_basis(ec, rho, rho_prime), rng)
-            for ec in classes
-            for rho, rho_prime in ((RepSpec.standard(2), STD), (parse_rep_spec("trivial*2+standard*1"), STD))
-        ]
-        payload = class_cache_to_dict(kernels)
-        assert payload["version"] == CACHE_VERSION
-        assert all("generators" not in e and "pair_bases" not in e for e in payload["entries"])
-        loaded = class_cache_from_dict(json.loads(json.dumps(payload)))
-        assert len(loaded) == len(kernels)
-        for sk in kernels:
-            key = (sk.basis.edge_class.key, str(sk.basis.rho), str(sk.basis.rho_prime))
-            got = loaded[key]
-            assert got.basis.rank == sk.basis.rank
-            for a, b in zip(got.basis.pair_bases, sk.basis.pair_bases):
-                assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
-            assert got.representative_kernel().tobytes() == sk.representative_kernel().tobytes()
-
-    def test_version_checked(self):
-        with pytest.raises(Exception):
-            class_cache_from_dict({"version": 99, "entries": []})
-
-    def test_version_1_cache_raises_validation_error(self):
-        # version 1 stored each class's generators and dense bases
-        payload = json.loads(VERSION_1_LAYER)["classes"]
-        assert payload["version"] == 1 and "pair_bases" in payload["entries"][0]
-        with pytest.raises(ValidationError, match="version 1"):
-            class_cache_from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda e: e.pop("rho"),
-            lambda e: e["weights"][0].pop(),
-            lambda e: e["weights"].pop(),
-            lambda e: e.update(key="not hex"),
-            lambda e: e.update(key=e["key"][:-2] + ("01" if e["key"][-2:] == "00" else "00")),
-            lambda e: e.update(marked=e["marked"][:1] * 2),
-            _reverse_ids,
-        ],
-        ids=[
-            "no rho",
-            "weights short of a row",
-            "weights short of a pair",
-            "key not hex",
-            "key of another class",
-            "marks not an edge",
-            "representative off its canonical labeling",
-        ],
-    )
-    def test_malformed_entry_raises_validation_error(self, corrupt):
-        rho = parse_rep_spec("trivial*1+standard*2")
-        _, basis = solve_for(bowtie(), 0, 1, rho, STD)
-        payload = class_cache_to_dict([SharedKernel.random(basis, np.random.default_rng(2))])
-        corrupt(payload["entries"][0])
-        with pytest.raises(ValidationError):
-            class_cache_from_dict(payload)

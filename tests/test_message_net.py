@@ -79,7 +79,7 @@ class TestEmbed:
         nb, target_nb, psi, psi_tail, psi_head = edge_iso_with_restrictions(rng, g, p, q)
         c = 3
         v_p = rng.standard_normal((psi_tail.source.n, c))
-        v_p_moved = rep_matrix(RepSpec.standard(1), psi_tail).entries @ v_p
+        v_p_moved = rep_matrix(RepSpec.standard(1), psi_tail) @ v_p
         lhs = embed_alpha(v_p_moved, target_nb, K1)
         rhs_vals = tau_row_permutation(psi) @ embed_alpha(v_p, nb, K1).values
         assert np.allclose(lhs.values, rhs_vals, atol=1e-14)
@@ -159,8 +159,8 @@ class TestMessage:
             c = 2
             net = build_gcn_net(rng, 2, 6, data_in=c, c_out=3)
             v_p = rng.standard_normal((psi_tail.source.n, c))
-            p_mat = rep_matrix(RepSpec.standard(1), psi_tail).entries
-            q_mat = rep_matrix(RepSpec.standard(1), psi_head).entries
+            p_mat = rep_matrix(RepSpec.standard(1), psi_tail)
+            q_mat = rep_matrix(RepSpec.standard(1), psi_head)
             lhs = q_mat @ gcn2_message(net, v_p, nb, K1)
             rhs = gcn2_message(net, p_mat @ v_p, target_nb, K1)
             assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -281,19 +281,52 @@ class TestNaturality:
         assert check_naturality(layer, g, phi, v) < 1e-10
 
 
+def _reverse_ids(entry):
+    """Renumber a class entry's representative v -> n - 1 - v: the same
+    class under its key, but no longer in canonical position."""
+    n = len(entry["nodes"])
+    entry.update(edges=[[n - 1 - i, n - 1 - j] for i, j in entry["edges"]], marked=[n - 1 - v for v in entry["marked"]])
+
+
 class TestPersistence:
     def test_layer_round_trip(self, tmp_path):
+        # through the file, orbit labels, representative kernels and the
+        # forward come back bit for bit
         rng = np.random.default_rng(9)
-        layer = make_layer(RepSpec.standard(2), RepSpec.standard(1), seed=11)
+        layer = make_layer(parse_rep_spec("trivial*1+standard*2"), RepSpec.standard(1), seed=11)
         g = random_graph(rng, 8, 0.4)
         v = random_feature(rng, layer.rho, g, K1)
         before = layer.forward(g, v)
         path = tmp_path / "layer.json"
         layer.save(path)
+        text = path.read_text()
+        assert text.count('"version"') == 1 and json.loads(text)["version"] == 2
+        assert all(set(e) == {"key", "nodes", "edges", "marked", "weights"} for e in json.loads(text)["classes"])
         loaded = NgnLayer.load(path)
+        assert list(loaded.table) == list(layer.table)
+        for key, shared in layer.table.items():
+            got = loaded.table[key]
+            for a, b in zip(got.basis.pair_bases, shared.basis.pair_bases, strict=True):
+                assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
+            assert got.representative_kernel().tobytes() == shared.representative_kernel().tobytes()
         after = loaded.forward(g, v)
-        assert before.max_abs_diff(after) < 1e-15
-        assert len(loaded.table) == len(layer.table)
+        assert all(after.blocks[p].tobytes() == before.blocks[p].tobytes() for p in g.nodes)
+
+    def test_loaded_layer_continues_where_the_saved_one_stopped(self):
+        # a class first met after loading gets the weights the saved layer
+        # gives it, and a fresh layer of the same seed gives it too: weights
+        # depend on the seed and the class, not on the order classes arrive
+        layer = make_layer(seed=5)
+        line = path_graph(0, 1, 2)
+        layer.forward(line, random_feature(np.random.default_rng(0), layer.rho, line, K1))
+        loaded = NgnLayer.from_dict(json.loads(json.dumps(layer.to_dict())))
+        assert len(loaded.table) == 2
+        g = from_undirected(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
+        v = random_feature(np.random.default_rng(1), layer.rho, g, K1)
+        outs = [loaded.forward(g, v), layer.forward(g, v), make_layer(seed=5).forward(g, v)]
+        assert len(loaded.table) > 2  # the triangle brings classes the path did not
+        for out in outs[1:]:
+            assert all(out.blocks[p].tobytes() == outs[0].blocks[p].tobytes() for p in g.nodes)
 
     def test_lazy_solving_is_deterministic(self):
         rng = np.random.default_rng(10)
@@ -312,15 +345,17 @@ class TestPersistence:
 
     def test_text_that_is_not_json_raises_parse_error(self, tmp_path):
         path = tmp_path / "layer.json"
-        for data in (b'{"version": 1,\n "rho": ', b"\xff\xfe{}"):
+        for data in (b'{"version": 2,\n "rho": ', b"\xff\xfe{}"):
             path.write_bytes(data)
             with pytest.raises(ParseError):
                 NgnLayer.load(path)
 
     def test_layer_nesting_a_version_1_class_cache_raises_validation_error(self):
+        # version 1 nested a class cache that stored each class's generators
+        # and dense bases
         payload = json.loads(VERSION_1_LAYER)
-        assert payload["version"] == ngn_layer.LAYER_FORMAT_VERSION
-        with pytest.raises(ValidationError, match="class cache version 1"):
+        assert payload["version"] == 1 and "pair_bases" in payload["classes"]["entries"][0]
+        with pytest.raises(ValidationError, match="version 1"):
             NgnLayer.from_dict(payload)
 
     def test_swapped_class_keys_raise_at_load(self, tmp_path):
@@ -331,12 +366,12 @@ class TestPersistence:
         g = from_undirected(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
         layer.forward(g, random_feature(np.random.default_rng(0), layer.rho, g, K1))
         payload = layer.to_dict()
-        entries = payload["classes"]["entries"]
+        entries = payload["classes"]
         assert len(entries) == 5
         entries[1]["key"], entries[3]["key"] = entries[3]["key"], entries[1]["key"]
         path = tmp_path / "layer.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="class cache entry 1"):
+        with pytest.raises(ValidationError, match="class 1"):
             NgnLayer.load(path)
 
     @pytest.mark.parametrize(
@@ -345,15 +380,53 @@ class TestPersistence:
             lambda d: d.pop("rho"),
             lambda d: d.update(rho=5),
             lambda d: d.update(k=2),  # the classes were solved for k = 1
-            lambda d: d["classes"]["entries"][0].update(rho="standard*2"),
-            lambda d: d.update(classes=[]),
+            lambda d: d.update(rho="standard*2"),  # the classes were solved for another rho
+            lambda d: d.update(classes={}),
             lambda d: d.update(seed="x"),
+            lambda d: d.update(version=99),
+            lambda d: d.update(k=1.5, classes=[]),
+            lambda d: d.update(strict="no"),
         ],
-        ids=["no rho", "rho not text", "other k", "class of another rep", "classes not a dict", "bad seed"],
+        ids=[
+            "no rho",
+            "rho not text",
+            "other k",
+            "class of another rep",
+            "classes not a list",
+            "bad seed",
+            "other version",
+            "k not an integer",
+            "strict not a bool",
+        ],
     )
     def test_malformed_layer_raises_validation_error(self, corrupt):
         payload = json.loads(_layer_text())
         corrupt(payload)
+        with pytest.raises(ValidationError):
+            NgnLayer.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda e: e["weights"][0].pop(),
+            lambda e: e["weights"].pop(),
+            lambda e: e.update(key="not hex"),
+            lambda e: e.update(key=e["key"][:-2] + ("01" if e["key"][-2:] == "00" else "00")),
+            lambda e: e.update(marked=e["marked"][:1] * 2),
+            _reverse_ids,
+        ],
+        ids=[
+            "weights short of a row",
+            "weights short of a pair",
+            "key not hex",
+            "key of another class",
+            "marks not an edge",
+            "representative off its canonical labeling",
+        ],
+    )
+    def test_malformed_entry_raises_validation_error(self, corrupt):
+        payload = json.loads(_layer_text())
+        corrupt(payload["classes"][0])
         with pytest.raises(ValidationError):
             NgnLayer.from_dict(payload)
 

@@ -72,7 +72,7 @@ class TestRepMatrix:
     def test_identity(self):
         g = path_graph(0, 1, 2)
         mat = rep_matrix(RepSpec.standard(2), GraphIso.identity(g))
-        assert np.array_equal(mat.entries, np.eye(6))
+        assert np.array_equal(mat, np.eye(6))
 
     def test_swap_rows_on_standard(self):
         # a neighbourhood iso exchanging the 3rd and 5th smallest ids acts on
@@ -82,14 +82,14 @@ class TestRepMatrix:
         psi = GraphIso.build(g, g, mapping)
         mat = rep_matrix(RepSpec.standard(1), psi)
         expected = np.eye(5)[[0, 1, 4, 3, 2]]
-        assert np.array_equal(mat.entries, expected)
+        assert np.array_equal(mat, expected)
 
     def test_trivial_rep_is_identity(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 6, 0.5)
         phi = random_relabeling(rng, g)
         mat = rep_matrix(RepSpec.trivial(3), phi)
-        assert np.array_equal(mat.entries, np.eye(3))
+        assert np.array_equal(mat, np.eye(3))
 
     def test_invalid_iso_rejected(self):
         g = path_graph(0, 1, 2)
@@ -104,12 +104,12 @@ class TestRepMatrix:
             g = random_graph(rng, 6, 0.5)
             f = random_relabeling(rng, g, fresh_ids=True)
             h = random_relabeling(rng, f.target, fresh_ids=True)
-            lhs = rep_matrix(spec, h.compose(f)).entries
-            rhs = rep_matrix(spec, h).entries @ rep_matrix(spec, f).entries
+            lhs = rep_matrix(spec, h.compose(f))
+            rhs = rep_matrix(spec, h) @ rep_matrix(spec, f)
             assert np.array_equal(lhs, rhs)
-            m = rep_matrix(spec, f).entries
+            m = rep_matrix(spec, f)
             assert np.array_equal(m @ m.T, np.eye(m.shape[0]))
-            inv = rep_matrix(spec, inverse(f)).entries
+            inv = rep_matrix(spec, inverse(f))
             assert np.array_equal(inv, m.T)
 
 
@@ -174,5 +174,5 @@ class TestLiftGlobal:
                 lifted = lift_global(phi, v, spec, K1)
                 for p in g.nodes:
                     local = restrict_global_iso(phi, node_neighbourhood(g, p, K1), K1)
-                    expected = rep_matrix(spec, local).entries @ v.blocks[p]
+                    expected = rep_matrix(spec, local) @ v.blocks[p]
                     assert np.array_equal(lifted.blocks[phi.apply(p)], expected)
