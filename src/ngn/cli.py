@@ -340,15 +340,19 @@ def _warm_up(fn, seconds: float = 1.0) -> None:
         fn()
 
 
-def _time_calls(fn, reps: int = 3) -> list[float]:
-    """Seconds of ``reps`` timed calls after one untimed warm-up call, so
-    that a fresh process's first-call costs stay out of the timings."""
-    fn()
-    seconds = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
+def _time_rounds(fns, rounds: int = 3) -> list[list[float]]:
+    """Seconds of ``rounds`` timed calls of each of ``fns``, one call of each
+    per round, after one untimed call of each so that a fresh process's
+    first-call costs stay out of the timings. A slow spell of the machine
+    then falls on every function of a round, not on all calls of one."""
+    for fn in fns:
         fn()
-        seconds.append(time.perf_counter() - t0)
+    seconds = [[] for _ in fns]
+    for _ in range(rounds):
+        for fn, out in zip(fns, seconds):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
     return seconds
 
 
@@ -363,19 +367,19 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
     ]
     gcn_net = build_plain_gcn(rng, depth, width, c_in=1, c_out=width, dtype=np.float32)
 
-    rows = []
+    nodes, compile_seconds, gcn2_runs, gcn_runs = [], [], [], []
     for m in cfg.sizes:
         g = square_torus(m)
-        n = g.n
         t0 = time.perf_counter()
         plan = compile_plan([g], K1)
         gcn_plan = compile_gcn_plan([g])
-        compile_seconds = time.perf_counter() - t0
+        compile_seconds.append(time.perf_counter() - t0)
+        nodes.append(g.n)
         attrs = degree_features([g])
         x0 = node_attrs_to_buffer(plan, attrs, dtype=np.float32)
         x0_gcn = attrs[0].astype(np.float32)
 
-        def run_gcn2():
+        def run_gcn2(plan=plan, x0=x0):
             x = x0
             for l, net in enumerate(gcn2_nets):
                 x = gcn2_layer_numpy(plan, net, x, chunk_edges=30000)
@@ -383,23 +387,25 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
                     np.maximum(x, 0, out=x)
             return x
 
-        def run_gcn():
+        def run_gcn(gcn_plan=gcn_plan, x0_gcn=x0_gcn):
             return gcn_forward_numpy(gcn_plan, gcn_net, x0_gcn)
 
-        if not rows:
-            _warm_up(run_gcn2)
-        gcn2_calls = _time_calls(run_gcn2)
-        t2, t1 = min(gcn2_calls), min(_time_calls(run_gcn))
-        rows.append(
-            {
-                "nodes": n,
-                "compile_seconds": compile_seconds,
-                "gcn2_seconds": t2,
-                "gcn_seconds": t1,
-                "ratio": t2 / t1,
-                "gcn2_calls_seconds": gcn2_calls,
-            }
-        )
+        gcn2_runs.append(run_gcn2)
+        gcn_runs.append(run_gcn)
+
+    _warm_up(gcn2_runs[0])
+    gcn2_calls, gcn_calls = _time_rounds(gcn2_runs), _time_rounds(gcn_runs)
+    rows = [
+        {
+            "nodes": n,
+            "compile_seconds": c,
+            "gcn2_seconds": min(t2),
+            "gcn_seconds": min(t1),
+            "ratio": min(t2) / min(t1),
+            "gcn2_calls_seconds": t2,
+        }
+        for n, c, t2, t1 in zip(nodes, compile_seconds, gcn2_calls, gcn_calls)
+    ]
 
     log_n = np.log([r["nodes"] for r in rows])
     log_t = np.log([r["gcn2_seconds"] for r in rows])

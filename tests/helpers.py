@@ -8,6 +8,8 @@ library's canonical search.
 
 from __future__ import annotations
 
+import json
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -204,6 +206,20 @@ def class_members(ec, g: ConcreteGraph) -> list[tuple[tuple[int, int], GraphIso]
         if locate_edge(nb)[0] == ec.key:
             out.append(((p, q), edge_transport(ec, nb)))
     return out
+
+
+@cache
+def saved_layer_text() -> str:
+    """A saved layer with a few classes of both a trivial and a standard part."""
+    from ngn.neighbourhoods import NeighbourhoodAssignment
+    from ngn.ngn_layer import NgnLayer
+    from ngn.representations import parse_rep_spec, random_feature
+
+    spec = parse_rep_spec("trivial*1+standard*1")
+    layer = NgnLayer(rho=spec, rho_prime=spec, assignment=NeighbourhoodAssignment(1))
+    g = from_undirected(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
+    layer.forward(g, random_feature(np.random.default_rng(0), spec, g, layer.assignment))
+    return json.dumps(layer.to_dict())
 
 
 # A layer saved in version 1 of the class cache's format, which stored each

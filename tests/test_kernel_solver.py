@@ -1,3 +1,4 @@
+import json
 import time
 from functools import cache
 
@@ -16,9 +17,11 @@ from ngn.kernel_solver import (
     solve_basis,
 )
 from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood, node_neighbourhood, restrict_edge_iso
+from ngn.ngn_layer import NgnLayer
 from ngn.representations import RepSpec, parse_rep_spec, random_feature, rep_matrix
 
 from helpers import (
+    VERSION_1_LAYER,
     class_members,
     cycle_graph,
     find_iso,
@@ -31,6 +34,7 @@ from helpers import (
     random_digraph,
     random_graph,
     random_relabeling,
+    saved_layer_text,
 )
 
 K1 = NeighbourhoodAssignment(1)
@@ -411,3 +415,75 @@ def _set_flat_weights(shared: SharedKernel, flat: np.ndarray) -> None:
         n = w.size
         w[...] = flat[at : at + n].reshape(w.shape)
         at += n
+
+
+def _reverse_ids(entry):
+    """Renumber a class entry's representative v -> n - 1 - v: the same
+    class under its key, but no longer in canonical position."""
+    n = len(entry["nodes"])
+    entry.update(edges=[[n - 1 - i, n - 1 - j] for i, j in entry["edges"]], marked=[n - 1 - v for v in entry["marked"]])
+
+
+class TestCache:
+    """The solved classes as the layer file keeps them: each entry is a
+    class's key, representative and weights, and its basis is solved again
+    from the representative when the file is read."""
+
+    def test_round_trip(self):
+        # through JSON text, ranks, orbit labels and representative kernels
+        # come back bit for bit, for a rep of one part and one of several
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, 7, 0.4)
+        classes = classify_edges([g], K1)
+        for rho in (RepSpec.standard(2), parse_rep_spec("trivial*2+standard*1")):
+            layer = NgnLayer(rho=rho, rho_prime=STD, assignment=K1)
+            for ec in classes:
+                layer.table[ec.key] = SharedKernel.random(solve_basis(ec, rho, STD), rng)
+            payload = layer.to_dict()
+            assert all("generators" not in e and "pair_bases" not in e for e in payload["classes"])
+            loaded = NgnLayer.from_dict(json.loads(json.dumps(payload)))
+            assert list(loaded.table) == list(layer.table)
+            for key, sk in layer.table.items():
+                got = loaded.table[key]
+                assert got.basis.rank == sk.basis.rank
+                for a, b in zip(got.basis.pair_bases, sk.basis.pair_bases, strict=True):
+                    assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
+                assert got.representative_kernel().tobytes() == sk.representative_kernel().tobytes()
+
+    def test_version_1_cache_raises_validation_error(self):
+        # version 1 kept the classes in a cache of their own, which stored
+        # each class's generators and dense bases; in place of a layer's
+        # list of classes it is refused
+        cache = json.loads(VERSION_1_LAYER)["classes"]
+        assert cache["version"] == 1 and "pair_bases" in cache["entries"][0]
+        payload = json.loads(saved_layer_text())
+        payload["classes"] = cache
+        with pytest.raises(ValidationError, match="classes must be a list"):
+            NgnLayer.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d, e: d.pop("rho"),  # entries are read against the layer's rho
+            lambda d, e: e["weights"][0].pop(),
+            lambda d, e: e["weights"].pop(),
+            lambda d, e: e.update(key="not hex"),
+            lambda d, e: e.update(key=e["key"][:-2] + ("01" if e["key"][-2:] == "00" else "00")),
+            lambda d, e: e.update(marked=e["marked"][:1] * 2),
+            lambda d, e: _reverse_ids(e),
+        ],
+        ids=[
+            "no rho",
+            "weights short of a row",
+            "weights short of a pair",
+            "key not hex",
+            "key of another class",
+            "marks not an edge",
+            "representative off its canonical labeling",
+        ],
+    )
+    def test_malformed_entry_raises_validation_error(self, corrupt):
+        payload = json.loads(saved_layer_text())
+        corrupt(payload, payload["classes"][0])
+        with pytest.raises(ValidationError):
+            NgnLayer.from_dict(payload)

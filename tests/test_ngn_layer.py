@@ -1,5 +1,4 @@
 import json
-from functools import cache
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from helpers import (
     random_capped_graph,
     random_graph,
     random_relabeling,
+    saved_layer_text,
 )
 
 K1 = NeighbourhoodAssignment(1)
@@ -281,13 +281,6 @@ class TestNaturality:
         assert check_naturality(layer, g, phi, v) < 1e-10
 
 
-def _reverse_ids(entry):
-    """Renumber a class entry's representative v -> n - 1 - v: the same
-    class under its key, but no longer in canonical position."""
-    n = len(entry["nodes"])
-    entry.update(edges=[[n - 1 - i, n - 1 - j] for i, j in entry["edges"]], marked=[n - 1 - v for v in entry["marked"]])
-
-
 class TestPersistence:
     def test_layer_round_trip(self, tmp_path):
         # through the file, orbit labels, representative kernels and the
@@ -400,40 +393,15 @@ class TestPersistence:
         ],
     )
     def test_malformed_layer_raises_validation_error(self, corrupt):
-        payload = json.loads(_layer_text())
+        payload = json.loads(saved_layer_text())
         corrupt(payload)
-        with pytest.raises(ValidationError):
-            NgnLayer.from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda e: e["weights"][0].pop(),
-            lambda e: e["weights"].pop(),
-            lambda e: e.update(key="not hex"),
-            lambda e: e.update(key=e["key"][:-2] + ("01" if e["key"][-2:] == "00" else "00")),
-            lambda e: e.update(marked=e["marked"][:1] * 2),
-            _reverse_ids,
-        ],
-        ids=[
-            "weights short of a row",
-            "weights short of a pair",
-            "key not hex",
-            "key of another class",
-            "marks not an edge",
-            "representative off its canonical labeling",
-        ],
-    )
-    def test_malformed_entry_raises_validation_error(self, corrupt):
-        payload = json.loads(_layer_text())
-        corrupt(payload["classes"][0])
         with pytest.raises(ValidationError):
             NgnLayer.from_dict(payload)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_fuzzed_layer_files_load_or_raise_package_errors(self, data, tmp_path_factory):
-        payload = json.loads(_layer_text())
+        payload = json.loads(saved_layer_text())
         path = data.draw(st.none() | st.sampled_from(list(_json_paths(payload))))
         if path == ():
             payload = data.draw(_json_values)
@@ -463,16 +431,6 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
-
-
-@cache
-def _layer_text() -> str:
-    """A saved layer with a few classes of both a trivial and a standard part."""
-    spec = parse_rep_spec("trivial*1+standard*1")
-    layer = make_layer(spec, spec)
-    g = from_undirected(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
-    layer.forward(g, random_feature(np.random.default_rng(0), spec, g, K1))
-    return json.dumps(layer.to_dict())
 
 
 def _json_paths(node, path=()):
