@@ -3,11 +3,14 @@
 Each Tensor records its parents and a backward rule; the tape is this
 implicit graph. ``backward`` topologically sorts from the scalar loss and
 accumulates gradients; a tape is consumed by one backward pass, and running
-a second pass on the same loss raises.
+a second pass on the same loss raises. A backward rule computes the
+gradient of a parent only when that parent is on the tape: nothing reads
+the gradient of a constant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,9 +45,14 @@ class Tensor:
         return self.requires_grad or bool(self._parents)
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``; the first gradient is copied (cast and
+        broadcast to ``data``), which is the float ``0 + g`` up to the sign
+        of a zero."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def __add__(self, other):
         return add(self, other)
@@ -85,8 +93,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a._on_tape():
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b._on_tape():
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -115,8 +125,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a._on_tape():
+            a._accumulate(g @ b.data.T)
+        if b._on_tape():
+            b._accumulate(a.data.T @ g)
 
     return _make(out_data, (a, b), backward)
 
@@ -165,8 +177,19 @@ def sum_into_rows(idx: np.ndarray, n_rows: int, dtype) -> sp.csr_matrix:
     the canonical CSR lists its columns in increasing k, and scipy adds a
     row's terms in that order, starting from zero, so every sum is the same
     float, bit for bit, as adding the rows one at a time in index order.
+
+    The index arrays of a training run repeat every step (a plan's segment
+    ids, a weight's row ranges), so S is built once per index array, row
+    count and dtype among the last 64 asked for, and shared: callers must
+    not modify it.
     """
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = np.ascontiguousarray(idx, dtype=np.intp)
+    return _sum_into_rows(idx.tobytes(), int(n_rows), np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=64)
+def _sum_into_rows(idx_bytes: bytes, n_rows: int, dtype: np.dtype) -> sp.csr_matrix:
+    idx = np.frombuffer(idx_bytes, dtype=np.intp)
     counts = np.bincount(idx, minlength=n_rows)
     if counts.size > n_rows:
         raise ShapeError(f"row index {idx.max()} out of range for {n_rows} rows")
@@ -214,8 +237,10 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[1]
 
     def backward(g):
-        a._accumulate(g[:, :na])
-        b._accumulate(g[:, na:])
+        if a._on_tape():
+            a._accumulate(g[:, :na])
+        if b._on_tape():
+            b._accumulate(g[:, na:])
 
     return _make(np.hstack([a.data, b.data]), (a, b), backward)
 
@@ -230,19 +255,35 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
     def backward(g):
         for p, e in zip(parts, ends):
-            p._accumulate(g[e - p.data.shape[0] : e])
+            if p._on_tape():
+                p._accumulate(g[e - p.data.shape[0] : e])
 
     return _make(np.concatenate([p.data for p in parts]), parts, backward)
 
 
 def sparse_mix(a: Tensor, mat: sp.spmatrix) -> Tensor:
-    """Multiply by a constant sparse matrix: out = mat @ a, in a's dtype."""
+    """Multiply by a constant sparse matrix: out = mat @ a, in a's dtype.
+
+    The backward multiplies by ``_transposed(mat)``, so a matrix that is
+    passed again (a plan's kept blocks) is transposed once.
+    """
     csr = mat.tocsr().astype(a.data.dtype, copy=False)
 
     def backward(g):
-        a._accumulate(csr.T @ g)
+        a._accumulate(_transposed(csr) @ g)
 
     return _make(csr @ a.data, (a,), backward)
+
+
+def _transposed(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """``csr.T`` as a canonical CSR, built on the first call and kept on
+    ``csr``, which the tape treats as a constant. Row i lists the entries of
+    column i of ``csr`` by increasing row, the order in which ``csr.T @ g``
+    adds them, so the product is the same float, bit for bit."""
+    found = csr.__dict__.get("_transposed")
+    if found is None:
+        found = csr._transposed = csr.T.tocsr()
+    return found
 
 
 def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int) -> Tensor:
@@ -347,8 +388,9 @@ def adam_step(
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m += (1.0 - state.beta1) * (g - m)
         v += (1.0 - state.beta2) * (g * g - v)
         m_hat = m / (1.0 - state.beta1**t)

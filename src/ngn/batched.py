@@ -33,6 +33,12 @@ chunks that bound the memory of the edge level on large lattices. Off the
 tape the bias adds and rectifiers run in place on the buffers the products
 return (``ad.add_``, ``ad.relu_``); on it they are the taped primitives.
 
+A plan's operators are constants, and so is every block a forward takes of
+one: ``plan.block`` builds it on first use, once per operator, dtype and
+chunk, and keeps it with the plan; ``ad.sparse_mix`` keeps each block's
+transpose for the backward. After its first step, training on a plan
+builds no sparse matrix.
+
 Row layouts are fixed and deterministic: node blocks ordered by (graph,
 node id, ball node id); edge copies ordered by (graph, head, tail). Chunks
 end only where the head changes, so each output row takes all its messages
@@ -41,7 +47,7 @@ from one chunk, summed in edge order; chunking never changes a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +60,23 @@ from .neighbourhoods import NeighbourhoodAssignment, ball
 
 
 @dataclass
-class EdgePlan:
+class _KeepsBlocks:
+    """A plan's sparse operators are constants: each row block that a
+    forward takes of one, in one dtype, is built on first use and kept."""
+
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def block(self, name: str, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
+        """``_row_block`` of the operator ``name``, kept with the plan."""
+        key = (name, np.dtype(dtype), r0, r1, c0, c1)
+        found = self._blocks.get(key)
+        if found is None:
+            found = self._blocks[key] = _row_block(getattr(self, name), dtype, r0, r1, c0, c1)
+        return found
+
+
+@dataclass
+class EdgePlan(_KeepsBlocks):
     graphs: list[ConcreteGraph]
     n_nodes_total: int
     node_rows: int
@@ -343,9 +365,9 @@ def _gcn2_layer(
     own, mixed = [], []
     for r0, r1, x0, x1 in _chunks(plan, chunk_edges):
         y = _edge_level(plan, pre, layers, dtype, r0, r1)
-        own.append(ad.sparse_mix(y, _row_block(plan.project, dtype, x0, x1, r0, r1)))
+        own.append(ad.sparse_mix(y, plan.block("project", dtype, x0, x1, r0, r1)))
         if depth > 1:
-            mixed.append(ad.sparse_mix(y, _row_block(plan.project_mix, dtype, x0, x1, r0, r1)))
+            mixed.append(ad.sparse_mix(y, plan.block("project_mix", dtype, x0, x1, r0, r1)))
         del y  # free the chunk's edge rows before the next chunk's are built
     out = ad.concat_rows(own)
     counts = np.diff(plan.project.indptr)  # messages into each node row
@@ -378,12 +400,12 @@ def _edge_level(plan, pre, layers, dtype, r0, r1) -> ad.Tensor:
     """Edge rows r0:r1 after every message-net layer but the last. Every
     buffer rectified or added into here is one that a product just
     returned, so off the tape it is overwritten in place."""
-    y = ad.sparse_mix(pre, _row_block(plan.embed, dtype, r0, r1))
+    y = ad.sparse_mix(pre, plan.block("embed", dtype, r0, r1))
     if len(layers) == 1:
         return y
     y = ad.relu_(y)
     for w_self, w_neigh, bias in layers[1:-1]:
-        neigh = ad.sparse_mix(y, _row_block(plan.mix, dtype, r0, r1, r0, r1))
+        neigh = ad.sparse_mix(y, plan.block("mix", dtype, r0, r1, r0, r1))
         y = ad.relu_(ad.add_(ad.add_(ad.matmul(y, w_self), ad.matmul(neigh, w_neigh)), bias))
     return y
 
@@ -409,10 +431,8 @@ def _chunks(plan: EdgePlan, chunk_edges: int | None):
 
 
 def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
-    """Rows r0:r1 of a CSR operator, its values cast to ``dtype``.
-
-    The cast copies the rows' values once; scipy copies a view of a small
-    part of an array in any case.
+    """Rows r0:r1 of a CSR operator, its values in ``dtype``: a cast copies
+    them, and in the operator's own dtype they are a view.
 
     With ``c0, c1``, the rows' entries all lie in columns c0:c1 (their own
     edge rows), and the block is those columns, renumbered from 0: for
@@ -421,7 +441,7 @@ def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int 
     a, b = op.indptr[r0], op.indptr[r1]
     indices = op.indices[a:b] - c0 if c0 else op.indices[a:b]
     return sp.csr_matrix(
-        (op.data[a:b].astype(dtype), indices, op.indptr[r0 : r1 + 1] - a),
+        (op.data[a:b].astype(dtype, copy=False), indices, op.indptr[r0 : r1 + 1] - a),
         shape=(r1 - r0, (op.shape[1] if c1 is None else c1) - c0),
     )
 
@@ -432,7 +452,7 @@ def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int 
 
 
 @dataclass
-class GcnPlan:
+class GcnPlan(_KeepsBlocks):
     graphs: list[ConcreteGraph]
     n_nodes_total: int
     mix: sp.csr_matrix
@@ -457,7 +477,7 @@ def build_plain_gcn(
 
 def gcn_forward_numpy(plan: GcnPlan, net: GcnMessageNet, x: np.ndarray) -> np.ndarray:
     y = x
-    mix = plan.mix.astype(x.dtype)
+    mix = plan.block("mix", x.dtype, 0, plan.n_nodes_total)
     for layer in net.layers:
         y = y @ layer.w_self + (mix @ y) @ layer.w_neigh + layer.bias
         if not layer.final:

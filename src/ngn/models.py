@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,8 +11,6 @@ from .batched import (
     EdgePlan,
     GcnPlan,
     build_plain_gcn,
-    compile_gcn_plan,
-    compile_plan,
     gcn2_layer_numpy,
     gcn2_layer_tensor,
     gcn_forward_numpy,

@@ -147,9 +147,9 @@ class NgnLayer:
 
         Raises ValidationError on anything else: another version, a missing
         or ill-typed field, a key that is not hex or not the canonical key
-        of its representative, a representative off its canonical labeling,
-        marks that are not an edge of the representative, or weights whose
-        shapes do not fit the solved basis.
+        of its representative, a key listed twice, a representative off its
+        canonical labeling, marks that are not an edge of the representative,
+        or weights whose shapes do not fit the solved basis.
         """
         if not isinstance(payload, dict) or payload.get("version") != LAYER_FORMAT_VERSION:
             version = payload.get("version") if isinstance(payload, dict) else None
@@ -167,6 +167,8 @@ class NgnLayer:
                 raise ValidationError("layer classes must be a list")
             for index, entry in enumerate(payload["classes"]):
                 shared = layer._class_from_entry(entry, index)
+                if shared.basis.edge_class.key in layer.table:
+                    raise ValidationError(f"class {index}: its key is listed twice")
                 layer.table[shared.basis.edge_class.key] = shared
         except (KeyError, TypeError, ValueError, OverflowError, ShapeError) as exc:
             raise ValidationError(f"malformed layer: {exc!r}") from None

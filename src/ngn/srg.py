@@ -9,8 +9,6 @@ degree graphs for the expressiveness suite when no external file is given.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graph_core import ConcreteGraph, from_undirected, unique_up_to_isomorphism
 
 _P = 5  # base prime; the field has 25 elements represented as a + b*x

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from ngn import autodiff as ad
@@ -548,6 +549,114 @@ class TestClassifier:
         assert r1.losses == r2.losses
         assert r1.losses[-1] < r1.losses[0]
         assert r1.train_accuracy == 1.0
+
+
+# sha256 of train_classifier's epoch losses and final parameters (see
+# training_digest) on a fixed corpus of two batches, 3 epochs. Training must
+# reproduce them bit for bit: the operators a plan keeps and the tape's
+# gradient rules may be reorganised, not the floats they compute.
+PINNED_TRAINING_SHA256 = {
+    ("float32", 2, "sum"): "ba0d94493d5ad60d113b3661fe7d6b5315b77d0549f36ee408b5ca00cd094378",
+    ("float32", 3, "mean"): "2cd962aa7e66019295db9df16b895424d0a97b2ac286c0ef42bf30c3b2c2cf5b",
+    ("float64", 2, "sum"): "1a7aa32bca2d8443f17f6080e3a1eae6a1dcdf472afe2dea1cb11492da2283ab",
+    ("float64", 3, "mean"): "3a2ccac52932c8c25dc65b3ea4bbf92e34538a39cd0606f23af1e1658024d763",
+}
+
+
+def training_batches(dtype):
+    """Plans, inputs and labels of two batches of small graphs."""
+    rng = np.random.default_rng(21)
+    graphs = [random_graph(rng, int(rng.integers(5, 9)), 0.45) for _ in range(10)]
+    lonely = from_undirected(range(5), [(0, 1), (1, 2), (2, 0), (2, 3)])  # node 4 has no edge
+    plans, inputs, labels = [], [], []
+    for batch in (graphs[:5] + [lonely], graphs[5:]):
+        plan = compile_plan(batch, K1)
+        plans.append(plan)
+        inputs.append(node_attrs_to_buffer(plan, [rng.standard_normal((g.n, 2)) for g in batch], dtype=dtype))
+        labels.append(np.arange(len(batch)) % 2)
+    return plans, inputs, labels
+
+
+def training_digest(dtype, msg_layers: int, aggregation: str) -> str:
+    plans, inputs, labels = training_batches(dtype)
+    cfg = Gcn2Config(ngn_layers=2, msg_layers=msg_layers, hidden=6, aggregation=aggregation, dtype=dtype)
+    params = init_classifier_params(np.random.default_rng(4), 2, cfg)
+    result = train_classifier(plans, inputs, labels, params, cfg, epochs=3, rate=1e-2, seed=1)
+    digest = hashlib.sha256(np.array(result.losses, dtype=np.float64).tobytes())
+    for name in sorted(params):
+        assert params[name].data.dtype == dtype, name
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(params[name].data).tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainingIsPinned:
+    @pytest.mark.parametrize("key", sorted(PINNED_TRAINING_SHA256))
+    def test_losses_and_final_params_pinned(self, key):
+        dtype, msg_layers, aggregation = key
+        assert training_digest(np.dtype(dtype).type, msg_layers, aggregation) == PINNED_TRAINING_SHA256[key]
+
+
+class TestOperatorsBuiltOnce:
+    """A plan keeps every operator block it builds, per dtype; the tape
+    keeps each block's transpose and each scatter operator."""
+
+    def test_no_sparse_matrix_is_built_after_the_first_epoch(self, monkeypatch):
+        plans, inputs, labels = training_batches(np.float32)
+        cfg = Gcn2Config(ngn_layers=2, msg_layers=3, hidden=6, dtype=np.float32)
+        params = init_classifier_params(np.random.default_rng(4), 2, cfg)
+        built = [0]
+        init = sp._base._spbase.__init__  # every scipy sparse matrix runs it
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        # the count of matrices built before each step's update
+        before_update = []
+        adam_step = ad.adam_step
+
+        def spy_step(*args):
+            before_update.append(built[0])
+            return adam_step(*args)
+
+        monkeypatch.setattr(sp._base._spbase, "__init__", counting_init)
+        monkeypatch.setattr(ad, "adam_step", spy_step)
+        train_classifier(plans, inputs, labels, params, cfg, epochs=4, rate=1e-2, seed=1)
+        first_epoch = before_update[len(plans) - 1]
+        assert len(before_update) == 4 * len(plans) and first_epoch > 0
+        # later epochs, and the accuracy pass after them, build none
+        assert built[0] == first_epoch, before_update
+
+    def test_kept_blocks_serve_only_their_dtype(self):
+        rng = np.random.default_rng(13)
+        lonely = from_undirected(range(5), [(0, 1), (1, 2), (2, 0), (2, 3)])
+        graphs = [random_graph(rng, 8, 0.4), lonely, random_graph(rng, 7, 0.6)]
+        attrs = [rng.standard_normal((g.n, 2)) for g in graphs]
+        labels = np.array([0, 1, 0])
+        plan, gcn_plan = compile_plan(graphs, K1), compile_gcn_plan(graphs)
+
+        def outputs(plan, gcn_plan, dtype):
+            net = message_net_from_params(
+                init_message_net_params(np.random.default_rng(5), 3, 5, data_in=2, c_out=3, dtype=dtype)
+            )
+            x = node_attrs_to_buffer(plan, attrs, dtype=dtype)
+            out = [gcn2_layer_numpy(plan, net, x, chunk_edges=c) for c in (None, 1, 5)]
+            cfg = Gcn2Config(ngn_layers=2, msg_layers=3, hidden=5, dtype=dtype)
+            params = init_classifier_params(np.random.default_rng(6), 2, cfg)
+            loss = ad.softmax_cross_entropy(classifier_logits(plan, params, x, cfg), labels)
+            out.append(loss.data)
+            out += ad.grads_of(loss, params).values()
+            gcn = build_plain_gcn(np.random.default_rng(7), 2, 4, c_in=2, c_out=3, dtype=dtype)
+            out.append(gcn_forward_numpy(gcn_plan, gcn, np.concatenate(attrs).astype(dtype)))
+            return out
+
+        for dtype in (np.float32, np.float64, np.float32):
+            kept = outputs(plan, gcn_plan, dtype)
+            fresh = outputs(compile_plan(graphs, K1), compile_gcn_plan(graphs), dtype)
+            assert len(kept) == len(fresh)
+            for a, b in zip(kept, fresh):
+                assert a.dtype == b.dtype == dtype and np.array_equal(a, b), dtype
 
 
 class TestEmbeddings:

@@ -1,3 +1,4 @@
+import copy
 import json
 import time
 from functools import cache
@@ -471,6 +472,7 @@ class TestCache:
             lambda d, e: e.update(key=e["key"][:-2] + ("01" if e["key"][-2:] == "00" else "00")),
             lambda d, e: e.update(marked=e["marked"][:1] * 2),
             lambda d, e: _reverse_ids(e),
+            lambda d, e: d["classes"].append(copy.deepcopy(e)),
         ],
         ids=[
             "no rho",
@@ -480,6 +482,7 @@ class TestCache:
             "key of another class",
             "marks not an edge",
             "representative off its canonical labeling",
+            "duplicate key",
         ],
     )
     def test_malformed_entry_raises_validation_error(self, corrupt):

@@ -1,4 +1,5 @@
-"""No public name in ``src/ngn`` exists only for the tests to call.
+"""No public name in ``src/ngn`` exists only for the tests to call, and no
+module there imports a name that it never reads.
 
 The package's code and ``perfbench/`` are read as syntax trees, never run.
 A definition is reached when code that runs without the tests names it: a
@@ -115,3 +116,32 @@ def test_no_public_name_is_reached_only_from_tests():
 def test_every_allowed_name_is_still_test_only():
     # an entry that code now reaches, or that no longer exists, leaves the list
     assert set(ALLOWED) <= set(_test_only())
+
+
+def _unread_imports(module: ast.Module) -> list[str]:
+    """Names that a module's imports bind and its code never reads (a name
+    listed in ``__all__`` counts as read)."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(module):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(module) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_unread_imports_are_caught():
+    module = ast.parse("import numpy as np\nfrom os import path, sep\nimport a.b\n__all__ = ['sep']\nprint(path)\n")
+    assert _unread_imports(module) == ["np (line 1)", "a (line 3)"]
+
+
+def test_every_imported_name_is_read():
+    unread = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "ngn").glob("*.py"))
+        if (names := _unread_imports(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert unread == {}, "imported names that their module never reads"
