@@ -10,8 +10,8 @@ the gradient of a constant.
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,19 +177,8 @@ def sum_into_rows(idx: np.ndarray, n_rows: int, dtype) -> sp.csr_matrix:
     the canonical CSR lists its columns in increasing k, and scipy adds a
     row's terms in that order, starting from zero, so every sum is the same
     float, bit for bit, as adding the rows one at a time in index order.
-
-    The index arrays of a training run repeat every step (a plan's segment
-    ids, a weight's row ranges), so S is built once per index array, row
-    count and dtype among the last 64 asked for, and shared: callers must
-    not modify it.
     """
-    idx = np.ascontiguousarray(idx, dtype=np.intp)
-    return _sum_into_rows(idx.tobytes(), int(n_rows), np.dtype(dtype))
-
-
-@functools.lru_cache(maxsize=64)
-def _sum_into_rows(idx_bytes: bytes, n_rows: int, dtype: np.dtype) -> sp.csr_matrix:
-    idx = np.frombuffer(idx_bytes, dtype=np.intp)
+    idx = np.asarray(idx, dtype=np.intp)
     counts = np.bincount(idx, minlength=n_rows)
     if counts.size > n_rows:
         raise ShapeError(f"row index {idx.max()} out of range for {n_rows} rows")
@@ -199,11 +188,16 @@ def _sum_into_rows(idx_bytes: bytes, n_rows: int, dtype: np.dtype) -> sp.csr_mat
     return sp.csr_matrix((np.ones(idx.size, dtype=dtype), cols, indptr), shape=(n_rows, idx.size))
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+def gather_rows(a: Tensor, idx: np.ndarray, scatter: Callable[[], sp.csr_matrix] | None = None) -> Tensor:
+    """Rows ``idx`` of ``a``. The backward adds the gradient's rows back by
+    ``sum_into_rows(idx, len(a), a.dtype)``; a caller that keeps that
+    operator passes ``scatter``, which returns it and which only a backward
+    calls."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
-        a._accumulate(sum_into_rows(idx, a.data.shape[0], g.dtype) @ g)
+        s = sum_into_rows(idx, a.data.shape[0], g.dtype) if scatter is None else scatter()
+        a._accumulate(s @ g)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -261,37 +255,31 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _make(np.concatenate([p.data for p in parts]), parts, backward)
 
 
-def sparse_mix(a: Tensor, mat: sp.spmatrix) -> Tensor:
+def sparse_mix(a: Tensor, mat: sp.spmatrix, transposed: Callable[[], sp.spmatrix] | None = None) -> Tensor:
     """Multiply by a constant sparse matrix: out = mat @ a, in a's dtype.
 
-    The backward multiplies by ``_transposed(mat)``, so a matrix that is
-    passed again (a plan's kept blocks) is transposed once.
+    The backward multiplies by ``mat.T``; a caller that keeps that
+    transpose passes ``transposed``, which returns it and which only a
+    backward calls (see ``EdgePlan.block``).
     """
     csr = mat.tocsr().astype(a.data.dtype, copy=False)
 
     def backward(g):
-        a._accumulate(_transposed(csr) @ g)
+        a._accumulate((csr.T if transposed is None else transposed()) @ g)
 
     return _make(csr @ a.data, (a,), backward)
 
 
-def _transposed(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """``csr.T`` as a canonical CSR, built on the first call and kept on
-    ``csr``, which the tape treats as a constant. Row i lists the entries of
-    column i of ``csr`` by increasing row, the order in which ``csr.T @ g``
-    adds them, so the product is the same float, bit for bit."""
-    found = csr.__dict__.get("_transposed")
-    if found is None:
-        found = csr._transposed = csr.T.tocsr()
-    return found
-
-
-def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int) -> Tensor:
-    """Mean of rows per segment; empty segments produce zero rows."""
+def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int, scatter: sp.csr_matrix | None = None) -> Tensor:
+    """Mean of rows per segment; empty segments produce zero rows. A caller
+    that keeps ``sum_into_rows(seg_ids, n_segments, a.dtype)`` passes it as
+    ``scatter``."""
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
     counts = np.bincount(seg_ids, minlength=n_segments).astype(a.data.dtype)
     safe = np.maximum(counts, 1.0)
-    out_data = (sum_into_rows(seg_ids, n_segments, a.data.dtype) @ a.data) / safe[:, None]
+    if scatter is None:
+        scatter = sum_into_rows(seg_ids, n_segments, a.data.dtype)
+    out_data = (scatter @ a.data) / safe[:, None]
 
     def backward(g):
         a._accumulate((g / safe[:, None])[seg_ids])

@@ -33,11 +33,12 @@ chunks that bound the memory of the edge level on large lattices. Off the
 tape the bias adds and rectifiers run in place on the buffers the products
 return (``ad.add_``, ``ad.relu_``); on it they are the taped primitives.
 
-A plan's operators are constants, and so is every block a forward takes of
-one: ``plan.block`` builds it on first use, once per operator, dtype and
-chunk, and keeps it with the plan; ``ad.sparse_mix`` keeps each block's
-transpose for the backward. After its first step, training on a plan
-builds no sparse matrix.
+A plan's operators are constants, and so is every operator taken from one.
+The plan builds each on first use and keeps it: a row block once per
+operator, dtype and chunk (``plan.block``), its transpose once per block,
+for a backward, and the scatter of a segment-id array or of a weight's row
+range once per dtype (``plan.scatter``). After its first step, training on
+a plan builds no sparse matrix.
 
 Row layouts are fixed and deterministic: node blocks ordered by (graph,
 node id, ball node id); edge copies ordered by (graph, head, tail). Chunks
@@ -47,6 +48,7 @@ from one chunk, summed in edge order; chunking never changes a result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,23 +62,44 @@ from .neighbourhoods import NeighbourhoodAssignment, ball
 
 
 @dataclass
-class _KeepsBlocks:
-    """A plan's sparse operators are constants: each row block that a
-    forward takes of one, in one dtype, is built on first use and kept."""
+class _KeepsOperators:
+    """A plan's sparse operators are constants, and so is every operator
+    taken from one: a row block in one dtype, that block's transpose, the
+    scatter of an index array. Each is built on first use and kept in one
+    memo, which lives as long as the plan."""
 
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def block(self, name: str, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
-        """``_row_block`` of the operator ``name``, kept with the plan."""
-        key = (name, np.dtype(dtype), r0, r1, c0, c1)
-        found = self._blocks.get(key)
+    def _keep(self, key, build):
+        found = self._kept.get(key)
         if found is None:
-            found = self._blocks[key] = _row_block(getattr(self, name), dtype, r0, r1, c0, c1)
+            found = self._kept[key] = build()
         return found
+
+    def block(
+        self, name: str, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None, transposed: bool = False
+    ) -> sp.csr_matrix:
+        """``_row_block`` of the operator ``name``. With ``transposed``, that
+        block's transpose as a canonical CSR: its row i lists column i of the
+        block by increasing row, the order in which ``block.T @ g`` adds
+        them, so the product is the same float, bit for bit."""
+        key = (name, np.dtype(dtype), r0, r1, c0, c1)
+        if transposed:
+            return self._keep(key + ("T",), lambda: self.block(name, dtype, r0, r1, c0, c1).T.tocsr())
+        return self._keep(key, lambda: _row_block(getattr(self, name), dtype, r0, r1, c0, c1))
+
+    def scatter(self, rows: str | range, n_rows: int, dtype) -> sp.csr_matrix:
+        """``ad.sum_into_rows`` of the plan's index array named ``rows``, or
+        of a range of rows."""
+        def build():
+            idx = getattr(self, rows) if isinstance(rows, str) else np.asarray(rows)
+            return ad.sum_into_rows(idx, n_rows, dtype)
+
+        return self._keep(("scatter", rows, n_rows, np.dtype(dtype)), build)
 
 
 @dataclass
-class EdgePlan(_KeepsBlocks):
+class EdgePlan(_KeepsOperators):
     graphs: list[ConcreteGraph]
     n_nodes_total: int
     node_rows: int
@@ -361,13 +384,13 @@ def _gcn2_layer(
         raise ValidationError(f"unknown aggregation {aggregation!r}")
     dtype = x.dtype
     depth = len(layers)
-    pre = _first_products(x, *layers[0])
+    pre = _first_products(plan, x, *layers[0])
     own, mixed = [], []
     for r0, r1, x0, x1 in _chunks(plan, chunk_edges):
         y = _edge_level(plan, pre, layers, dtype, r0, r1)
-        own.append(ad.sparse_mix(y, plan.block("project", dtype, x0, x1, r0, r1)))
+        own.append(_mix(plan, y, "project", dtype, x0, x1, r0, r1))
         if depth > 1:
-            mixed.append(ad.sparse_mix(y, plan.block("project_mix", dtype, x0, x1, r0, r1)))
+            mixed.append(_mix(plan, y, "project_mix", dtype, x0, x1, r0, r1))
         del y  # free the chunk's edge rows before the next chunk's are built
     out = ad.concat_rows(own)
     counts = np.diff(plan.project.indptr)  # messages into each node row
@@ -382,17 +405,25 @@ def _gcn2_layer(
     return out
 
 
-def _first_products(x: ad.Tensor, w_self: ad.Tensor, w_neigh: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
+def _first_products(
+    plan: EdgePlan, x: ad.Tensor, w_self: ad.Tensor, w_neigh: ad.Tensor, bias: ad.Tensor
+) -> ad.Tensor:
     """The operand of ``plan.embed``: ``x' [W_self | W_neigh]`` with each
     row split in two, so that row 2u is ``x'[u] W_self`` and row 2u + 1 is
     ``x'[u] W_neigh``, and then the bias. ``x'`` is the node rows with two
     zero columns, then two rows that carry the marker columns, so its
     products are ``x`` times the weights' data rows, then the weights' two
-    marker rows; they are taken that way, without building ``x'``."""
+    marker rows; they are taken that way, without building ``x'``. A
+    backward adds the gradients of those rows back into the weights by
+    the plan's kept scatters."""
     n, c = x.shape
     w = ad.concat_cols(w_self, w_neigh)
-    node_rows = ad.reshape(ad.matmul(x, ad.gather_rows(w, np.arange(c))), (2 * n, -1))
-    marker_rows = ad.reshape(ad.gather_rows(w, np.array([c, c + 1])), (4, -1))
+
+    def gather(rows: range) -> ad.Tensor:
+        return ad.gather_rows(w, np.asarray(rows), functools.partial(plan.scatter, rows, w.shape[0], w.dtype))
+
+    node_rows = ad.reshape(ad.matmul(x, gather(range(c))), (2 * n, -1))
+    marker_rows = ad.reshape(gather(range(c, c + 2)), (4, -1))
     return ad.concat_rows([node_rows, marker_rows, ad.reshape(bias, (1, -1))])
 
 
@@ -400,14 +431,21 @@ def _edge_level(plan, pre, layers, dtype, r0, r1) -> ad.Tensor:
     """Edge rows r0:r1 after every message-net layer but the last. Every
     buffer rectified or added into here is one that a product just
     returned, so off the tape it is overwritten in place."""
-    y = ad.sparse_mix(pre, plan.block("embed", dtype, r0, r1))
+    y = _mix(plan, pre, "embed", dtype, r0, r1)
     if len(layers) == 1:
         return y
     y = ad.relu_(y)
     for w_self, w_neigh, bias in layers[1:-1]:
-        neigh = ad.sparse_mix(y, plan.block("mix", dtype, r0, r1, r0, r1))
+        neigh = _mix(plan, y, "mix", dtype, r0, r1, r0, r1)
         y = ad.relu_(ad.add_(ad.add_(ad.matmul(y, w_self), ad.matmul(neigh, w_neigh)), bias))
     return y
+
+
+def _mix(plan: EdgePlan, y: ad.Tensor, name: str, dtype, *rows: int) -> ad.Tensor:
+    """``ad.sparse_mix`` of ``y`` by the plan's kept block of the operator
+    ``name``; a backward multiplies by the block's kept transpose."""
+    block = functools.partial(plan.block, name, dtype, *rows)
+    return ad.sparse_mix(y, block(), functools.partial(block, transposed=True))
 
 
 def _chunks(plan: EdgePlan, chunk_edges: int | None):
@@ -452,7 +490,7 @@ def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int 
 
 
 @dataclass
-class GcnPlan(_KeepsBlocks):
+class GcnPlan(_KeepsOperators):
     graphs: list[ConcreteGraph]
     n_nodes_total: int
     mix: sp.csr_matrix

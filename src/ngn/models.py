@@ -76,9 +76,11 @@ def classifier_logits_numpy(
 
 
 def _mean_pool(plan: EdgePlan, x: ad.Tensor) -> ad.Tensor:
-    """Node features (mean over each block), then graph features (mean over nodes)."""
-    node_feats = ad.segment_mean(x, plan.node_seg, plan.n_nodes_total)
-    return ad.segment_mean(node_feats, plan.graph_of_node, len(plan.graphs))
+    """Node features (mean over each block), then graph features (mean over
+    nodes), each by the plan's kept scatter."""
+    n_nodes, n_graphs = plan.n_nodes_total, len(plan.graphs)
+    node_feats = ad.segment_mean(x, plan.node_seg, n_nodes, plan.scatter("node_seg", n_nodes, x.dtype))
+    return ad.segment_mean(node_feats, plan.graph_of_node, n_graphs, plan.scatter("graph_of_node", n_graphs, x.dtype))
 
 
 @dataclass

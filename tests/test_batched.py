@@ -417,9 +417,9 @@ class TestFloat32Inference:
             seen["dense"].append((a.dtype, b.dtype))
             return matmul(a, b)
 
-        def sparse_spy(a, mat):
+        def sparse_spy(a, mat, *transposed):
             seen["sparse"].append((a.dtype, mat.dtype))
-            return sparse_mix(a, mat)
+            return sparse_mix(a, mat, *transposed)
 
         monkeypatch.setattr(ad, "matmul", dense_spy)
         monkeypatch.setattr(ad, "sparse_mix", sparse_spy)
@@ -598,19 +598,23 @@ class TestTrainingIsPinned:
 
 
 class TestOperatorsBuiltOnce:
-    """A plan keeps every operator block it builds, per dtype; the tape
-    keeps each block's transpose and each scatter operator."""
+    """A plan keeps every operator it takes of its own: row blocks per
+    dtype, their transposes and its scatters."""
 
     def test_no_sparse_matrix_is_built_after_the_first_epoch(self, monkeypatch):
         plans, inputs, labels = training_batches(np.float32)
         cfg = Gcn2Config(ngn_layers=2, msg_layers=3, hidden=6, dtype=np.float32)
         params = init_classifier_params(np.random.default_rng(4), 2, cfg)
         built = [0]
-        init = sp._base._spbase.__init__  # every scipy sparse matrix runs it
 
-        def counting_init(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
+        def counting(cls):
+            init = cls.__init__
+
+            def counting_init(self, *args, **kwargs):
+                built[0] += 1
+                init(self, *args, **kwargs)
+
+            return counting_init
 
         # the count of matrices built before each step's update
         before_update = []
@@ -620,7 +624,10 @@ class TestOperatorsBuiltOnce:
             before_update.append(built[0])
             return adam_step(*args)
 
-        monkeypatch.setattr(sp._base._spbase, "__init__", counting_init)
+        # blocks, scatters and transposes are CSR; a transpose taken per
+        # call (``csr.T``) is a CSC
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
         monkeypatch.setattr(ad, "adam_step", spy_step)
         train_classifier(plans, inputs, labels, params, cfg, epochs=4, rate=1e-2, seed=1)
         first_epoch = before_update[len(plans) - 1]
