@@ -117,12 +117,13 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """``a @ b``, written into ``out`` when a caller passes that buffer."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    out_data = np.matmul(a.data, b.data, out=out)
 
     def backward(g):
         if a._on_tape():

@@ -382,7 +382,7 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
         def run_gcn2(plan=plan, x0=x0):
             x = x0
             for l, net in enumerate(gcn2_nets):
-                x = gcn2_layer_numpy(plan, net, x, chunk_edges=30000)
+                x = gcn2_layer_numpy(plan, net, x)
                 if l < depth - 1:
                     np.maximum(x, 0, out=x)
             return x

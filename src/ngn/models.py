@@ -163,7 +163,6 @@ class EmbeddingConfig:
     hidden: int = 128
     out: int = 128
     dtype: type = np.float32
-    chunk_edges: int | None = 20000
 
 
 def gcn2_embeddings(
@@ -184,7 +183,7 @@ def gcn2_embeddings(
     for layer in range(cfg.ngn_layers):
         c_out = cfg.out if layer == cfg.ngn_layers - 1 else cfg.hidden
         net = build_gcn_net(rng, cfg.layers, cfg.hidden, data_in=width, c_out=c_out, dtype=cfg.dtype)
-        x = gcn2_layer_numpy(plan, net, x, chunk_edges=cfg.chunk_edges)
+        x = gcn2_layer_numpy(plan, net, x)
         if layer < cfg.ngn_layers - 1:
             np.maximum(x, 0, out=x)
         width = c_out

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from ngn import autodiff as ad
+from ngn import batched
 from ngn.batched import (
     compile_gcn_plan,
     compile_plan,
@@ -18,7 +19,7 @@ from ngn.batched import (
     message_net_from_params,
     node_attrs_to_buffer,
 )
-from ngn.datasets import synth_suites
+from ngn.datasets import degree_features, synth_suites
 from ngn.errors import ShapeError
 from ngn.graph_core import ConcreteGraph, from_undirected
 from ngn.lattices import square_torus
@@ -398,6 +399,119 @@ class TestFusedEdgeLevel:
         assert ("relu", plan.edge_rows) in calls and ("add", plan.edge_rows) in calls
 
 
+class TestTiledEdgeLevel:
+    """Off the tape the edge level is walked in tiles of at most
+    ``TILE_BYTES`` of edge rows, cut where the head changes, and each tile's
+    projections are written into one node-row buffer."""
+
+    @staticmethod
+    def spy_on_edge_level(monkeypatch) -> list:
+        seen = []
+        edge_level = batched._edge_level
+
+        def spy(plan, pre, layers, dtype, r0, r1):
+            y = edge_level(plan, pre, layers, dtype, r0, r1)
+            seen.append((r0, r1, y.data.nbytes))
+            return y
+
+        monkeypatch.setattr(batched, "_edge_level", spy)
+        return seen
+
+    @staticmethod
+    def one_head(plan, r0, r1) -> bool:
+        e0, e1 = np.searchsorted(plan.edge_row_ptr, [r0, r1])
+        return len(set(plan.edge_head_end[e0:e1].tolist())) == 1
+
+    def test_edge_level_stays_within_the_tile(self, monkeypatch):
+        torus = square_torus(32)
+        plan = compile_plan([torus], K1)
+        x = node_attrs_to_buffer(plan, degree_features([torus]), dtype=np.float32)
+        net = build_gcn_net(np.random.default_rng(0), 3, 32, data_in=1, c_out=32, dtype=np.float32)
+        expected = unfused_gcn2_layer(plan, net, x)
+        seen = self.spy_on_edge_level(monkeypatch)
+
+        def no_concat(parts):
+            raise AssertionError("concat_rows called off the tape")
+
+        monkeypatch.setattr(ad, "concat_rows", no_concat)
+        got = gcn2_layer_numpy(plan, net, x)
+        assert np.array_equal(got, expected)
+        assert len(seen) > 1
+        assert [r0 for r0, _, _ in seen] == [0] + [r1 for _, r1, _ in seen[:-1]]
+        assert seen[-1][1] == plan.edge_rows
+        for r0, r1, nbytes in seen:
+            assert nbytes <= batched.TILE_BYTES or self.one_head(plan, r0, r1), (r0, r1, nbytes)
+
+    @pytest.mark.parametrize("tile_bytes", [1, 100, 1000, 10**9])
+    def test_every_tile_budget_gives_the_same_bits(self, tile_bytes, monkeypatch):
+        rng = np.random.default_rng(12)
+        lonely = from_undirected(range(5), [(0, 1), (1, 2), (2, 0), (2, 3)])  # node 4 has no edge
+        star = from_undirected(range(7), [(0, i) for i in range(1, 7)])  # node 0 has six in-edges
+        graphs = [random_graph(rng, 8, 0.4), lonely, star, random_graph(rng, 7, 0.6)]
+        plan = compile_plan(graphs, K1)
+        x = features_to_buffer(plan, [standard_blocks(rng, g, 2) for g in graphs], 2).astype(np.float32)
+        monkeypatch.setattr(batched, "TILE_BYTES", tile_bytes)
+        seen = self.spy_on_edge_level(monkeypatch)
+        for depth in (1, 2, 3):
+            params = init_message_net_params(rng, depth, 5, data_in=2, c_out=3, dtype=np.float32)
+            for name, p in params.items():  # nonzero biases, so that a lost add shows
+                if name.endswith("bias"):
+                    p.data = rng.standard_normal(p.data.shape).astype(np.float32)
+            net = message_net_from_params(params)
+            for aggregation in ("sum", "mean"):
+                expected = unfused_gcn2_layer(plan, net, x, aggregation)
+                for chunk_edges in (None, 3):
+                    got = gcn2_layer_numpy(plan, net, x, chunk_edges=chunk_edges, aggregation=aggregation)
+                    assert np.array_equal(got, expected), (depth, aggregation, chunk_edges)
+        for r0, r1, nbytes in seen:
+            assert nbytes <= tile_bytes or self.one_head(plan, r0, r1), (r0, r1, nbytes)
+        if tile_bytes == 1:  # then every tile is one head's edges
+            heads = len(set(plan.edge_head_end.tolist()))
+            assert len(seen) == 2 * 2 * 3 * heads
+
+    def test_a_taped_middle_layer_keeps_the_edge_level_on_the_tape(self):
+        rng = np.random.default_rng(15)
+        graphs = [random_graph(rng, 7, 0.5), random_graph(rng, 6, 0.5)]
+        plan = compile_plan(graphs, K1)
+        x = ad.constant(features_to_buffer(plan, [standard_blocks(rng, g, 2) for g in graphs], 2))
+        weights = {k: p.data for k, p in init_message_net_params(rng, 3, 4, data_in=2, c_out=3).items()}
+
+        def middle_grads(taped):
+            params = {k: ad.param(w) if taped(k) else ad.constant(w) for k, w in weights.items()}
+            out = gcn2_layer_tensor(plan, params, x)
+            pooled = ad.segment_mean(out, plan.node_seg, plan.n_nodes_total)
+            loss = ad.softmax_cross_entropy(ad.segment_mean(pooled, plan.graph_of_node, 2), np.array([0, 1]))
+            return ad.grads_of(loss, {k: p for k, p in params.items() if "/l1/" in k})
+
+        every = middle_grads(lambda k: True)
+        # the other layers' weights constants: the first products leave the tape
+        only_middle = middle_grads(lambda k: "/l1/" in k)
+        assert every.keys() == only_middle.keys() and len(every) == 3
+        for name, g in every.items():
+            assert g.any() and np.array_equal(g, only_middle[name]), name
+
+    def test_bounds_and_counts_are_kept_by_the_plan(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        graphs = [random_graph(rng, 8, 0.5) for _ in range(2)]
+        plan = compile_plan(graphs, K1)
+        net = message_net_from_params(init_message_net_params(rng, 2, 4, data_in=1, c_out=3, dtype=np.float32))
+        x = node_attrs_to_buffer(plan, degree_features(graphs), dtype=np.float32)
+        walks = []
+        tiles = batched._tiles
+
+        def counting(*args):
+            walks.append(args[1:])
+            return tiles(*args)
+
+        monkeypatch.setattr(batched, "_tiles", counting)
+        first = [gcn2_layer_numpy(plan, net, x, chunk_edges=c) for c in (None, 3)]
+        messages = plan.messages(np.float32)
+        again = [gcn2_layer_numpy(plan, net, x, chunk_edges=c) for c in (None, 3)]
+        assert len(walks) == 2 and all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert plan.messages(np.float32) is messages
+        assert messages.dtype == np.float32 and messages[:, 0].tolist() == np.diff(plan.project.indptr).tolist()
+
+
 class TestFloat32Inference:
     def test_message_net_products_stay_float32(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -413,9 +527,9 @@ class TestFloat32Inference:
         seen = {"dense": [], "sparse": []}
         matmul, sparse_mix = ad.matmul, ad.sparse_mix
 
-        def dense_spy(a, b):
+        def dense_spy(a, b, **out):
             seen["dense"].append((a.dtype, b.dtype))
-            return matmul(a, b)
+            return matmul(a, b, **out)
 
         def sparse_spy(a, mat, *transposed):
             seen["sparse"].append((a.dtype, mat.dtype))
@@ -664,6 +778,37 @@ class TestOperatorsBuiltOnce:
             assert len(kept) == len(fresh)
             for a, b in zip(kept, fresh):
                 assert a.dtype == b.dtype == dtype and np.array_equal(a, b), dtype
+
+
+def compiled_path_digest() -> str:
+    """sha256 over ``gcn2_embeddings`` of the four suites of ``synth_suites(0)``
+    (weight seeds 0-1 outer, suites inner, the default float32 config) and
+    then over a 3-layer float32 forward of the 32x32 torus, its nets drawn as
+    ``ngn bench`` draws them."""
+    digest = hashlib.sha256()
+    suites = synth_suites(0)
+    plans = {name: compile_plan(graphs, K1) for name, graphs in suites.items()}
+    for seed in (0, 1):
+        for name, graphs in suites.items():
+            digest.update(gcn2_embeddings(plans[name], degree_features(graphs), seed, EmbeddingConfig()).tobytes())
+    rng = np.random.default_rng(0)
+    nets = [build_gcn_net(rng, 2, 32, data_in=(1 if l == 0 else 32), c_out=32, dtype=np.float32) for l in range(3)]
+    torus = square_torus(32)
+    plan = compile_plan([torus], K1)
+    x = node_attrs_to_buffer(plan, degree_features([torus]), dtype=np.float32)
+    for l, net in enumerate(nets):
+        x = gcn2_layer_numpy(plan, net, x)
+        if l < len(nets) - 1:
+            np.maximum(x, 0, out=x)
+    digest.update(x.tobytes())
+    return digest.hexdigest()
+
+
+class TestCompiledPathIsPinned:
+    def test_embeddings_and_torus_forward_pinned(self):
+        # tiles and chunks may change how the edge level is walked, never
+        # the floats it computes
+        assert compiled_path_digest() == "3db627de27f5f7c0f582c2a7d9bc86a18db82a42539c6bc4c3a43802ae110778"
 
 
 class TestEmbeddings:
