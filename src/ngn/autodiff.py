@@ -54,17 +54,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, scalar: float):
-        return scale(self, scalar)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
@@ -108,13 +97,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        a._accumulate(g * s)
-
-    return _make(a.data * s, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:

@@ -113,7 +113,10 @@ def parse_net_config(text: str) -> dict[str, int]:
     m = _NET_RE.match(text.strip())
     if not m:
         raise ValidationError(f"cannot parse net config {text!r}")
-    return {"layers": int(m.group(1)), "hidden": int(m.group(2))}
+    config = {"layers": int(m.group(1)), "hidden": int(m.group(2))}
+    if min(config.values()) < 1:
+        raise ValidationError(f"net config {text!r} needs at least one layer and one hidden unit")
+    return config
 
 
 # ---------------------------------------------------------------------------

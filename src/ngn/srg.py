@@ -2,16 +2,21 @@
 
 The quadratic-residue graph over the 25-element field and Latin-square
 graphs of order 5 (cells adjacent when they share a row, column, or symbol)
-all realize these parameters; together with complements they provide a
-built-in set of pairwise non-isomorphic, mutually indistinguishable-by-
-degree graphs for the expressiveness suite when no external file is given.
+all realize these parameters. :func:`builtin_srg_25` writes down the three
+pairwise non-isomorphic graphs that these constructions and their
+complements give, with no search and no isomorphism test; they are the
+expressiveness suite's strongly regular graphs when no external file is
+given, equal in degree and triangle count at every node.
 """
 
 from __future__ import annotations
 
-from .graph_core import ConcreteGraph, from_undirected, unique_up_to_isomorphism
+from .graph_core import ConcreteGraph, from_undirected
 
 _P = 5  # base prime; the field has 25 elements represented as a + b*x
+
+# a reduced Latin square of order 5 outside the cyclic square's main class
+_SQUARE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
 
 
 def _gf25_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
@@ -33,46 +38,6 @@ def paley_25() -> ConcreteGraph:
             if diff in squares:
                 pairs.append((index[u], index[v]))
     return from_undirected(range(25), pairs)
-
-
-def _reduced_latin_squares(n: int = 5) -> list[list[list[int]]]:
-    """All Latin squares of order n with first row and column 0..n-1."""
-    square = [[-1] * n for _ in range(n)]
-    square[0] = list(range(n))
-    for r in range(1, n):
-        square[r][0] = r
-    out: list[list[list[int]]] = []
-
-    def fill(r: int, c: int) -> None:
-        if r == n:
-            out.append([row[:] for row in square])
-            return
-        nr, nc = (r, c + 1) if c + 1 < n else (r + 1, 1)
-        if square[r][c] != -1:
-            fill(nr, nc)
-            return
-        used = {square[r][j] for j in range(n) if square[r][j] != -1}
-        used |= {square[i][c] for i in range(n) if square[i][c] != -1}
-        for v in range(n):
-            if v not in used:
-                square[r][c] = v
-                fill(nr, nc)
-                square[r][c] = -1
-
-    fill(1, 1)
-    return out
-
-
-def _intercalates(square: list[list[int]]) -> int:
-    n = len(square)
-    count = 0
-    for r1 in range(n):
-        for r2 in range(r1 + 1, n):
-            for c1 in range(n):
-                for c2 in range(c1 + 1, n):
-                    if square[r1][c1] == square[r2][c2] and square[r1][c2] == square[r2][c1]:
-                        count += 1
-    return count
 
 
 def latin_square_graph(square: list[list[int]]) -> ConcreteGraph:
@@ -120,20 +85,18 @@ def srg_parameters(g: ConcreteGraph) -> tuple[int, int, int, int] | None:
 
 
 def builtin_srg_25() -> list[ConcreteGraph]:
-    """Pairwise non-isomorphic SRG(25, 12, 5, 6) from closed constructions.
+    """The three pairwise non-isomorphic SRG(25, 12, 5, 6) that the closed
+    constructions give: the quadratic-residue graph, the Latin-square graph
+    of ``_SQUARE`` and that graph's complement, in this order.
 
-    Candidates: the quadratic-residue graph, one Latin-square graph per
-    intercalate-count bucket of the reduced squares, and all complements.
-    Deduplicated up to isomorphism.
+    A Latin-square graph depends only on its square's main class, and order
+    5 has two: the cyclic square's and ``_SQUARE``'s (McKay, Meynert &
+    Myrvold, *Small Latin squares, quasigroups and loops*, 2007). The cyclic
+    square's graph is isomorphic to the quadratic-residue graph, which is
+    self-complementary, so every other candidate repeats one of these three.
     """
-    candidates = [paley_25()]
-    buckets: dict[int, list[list[int]]] = {}
-    for square in _reduced_latin_squares(5):
-        buckets.setdefault(_intercalates(square), square)
-    for square in buckets.values():
-        candidates.append(latin_square_graph(square))
-    candidates.extend([complement(g) for g in list(candidates)])
-
-    for g in candidates:
+    latin = latin_square_graph(_SQUARE)
+    graphs = [paley_25(), latin, complement(latin)]
+    for g in graphs:
         assert srg_parameters(g) == (25, 12, 5, 6), "construction broke SRG parameters"
-    return list(unique_up_to_isomorphism(candidates))
+    return graphs

@@ -159,7 +159,7 @@ class TestGraph6:
 
     def test_builtin_srg_round_trip_and_regularity(self, tmp_path):
         srgs = builtin_srg_25()
-        assert len(srgs) >= 2
+        assert len(srgs) == 3
         path = tmp_path / "srg25.g6"
         write_graph6(srgs, path)
         loaded = load_graph6(path)

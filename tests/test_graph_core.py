@@ -200,15 +200,23 @@ class TestUniqueUpToIsomorphism:
     """Bucketing by the degree/triangle invariant keeps exactly the graphs
     that canonical forms alone keep, in the same order."""
 
-    def test_srg_candidates_share_one_invariant(self, monkeypatch):
-        # builtin_srg_25 deduplicates its candidates by this one call
-        monkeypatch.setattr(srg, "unique_up_to_isomorphism", list)
-        candidates = builtin_srg_25()
+    def test_srg_candidates_share_one_invariant(self):
+        # the classical candidates: the quadratic-residue graph, one square of
+        # each main class of order 5, and all three complements
+        cyclic = [[(r + c) % 5 for c in range(5)] for r in range(5)]
+        graphs = [paley_25(), srg.latin_square_graph(cyclic), srg.latin_square_graph(srg._SQUARE)]
+        candidates = graphs + [srg.complement(g) for g in graphs]
         assert len({graph_core._degree_triangle_invariant(g) for g in candidates}) == 1
-        monkeypatch.undo()
         got = assert_same_as_reference(candidates)
         assert len(got) < len(candidates)
-        assert [g.edges for g in got] == [g.edges for g in builtin_srg_25()]
+        assert [(g.nodes, g.edges) for g in got] == [(g.nodes, g.edges) for g in builtin_srg_25()]
+
+    def test_builtin_srg_runs_no_canonical_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("builtin_srg_25 ran a canonical search")
+
+        monkeypatch.setattr(graph_core, "automorphism_generators", forbidden)
+        assert len(builtin_srg_25()) == 3
 
     def test_relabeled_copies_in_a_random_stream(self):
         rng = np.random.default_rng(4)
@@ -270,8 +278,7 @@ class TestUniqueUpToIsomorphism:
     @pytest.mark.parametrize("seed", range(5))
     def test_synth_suites_equal_canonical_only_dedup(self, seed, monkeypatch):
         got = synth_suites(seed)
-        for module in (datasets, srg):
-            monkeypatch.setattr(module, "unique_up_to_isomorphism", unique_by_canonical_form)
+        monkeypatch.setattr(datasets, "unique_up_to_isomorphism", unique_by_canonical_form)
         expected = synth_suites(seed)
         assert list(got) == list(expected)
         for name in got:

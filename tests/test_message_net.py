@@ -40,7 +40,13 @@ class TestConfigText:
         assert parse_net_config("gcn2(layers=2, hidden=64)") == {"layers": 2, "hidden": 64}
 
     def test_rejects(self):
-        for bad in ["gcn2()", "mlp(layers=2, hidden=3)", "gcn2(hidden=2, layers=3)"]:
+        for bad in [
+            "gcn2()",
+            "mlp(layers=2, hidden=3)",
+            "gcn2(hidden=2, layers=3)",
+            "gcn2(layers=0, hidden=16)",
+            "gcn2(layers=2, hidden=0)",
+        ]:
             with pytest.raises(ValidationError):
                 parse_net_config(bad)
 
