@@ -37,8 +37,12 @@ edge rows: the tile bounds the cache footprint, and each tile's rows are
 embedded, rectified and projected while they are in cache. The optional
 ``chunk_edges`` bounds a tile's edges, and so memory. Each tile's
 projections are copied into one node-row buffer per output, and the first
-products are written into one buffer. On the tape the edge level is one
-chunk, or ``chunk_edges`` chunks joined by ``ad.concat_rows``.
+products are written into one buffer, which is dropped when the walk
+ends. Of the last layer's node-level products only ``(S P y) W_self``
+takes a fresh buffer: ``(S P M y) W_neigh`` goes into the buffer of
+``S P y``, and ``count ⊗ b``, one multiply per entry, into that of
+``S P M y``. On the tape the edge level is one chunk, or ``chunk_edges``
+chunks joined by ``ad.concat_rows``.
 
 A plan's operators are constants, and so is every operator taken from one.
 The plan builds each on first use and keeps it: a row block once per
@@ -68,7 +72,7 @@ from . import autodiff as ad
 from .errors import ContractError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph
 from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net, build_gcn_net
-from .neighbourhoods import NeighbourhoodAssignment, ball
+from .neighbourhoods import NeighbourhoodAssignment
 
 # Bytes of edge rows that one tile of the inference edge level holds, so
 # that a tile is embedded, rectified and projected while it is in cache:
@@ -145,27 +149,21 @@ class EdgePlan(_KeepsOperators):
 def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> EdgePlan:
     """Row layouts and operators of a batch of graphs.
 
-    Balls are found node by node; everything per edge is whole-array numpy
-    work on global node serials (graph by graph, node ids ascending).
+    Everything is whole-array numpy work on global node serials (graph by
+    graph, node ids ascending). The balls are the rows of the pattern of
+    (I + A)^k (``_balls``), and every operator is built in CSR order, with
+    no round trip through coordinates: its entries are placed by
+    arithmetic, or come from scipy's row-wise products and merges.
     """
-    ball_sizes: list[int] = []
-    members: list[np.ndarray] = []  # X row -> serial of its ball node
-    serial = 0
-    for g in graphs:
-        balls = [ball(g, p, a.k) for p in g.nodes]
-        ball_sizes += map(len, balls)
-        members.append(serial + np.searchsorted(np.array(g.nodes, dtype=np.intp), [u for b in balls for u in b]))
-        serial += g.n
-
+    tail, head = _edge_serials(graphs)  # edges by (graph, head, tail)
+    balls = _balls(sum(g.n for g in graphs), tail, head, a.k)
+    serial = balls.shape[0]
     n_serial = max(serial, 1)
-    ball_size = np.array(ball_sizes, dtype=np.intp)
-    ball_ptr = np.zeros(serial + 1, dtype=np.intp)
-    np.cumsum(ball_size, out=ball_ptr[1:])
+    ball_ptr = balls.indptr.astype(np.intp)
+    member = balls.indices.astype(np.intp)  # X row -> serial of its ball node
+    del balls
+    ball_size = np.diff(ball_ptr)
     rows = int(ball_ptr[-1])
-    member = _cat(members)
-    tail, head = _edge_serials(graphs)
-    order = np.lexsort((tail, head))  # edges by (graph, head, tail)
-    tail, head = tail[order], head[order]
     edge_count = tail.size
     edge_ids = np.arange(edge_count, dtype=np.intp)
 
@@ -175,51 +173,67 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     tail_keys = np.repeat(edge_ids, ball_size[tail]) * n_serial + member[tail_rows]
     head_rows = _ranges(ball_ptr[head], ball_size[head])
     head_keys = np.repeat(edge_ids, ball_size[head]) * n_serial + member[head_rows]
+    del head_rows
     # edge rows: the union of both balls, by (edge, node), and the edge row
     # of every tail-ball and head-ball key
     keys, tail_pos, head_pos = _merge_sorted(tail_keys, head_keys)
     del tail_keys, head_keys
     y_rows = keys.size
     row_edge, row_node = np.divmod(keys, n_serial)
-    edge_row_ptr = np.searchsorted(row_edge, np.arange(edge_count + 1))
+    del keys
+    edge_row_ptr = _ptr(np.bincount(row_edge, minlength=edge_count))
+    is_tail, is_head = row_node == tail[row_edge], row_node == head[row_edge]
 
     # M: in-neighbours of each edge row's node that lie in the same edge
-    # neighbourhood, each weighted 1 / (their number)
+    # neighbourhood, each weighted 1 / (their number). The candidates of a
+    # row are its node's in-neighbours, by increasing serial, so those that
+    # are found are in CSR order already. Each is looked up in its edge's
+    # row of a matrix of edge rows by (edge, node): a binary search inside
+    # that edge's edge rows
     in_count = np.bincount(head, minlength=serial)
-    in_ptr = np.zeros(serial + 1, dtype=np.intp)
-    np.cumsum(in_count, out=in_ptr[1:])  # `tail` is sorted by head
-    cand_row = np.repeat(np.arange(y_rows, dtype=np.intp), in_count[row_node])
-    cand_keys = row_edge[cand_row] * n_serial + tail[_ranges(in_ptr[row_node], in_count[row_node])]
-    cand_col = np.minimum(np.searchsorted(keys, cand_keys), y_rows - 1)
-    inside = keys[cand_col] == cand_keys
-    cand_row, cand_col = cand_row[inside], cand_col[inside]
-    mix = _csr(1.0 / np.bincount(cand_row, minlength=y_rows)[cand_row], cand_row, cand_col, (y_rows, y_rows))
-    del cand_row, cand_col, cand_keys, inside
+    cand_count = in_count[row_node]
+    key_rows = sp.csr_array((np.arange(1, y_rows + 1), row_node, edge_row_ptr), shape=(edge_count, n_serial))
+    picks = np.repeat(row_edge, cand_count), tail[_ranges(_ptr(in_count)[row_node], cand_count)]
+    found = (key_rows[picks] if edge_count else np.zeros(0, dtype=np.intp)) - 1  # scipy picks none as sparse
+    del key_rows, picks, row_edge, row_node
+    inside = found >= 0
+    mix_ptr = _ptr(inside)[_ptr(cand_count)]
+    found = found[inside]
+    del cand_count, inside
+    mix_count = np.diff(mix_ptr)
+    nz = mix_count > 0
+    mix = _csr(np.repeat(1.0 / mix_count[nz], mix_count[nz]), found, mix_ptr, (y_rows, y_rows))
+    del found, mix_ptr, nz
 
-    # [E | C]: each tail-ball row into its edge row; the two marker columns
-    # are the extra input rows node_rows (tail) and node_rows + 1 (head)
-    ec = _csr(
-        np.ones(tail_rows.size + 2 * edge_count),
-        np.concatenate([tail_pos, np.searchsorted(keys, edge_ids * n_serial + tail),
-                        np.searchsorted(keys, edge_ids * n_serial + head)]),
-        np.concatenate([tail_rows, np.full(edge_count, rows), np.full(edge_count, rows + 1)]),
-        (y_rows, rows + 2),
-    )
-    del tail_rows, tail_pos, keys, row_edge, row_node
-    embed = _embed_operator(ec, mix @ ec)
-    del ec
-    # S P: each head-ball edge row added into its row of the head's block
-    project = _csr(np.ones(head_rows.size), head_rows, head_pos, (rows, y_rows))
-    del head_rows, head_pos
-    project_mix = project @ mix
-    project_mix.sort_indices()
+    embed = _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix)
+    del tail_rows, tail_pos, is_tail, is_head
+    # S P: the row of each head-ball node in each edge into the head. The
+    # keys list an edge's head ball in ball order, so head_pos holds each
+    # head's block of project entries edge-major, and project takes them
+    # ball-node-major
+    node_seg = np.repeat(np.arange(serial, dtype=np.intp), ball_size)
+    proj_count = in_count[node_seg]
+    proj_ptr = _ptr(proj_count)
+    proj_row = np.repeat(np.arange(rows, dtype=np.intp), proj_count)
+    owner = node_seg[proj_row]
+    proj_col = head_pos[
+        proj_ptr[ball_ptr[owner]]
+        + (np.arange(proj_ptr[-1], dtype=np.intp) - proj_ptr[proj_row]) * ball_size[owner]
+        + proj_row - ball_ptr[owner]
+    ]
+    del head_pos, proj_row, owner
+    project = _csr(np.ones(proj_col.size), proj_col, proj_ptr, (rows, y_rows))
+    # S P M: the rows of M that S P picks, each once, in its order
+    picked = mix_count[proj_col]
+    taken = _ranges(mix.indptr[proj_col], picked)
+    project_mix = _csr(mix.data[taken], mix.indices[taken], _ptr(picked)[proj_ptr], (rows, y_rows))
     return EdgePlan(
         graphs=list(graphs),
         n_nodes_total=serial,
         node_rows=rows,
         node_ptr=ball_ptr,
         node_member=member,
-        node_seg=np.repeat(np.arange(serial, dtype=np.intp), ball_size),
+        node_seg=node_seg,
         graph_of_node=_graph_of_node(graphs),
         edge_count=edge_count,
         edge_rows=y_rows,
@@ -233,24 +247,72 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
 
 
 def _edge_serials(graphs: list[ConcreteGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head serials of every edge. Node serials number the nodes
-    graph by graph, ids ascending."""
-    tails, heads, serial = [], [], 0
+    """Tail and head serials of every edge, by (graph, head, tail). Node
+    serials number the nodes graph by graph, ids ascending."""
+    parts, serial = [], 0
     for g in graphs:
-        ids = np.array(g.nodes, dtype=np.intp)
-        edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
-        tails.append(serial + np.searchsorted(ids, edges[:, 0]))
-        heads.append(serial + np.searchsorted(ids, edges[:, 1]))
+        parts.append(g.edge_array + serial)
         serial += g.n
-    return _cat(tails), _cat(heads)
+    edges = np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.intp)
+    return np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1])
+
+
+def _balls(n: int, tail: np.ndarray, head: np.ndarray, k: int) -> sp.csr_matrix:
+    """Every node's k-ball (``neighbourhoods.ball``) at once: row p of the
+    pattern of (I + A)^k lists p's ball by increasing serial, where A is the
+    adjacency on node serials with edge direction ignored. Each product is
+    taken on a pattern of ones, so an entry counts at most the ball nodes
+    next to one node, in int64, and no count wraps to zero."""
+    loops = np.arange(n, dtype=np.intp)
+    step = sp.csr_matrix(
+        (np.ones(2 * tail.size + n, dtype=np.int64),
+         (np.concatenate([tail, head, loops]), np.concatenate([head, tail, loops]))),
+        shape=(n, n),
+    )
+    step.data[:] = 1  # both orientations of an edge were summed
+    balls = sp.identity(n, dtype=np.int64, format="csr")
+    for _ in range(k):
+        grown = balls @ step
+        if grown.nnz == balls.nnz:
+            break
+        grown.data[:] = 1
+        balls = grown
+    balls.sort_indices()
+    return balls
+
+
+def _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix: sp.csr_matrix) -> sp.csr_matrix:
+    """``[E | C]`` and ``M [E | C]`` with column j of each at 2j and 2j + 1,
+    and a last column of ones, which picks up the bias row of the operand:
+    being each row's last column, the bias is added last.
+
+    ``[E | C]`` is built row by row: the row's tail-ball column
+    (``tail_rows``, at edge rows ``tail_pos``), then the marker columns
+    ``rows`` at the tail's edge row and ``rows + 1`` at the head's. Every
+    entry of ``M [E | C]`` sums one term, an entry of M times 1; scipy's
+    product leaves its rows unsorted, and they are sorted in place. scipy's
+    sum of two canonical CSR matrices merges their rows, and with no column
+    in common it adds nothing to any value.
+    """
+    y_rows = is_tail.size
+    ball_col = np.full(y_rows, -1, dtype=np.intp)
+    ball_col[tail_pos] = tail_rows
+    own = ball_col >= 0
+    ptr = _ptr(own.astype(np.intp) + is_tail + is_head)
+    cols = np.empty(ptr[-1], dtype=np.intp)
+    cols[ptr[:-1][own]] = ball_col[own]
+    at = ptr[:-1] + own
+    cols[at[is_tail]] = rows
+    cols[(at + is_tail)[is_head]] = rows + 1
+    mixed = mix @ _csr(np.ones(cols.size), cols, ptr, (y_rows, rows + 2))
+    mixed.sort_indices()
+    shape = (y_rows, 2 * rows + 5)
+    placed = _csr(np.ones(cols.size + y_rows), np.insert(2 * cols, ptr[1:], shape[1] - 1), ptr + np.arange(y_rows + 1), shape)
+    return placed + _csr(mixed.data, 2 * mixed.indices.astype(np.intp) + 1, mixed.indptr, shape)
 
 
 def _graph_of_node(graphs: list[ConcreteGraph]) -> np.ndarray:
     return np.repeat(np.arange(len(graphs), dtype=np.intp), [g.n for g in graphs])
-
-
-def _cat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,26 +339,17 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0, dtype=np.intp) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _csr(vals, rows, cols, shape) -> sp.csr_matrix:
-    """Canonical CSR (each row's columns in increasing order) from coordinates."""
-    return sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))),
-        shape=shape,
-    )
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    """Row pointers of rows of ``counts`` entries: 0, then the running sums."""
+    ptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
 
 
-def _embed_operator(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """``[a | b | 1]`` with column j of ``a`` at 2j, column j of ``b`` at
-    2j + 1 and a last column of ones, which picks up the bias row of the
-    operand. Being each row's last column, the bias is added last."""
-    a, b = a.tocoo(), b.tocoo()
-    n, cols = a.shape
-    return _csr(
-        np.concatenate([a.data, b.data, np.ones(n)]),
-        np.concatenate([a.row, b.row, np.arange(n)]),
-        np.concatenate([2 * a.col, 2 * b.col + 1, np.full(n, 2 * cols)]),
-        (n, 2 * cols + 1),
-    )
+def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """A CSR matrix from arrays already in CSR order, each row's columns
+    increasing. scipy keeps its indices in int32 where they fit."""
+    return sp.csr_matrix((np.asarray(data, dtype=np.float64), indices, indptr), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +461,8 @@ def _gcn2_layer(
 
     Off the tape the edge level is walked in tiles of at most ``TILE_BYTES``
     of edge rows, and each tile's projections are copied into one node-row
-    buffer per output; on the tape its chunks are joined by ``concat_rows``.
+    buffer per output, which the last layer's products then reuse; on the
+    tape its chunks are joined by ``concat_rows``.
     """
     if aggregation not in ("sum", "mean"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
@@ -429,16 +483,38 @@ def _gcn2_layer(
             else:
                 rows[x0:x1] = part.data
         del y  # free the tile's edge rows before the next tile's are built
+    del pre  # off the tape nothing reads the first products again
     out, *mixed = [ad.concat_rows(rows) if taped else ad.constant(rows) for rows in outs]
     if depth > 1:
         w_self, w_neigh, bias = layers[-1]
-        out = ad.add_(
-            ad.add_(ad.matmul(out, w_self), ad.matmul(mixed[0], w_neigh)),
-            ad.matmul(ad.constant(plan.messages(dtype)), ad.reshape(bias, (1, -1))),
-        )
+        counts = ad.constant(plan.messages(dtype))
+        if taped:
+            out = ad.add_(
+                ad.add_(ad.matmul(out, w_self), ad.matmul(mixed[0], w_neigh)),
+                ad.matmul(counts, ad.reshape(bias, (1, -1))),
+            )
+        else:
+            # the same sums in the same order, with only the first product in
+            # a fresh buffer: the second goes into out's, and counts ⊗ bias,
+            # one multiply per entry as in a product of inner dimension 1,
+            # into mixed's
+            first = ad.matmul(out, w_self)
+            second = ad.matmul(mixed[0], w_neigh, out=_spare(out, first.shape, mixed[0], w_neigh))
+            third = np.multiply(counts.data, bias.data, out=_spare(mixed[0], first.shape, counts, bias))
+            out = ad.add_(ad.add_(first, second), ad.constant(third))
     if aggregation == "mean":
         out = ad.row_scale(out, 1.0 / np.maximum(plan.messages(np.float64)[:, 0], 1))
     return out
+
+
+def _spare(buf: ad.Tensor, shape: tuple[int, int], *operands: ad.Tensor) -> np.ndarray | None:
+    """The start of a node-row buffer that nothing reads again, as an array
+    of ``shape`` for the result of ``operands``, or None (a fresh buffer)
+    when it holds too few items or items of another dtype."""
+    size = shape[0] * shape[1]
+    if buf.dtype != np.result_type(*(t.data for t in operands)) or buf.data.size < size:
+        return None
+    return buf.data.reshape(-1)[:size].reshape(shape)
 
 
 def _first_products(
@@ -553,10 +629,12 @@ class GcnPlan(_KeepsOperators):
 
 def compile_gcn_plan(graphs: list[ConcreteGraph]) -> GcnPlan:
     """The in-neighbour mean of every graph, block-diagonal on node serials:
-    row u holds 1 / in_degree(u) at each in-neighbour of u."""
+    row u holds 1 / in_degree(u) at each in-neighbour of u. The edges come
+    by (head, tail), so they are that matrix's entries in CSR order."""
     total = sum(g.n for g in graphs)
     tail, head = _edge_serials(graphs)
-    mix = _csr(1.0 / np.bincount(head, minlength=total)[head], head, tail, (total, total))
+    in_count = np.bincount(head, minlength=total)
+    mix = _csr(1.0 / in_count[head], tail, _ptr(in_count), (total, total))
     return GcnPlan(list(graphs), total, mix, _graph_of_node(graphs))
 
 

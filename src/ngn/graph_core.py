@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, NodeLookupError, ValidationError
 
@@ -81,7 +84,22 @@ class ConcreteGraph:
     @cached_property
     def und_nbrs(self) -> dict[int, frozenset[int]]:
         """Neighbours ignoring edge direction."""
-        return {v: self.out_nbrs[v] | self.in_nbrs[v] for v in self.nodes}
+        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return {v: frozenset(s) for v, s in adj.items()}
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) array of (tail, head) positions in
+        ``nodes``, ordered by (head, tail)."""
+        ids = np.array(self.nodes, dtype=np.intp)
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
+        pos = np.searchsorted(ids, ends).reshape(-1, 2)
+        pos = pos[np.lexsort((pos[:, 0], pos[:, 1]))]
+        pos.flags.writeable = False
+        return pos
 
     def subgraph(self, keep: Iterable[int]) -> "ConcreteGraph":
         """Induced subgraph on ``keep``, inheriting parent ids."""

@@ -9,7 +9,10 @@ to node isomorphisms at both ends.
 :func:`ball` is the one definition of a node's ball: its nodes in ascending
 id order, which is also the coordinate order of the node's standard
 feature block. Code that needs only the nodes calls it; the induced
-subgraphs serve the oracles that need the ball's edges.
+subgraphs serve the oracles that need the ball's edges. The compiled
+path (``batched.compile_plan``) finds every ball of a batch at once, as
+the pattern of (I + A)^k, and its tests check those balls against this
+one.
 """
 
 from __future__ import annotations

@@ -22,11 +22,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import CapacityError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso, validate_iso
 from .neighbourhoods import NeighbourhoodAssignment, ball
 
 KINDS = ("trivial", "standard")
+
+# The largest channel multiplicity of one part. A layer keeps r x c_in x
+# c_out weights per pair of parts and per class, and realizes kernels of
+# rho'.dim x rho.dim entries, so a class's memory grows with the square of
+# the multiplicity: at the cap, one pair of trivial parts holds 8 MiB of
+# float64 weights per class. The package itself uses at most 16.
+MULTIPLICITY_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,8 @@ class RepSpec:
                 raise ValidationError(f"unknown representation kind {kind!r}")
             if c < 1:
                 raise ValidationError("channel multiplicity must be positive")
+            if c > MULTIPLICITY_CAP:
+                raise CapacityError(f"channel multiplicity {c} is above the cap {MULTIPLICITY_CAP}")
 
     @staticmethod
     def trivial(channels: int = 1) -> "RepSpec":

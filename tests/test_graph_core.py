@@ -64,6 +64,18 @@ class TestConcreteGraph:
         assert g.nodes == (5, 9, 30)
         assert g.und_nbrs[9] == frozenset({5, 30})
 
+    def test_undirected_neighbours_join_both_directions(self):
+        # a one-way edge, a two-way edge, a self-loop and an isolated node
+        g = ConcreteGraph.build([2, 5, 7, 11], [(2, 5), (7, 2), (2, 7), (5, 5)], allow_self_loops=True)
+        assert {v: g.und_nbrs[v] for v in g.nodes} == {v: g.out_nbrs[v] | g.in_nbrs[v] for v in g.nodes}
+        assert g.und_nbrs[5] == frozenset({2, 5}) and g.und_nbrs[11] == frozenset()
+
+    def test_edge_array_lists_positions_by_head(self):
+        g = ConcreteGraph.build([2, 5, 7, 11], [(2, 5), (7, 2), (2, 7), (5, 5), (11, 2)], allow_self_loops=True)
+        assert g.edge_array.tolist() == [[2, 0], [3, 0], [0, 1], [1, 1], [0, 2]]
+        assert not g.edge_array.flags.writeable
+        assert ConcreteGraph.build([4], []).edge_array.shape == (0, 2)
+
     def test_induced_subgraph(self):
         g = triangle()
         sub = g.subgraph([0, 1])

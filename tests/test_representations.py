@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ngn.errors import ValidationError
+from ngn.errors import CapacityError, ValidationError
 from ngn.graph_core import GraphIso, from_undirected
 from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood
 from ngn.representations import (
+    MULTIPLICITY_CAP,
     GlobalFeature,
     RepSpec,
     ball_map,
@@ -29,6 +30,13 @@ class TestSpecText:
         for bad in ["", "regular*3", "standard*0", "standard**2"]:
             with pytest.raises(ValidationError):
                 parse_rep_spec(bad)
+
+    def test_rejects_a_multiplicity_above_the_cap(self):
+        # parsed only, so nothing is allocated at that size
+        for bad in ["trivial*99999999999", f"standard*{MULTIPLICITY_CAP + 1}", f"trivial+standard*{10**6}"]:
+            with pytest.raises(CapacityError):
+                parse_rep_spec(bad)
+        assert parse_rep_spec(f"trivial*{MULTIPLICITY_CAP}") == RepSpec.trivial(MULTIPLICITY_CAP)
 
 
 class TestRepDim:
