@@ -247,14 +247,16 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
 
 
 def _edge_serials(graphs: list[ConcreteGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head serials of every edge, by (graph, head, tail). Node
-    serials number the nodes graph by graph, ids ascending."""
+    """Tail and head serials of every edge, by (graph, head, tail), the CSR
+    order of the in-neighbour matrix. Node serials number the nodes graph
+    by graph, ids ascending."""
     parts, serial = [], 0
     for g in graphs:
         parts.append(g.edge_array + serial)
         serial += g.n
     edges = np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.intp)
-    return np.ascontiguousarray(edges[:, 0]), np.ascontiguousarray(edges[:, 1])
+    order = np.lexsort((edges[:, 0], edges[:, 1]))
+    return edges[order, 0], edges[order, 1]
 
 
 def _balls(n: int, tail: np.ndarray, head: np.ndarray, k: int) -> sp.csr_matrix:
@@ -461,8 +463,7 @@ def _gcn2_layer(
 
     Off the tape the edge level is walked in tiles of at most ``TILE_BYTES``
     of edge rows, and each tile's projections are copied into one node-row
-    buffer per output, which the last layer's products then reuse; on the
-    tape its chunks are joined by ``concat_rows``.
+    buffer per output; on the tape its chunks are joined by ``concat_rows``.
     """
     if aggregation not in ("sum", "mean"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
@@ -487,34 +488,13 @@ def _gcn2_layer(
     out, *mixed = [ad.concat_rows(rows) if taped else ad.constant(rows) for rows in outs]
     if depth > 1:
         w_self, w_neigh, bias = layers[-1]
-        counts = ad.constant(plan.messages(dtype))
-        if taped:
-            out = ad.add_(
-                ad.add_(ad.matmul(out, w_self), ad.matmul(mixed[0], w_neigh)),
-                ad.matmul(counts, ad.reshape(bias, (1, -1))),
-            )
-        else:
-            # the same sums in the same order, with only the first product in
-            # a fresh buffer: the second goes into out's, and counts ⊗ bias,
-            # one multiply per entry as in a product of inner dimension 1,
-            # into mixed's
-            first = ad.matmul(out, w_self)
-            second = ad.matmul(mixed[0], w_neigh, out=_spare(out, first.shape, mixed[0], w_neigh))
-            third = np.multiply(counts.data, bias.data, out=_spare(mixed[0], first.shape, counts, bias))
-            out = ad.add_(ad.add_(first, second), ad.constant(third))
+        out = ad.add_(
+            ad.add_(ad.matmul(out, w_self), ad.matmul(mixed[0], w_neigh)),
+            ad.matmul(ad.constant(plan.messages(dtype)), ad.reshape(bias, (1, -1))),
+        )
     if aggregation == "mean":
         out = ad.row_scale(out, 1.0 / np.maximum(plan.messages(np.float64)[:, 0], 1))
     return out
-
-
-def _spare(buf: ad.Tensor, shape: tuple[int, int], *operands: ad.Tensor) -> np.ndarray | None:
-    """The start of a node-row buffer that nothing reads again, as an array
-    of ``shape`` for the result of ``operands``, or None (a fresh buffer)
-    when it holds too few items or items of another dtype."""
-    size = shape[0] * shape[1]
-    if buf.dtype != np.result_type(*(t.data for t in operands)) or buf.data.size < size:
-        return None
-    return buf.data.reshape(-1)[:size].reshape(shape)
 
 
 def _first_products(

@@ -93,11 +93,10 @@ class ConcreteGraph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, 2) array of (tail, head) positions in
-        ``nodes``, ordered by (head, tail)."""
+        ``nodes``, in the iteration order of ``edges``."""
         ids = np.array(self.nodes, dtype=np.intp)
         ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
         pos = np.searchsorted(ids, ends).reshape(-1, 2)
-        pos = pos[np.lexsort((pos[:, 0], pos[:, 1]))]
         pos.flags.writeable = False
         return pos
 

@@ -502,10 +502,9 @@ class TestTiledEdgeLevel:
 
     def test_one_layer_takes_few_node_buffers(self):
         # off the tape the first products are dropped when the tile walk
-        # ends, and only the first of the last layer's three node-level
-        # products takes a fresh buffer. On the 64x64 torus at width 32 the
-        # peak reads 4.53 outputs; it read 6.07 with the first products kept
-        # and three fresh products
+        # ends, before the last layer's node-level products are taken. On
+        # the 64x64 torus at width 32 the peak reads 4.53 outputs; it read
+        # 6.07 with the first products kept
         rng = np.random.default_rng(16)
         plan = compile_plan([square_torus(64)], K1)
         net = build_gcn_net(rng, 2, 32, data_in=32, c_out=32, dtype=np.float32)
@@ -579,11 +578,9 @@ class TestFloat32Inference:
             while e < len(heads) and heads[e] == heads[e - 1]:
                 e += 1
             n_chunks += 1
-        # on node rows: the first layer's weights and the last layer's two
-        # (its bias is multiplied by the counts entry by entry, and the
-        # output's dtype shows that product's); per chunk, the middle
-        # layer's two weights
-        assert len(seen["dense"]) == 3 + 2 * n_chunks
+        # on node rows: the first layer's weights, the last layer's two
+        # weights and its bias; per chunk, the middle layer's two weights
+        assert len(seen["dense"]) == 4 + 2 * n_chunks
         # per chunk: embed, the middle layer's mix, project and project-mix
         assert len(seen["sparse"]) == 4 * n_chunks
         assert {t for pair in seen["dense"] + seen["sparse"] for t in pair} == {np.dtype(np.float32)}

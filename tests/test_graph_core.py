@@ -70,9 +70,9 @@ class TestConcreteGraph:
         assert {v: g.und_nbrs[v] for v in g.nodes} == {v: g.out_nbrs[v] | g.in_nbrs[v] for v in g.nodes}
         assert g.und_nbrs[5] == frozenset({2, 5}) and g.und_nbrs[11] == frozenset()
 
-    def test_edge_array_lists_positions_by_head(self):
+    def test_edge_array_lists_positions(self):
         g = ConcreteGraph.build([2, 5, 7, 11], [(2, 5), (7, 2), (2, 7), (5, 5), (11, 2)], allow_self_loops=True)
-        assert g.edge_array.tolist() == [[2, 0], [3, 0], [0, 1], [1, 1], [0, 2]]
+        assert sorted(g.edge_array.tolist()) == [[0, 1], [0, 2], [1, 1], [2, 0], [3, 0]]
         assert not g.edge_array.flags.writeable
         assert ConcreteGraph.build([4], []).edge_array.shape == (0, 2)
 
