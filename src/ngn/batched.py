@@ -38,14 +38,15 @@ embedded, rectified and projected while they are in cache. The optional
 ``chunk_edges`` bounds a tile's edges, and so memory. Each tile's
 projections are copied into one node-row buffer per output, and the first
 products are written into one buffer, which is dropped when the walk
-ends. Of the last layer's node-level products only ``(S P y) W_self``
-takes a fresh buffer: ``(S P M y) W_neigh`` goes into the buffer of
-``S P y``, and ``count ⊗ b``, one multiply per entry, into that of
-``S P M y``. On the tape the edge level is one chunk, or ``chunk_edges``
-chunks joined by ``ad.concat_rows``.
+ends, before the last layer's three node-level products, each a fresh
+buffer, are taken. On the tape the edge level is one chunk, or
+``chunk_edges`` chunks joined by ``ad.concat_rows``.
 
-A plan's operators are constants, and so is every operator taken from one.
-The plan builds each on first use and keeps it: a row block once per
+Every value of a plan's operators is 1 / c for a small integer c, so a
+plan keeps each operator as its CSR pattern and each entry's c
+(``Operator``), and builds values only in the dtype that a product takes.
+A plan's operators are constants, and so is every operator taken from
+one. The plan builds each on first use and keeps it: a row block once per
 operator, dtype and tile (``plan.block``), its transpose once per block,
 for a backward, and the scatter of a segment-id array or of a weight's row
 range once per dtype (``plan.scatter``). It keeps the tile bounds per pair
@@ -80,6 +81,28 @@ from .neighbourhoods import NeighbourhoodAssignment
 # expressiveness suites and on a 128x128 torus was within about 15% of its
 # best from 256 KiB to 2 MiB, and 1.3-1.8 times its best with no budget.
 TILE_BYTES = 1 << 20
+
+# Candidates that one slice of ``compile_plan``'s in-neighbour lookup takes,
+# so that its index arrays stay small beside the plan.
+LOOKUP_SLICE = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A sparse operator each of whose values is 1 / c for a small integer
+    c: its CSR pattern, with ``indptr`` and ``indices`` in int32 wherever
+    they fit (as scipy keeps them), and each entry's c as ``den``, in the
+    smallest unsigned dtype that holds the largest. ``_row_block`` builds
+    its values in the dtype that a product takes."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    den: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
 
 
 @dataclass
@@ -132,10 +155,10 @@ class EdgePlan(_KeepsOperators):
     edge_rows: int
     edge_row_ptr: np.ndarray  # edge -> first Y row
     edge_head_end: np.ndarray  # edge -> X row just past its head's block
-    mix: sp.csr_matrix        # M: (edge_rows, edge_rows), block diagonal per edge
-    embed: sp.csr_matrix      # (edge_rows, 2 (node_rows + 2) + 1): [E | C] and M [E | C], columns interleaved, then ones
-    project: sp.csr_matrix    # S P: (node_rows, edge_rows)
-    project_mix: sp.csr_matrix  # S P M: (node_rows, edge_rows)
+    mix: Operator             # M: (edge_rows, edge_rows), block diagonal per edge
+    embed: Operator           # (edge_rows, 2 (node_rows + 2) + 1): [E | C] and M [E | C], columns interleaved, then ones
+    project: Operator         # S P: (node_rows, edge_rows)
+    project_mix: Operator     # S P M: (node_rows, edge_rows)
 
     def tiles(self, chunk_edges: int | None, tile_rows: int | None) -> list[tuple[int, int, int, int]]:
         """``_tiles`` of this plan, kept per pair of bounds."""
@@ -153,7 +176,8 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     graph, node ids ascending). The balls are the rows of the pattern of
     (I + A)^k (``_balls``), and every operator is built in CSR order, with
     no round trip through coordinates: its entries are placed by
-    arithmetic, or come from scipy's row-wise products and merges.
+    arithmetic, or come from scipy's row-wise products and merges. Each
+    keeps its entries' counts, never a float value.
     """
     tail, head = _edge_serials(graphs)  # edges by (graph, head, tail)
     balls = _balls(sum(g.n for g in graphs), tail, head, a.k)
@@ -185,25 +209,12 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
     is_tail, is_head = row_node == tail[row_edge], row_node == head[row_edge]
 
     # M: in-neighbours of each edge row's node that lie in the same edge
-    # neighbourhood, each weighted 1 / (their number). The candidates of a
-    # row are its node's in-neighbours, by increasing serial, so those that
-    # are found are in CSR order already. Each is looked up in its edge's
-    # row of a matrix of edge rows by (edge, node): a binary search inside
-    # that edge's edge rows
+    # neighbourhood, each weighted 1 / (their number)
     in_count = np.bincount(head, minlength=serial)
-    cand_count = in_count[row_node]
-    key_rows = sp.csr_array((np.arange(1, y_rows + 1), row_node, edge_row_ptr), shape=(edge_count, n_serial))
-    picks = np.repeat(row_edge, cand_count), tail[_ranges(_ptr(in_count)[row_node], cand_count)]
-    found = (key_rows[picks] if edge_count else np.zeros(0, dtype=np.intp)) - 1  # scipy picks none as sparse
-    del key_rows, picks, row_edge, row_node
-    inside = found >= 0
-    mix_ptr = _ptr(inside)[_ptr(cand_count)]
-    found = found[inside]
-    del cand_count, inside
-    mix_count = np.diff(mix_ptr)
-    nz = mix_count > 0
-    mix = _csr(np.repeat(1.0 / mix_count[nz], mix_count[nz]), found, mix_ptr, (y_rows, y_rows))
-    del found, mix_ptr, nz
+    mix_count, found = _inside_in_neighbours(tail, in_count, row_edge, row_node, edge_row_ptr, n_serial)
+    del row_edge, row_node
+    mix = _operator(np.repeat(mix_count, mix_count), found, _ptr(mix_count), (y_rows, y_rows))
+    del found
 
     embed = _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix)
     del tail_rows, tail_pos, is_tail, is_head
@@ -222,11 +233,11 @@ def compile_plan(graphs: list[ConcreteGraph], a: NeighbourhoodAssignment) -> Edg
         + proj_row - ball_ptr[owner]
     ]
     del head_pos, proj_row, owner
-    project = _csr(np.ones(proj_col.size), proj_col, proj_ptr, (rows, y_rows))
+    project = _operator(np.ones(proj_col.size, dtype=np.uint8), proj_col, proj_ptr, (rows, y_rows))
     # S P M: the rows of M that S P picks, each once, in its order
     picked = mix_count[proj_col]
     taken = _ranges(mix.indptr[proj_col], picked)
-    project_mix = _csr(mix.data[taken], mix.indices[taken], _ptr(picked)[proj_ptr], (rows, y_rows))
+    project_mix = _operator(mix.den[taken], mix.indices[taken], _ptr(picked)[proj_ptr], (rows, y_rows))
     return EdgePlan(
         graphs=list(graphs),
         n_nodes_total=serial,
@@ -259,6 +270,36 @@ def _edge_serials(graphs: list[ConcreteGraph]) -> tuple[np.ndarray, np.ndarray]:
     return edges[order, 0], edges[order, 1]
 
 
+def _inside_in_neighbours(tail, in_count, row_edge, row_node, edge_row_ptr, n_serial):
+    """Entries per row and edge-row columns of M's pattern. The candidates of
+    an edge row are its node's in-neighbours, by increasing serial, so
+    those that are found are in CSR order already. Each is looked up in
+    its edge's row of a matrix of edge rows by (edge, node): a binary
+    search inside that edge's edge rows. The lookups run in slices of
+    edge rows of about ``LOOKUP_SLICE`` candidates each."""
+    y_rows = row_node.size
+    cand_count = in_count[row_node]
+    cand_ptr = _ptr(cand_count)
+    in_ptr = _ptr(in_count)
+    key_dtype = np.int32 if y_rows < np.iinfo(np.int32).max else np.int64
+    key_rows = sp.csr_array(
+        (np.arange(1, y_rows + 1, dtype=key_dtype), row_node, edge_row_ptr), shape=(edge_row_ptr.size - 1, n_serial)
+    )
+    mix_count = np.zeros(y_rows, dtype=np.intp)
+    found = []
+    cuts = np.searchsorted(cand_ptr, np.arange(LOOKUP_SLICE, cand_ptr[-1], LOOKUP_SLICE))
+    for r0, r1 in zip([0, *cuts], [*cuts, y_rows]):
+        c0, c1 = cand_ptr[r0], cand_ptr[r1]
+        if c0 == c1:
+            continue  # scipy picks none as sparse
+        count = cand_count[r0:r1]
+        keys = key_rows[np.repeat(row_edge[r0:r1], count), tail[_ranges(in_ptr[row_node[r0:r1]], count)]]
+        inside = keys > 0
+        mix_count[r0:r1] = np.diff(_ptr(inside)[cand_ptr[r0 : r1 + 1] - c0])
+        found.append(keys[inside] - 1)
+    return mix_count, np.concatenate(found) if found else np.zeros(0, dtype=key_dtype)
+
+
 def _balls(n: int, tail: np.ndarray, head: np.ndarray, k: int) -> sp.csr_matrix:
     """Every node's k-ball (``neighbourhoods.ball``) at once: row p of the
     pattern of (I + A)^k lists p's ball by increasing serial, where A is the
@@ -283,7 +324,7 @@ def _balls(n: int, tail: np.ndarray, head: np.ndarray, k: int) -> sp.csr_matrix:
     return balls
 
 
-def _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix: sp.csr_matrix) -> sp.csr_matrix:
+def _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix: Operator) -> Operator:
     """``[E | C]`` and ``M [E | C]`` with column j of each at 2j and 2j + 1,
     and a last column of ones, which picks up the bias row of the operand:
     being each row's last column, the bias is added last.
@@ -291,10 +332,12 @@ def _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix: sp.csr_matrix) -> s
     ``[E | C]`` is built row by row: the row's tail-ball column
     (``tail_rows``, at edge rows ``tail_pos``), then the marker columns
     ``rows`` at the tail's edge row and ``rows + 1`` at the head's. Every
-    entry of ``M [E | C]`` sums one term, an entry of M times 1; scipy's
-    product leaves its rows unsorted, and they are sorted in place. scipy's
-    sum of two canonical CSR matrices merges their rows, and with no column
-    in common it adds nothing to any value.
+    entry of ``M [E | C]`` sums one term, an entry of M times 1, so the
+    product of M's counts and ``[E | C]``'s ones, in the counts' dtype,
+    gives each entry its row's count in M; scipy's product leaves its rows
+    unsorted, and they are sorted in place. scipy's sum of two canonical
+    CSR matrices merges their rows, and with no column in common it adds
+    nothing to any count.
     """
     y_rows = is_tail.size
     ball_col = np.full(y_rows, -1, dtype=np.intp)
@@ -306,11 +349,20 @@ def _embed(rows, tail_rows, tail_pos, is_tail, is_head, mix: sp.csr_matrix) -> s
     at = ptr[:-1] + own
     cols[at[is_tail]] = rows
     cols[(at + is_tail)[is_head]] = rows + 1
-    mixed = mix @ _csr(np.ones(cols.size), cols, ptr, (y_rows, rows + 2))
+    del ball_col, own, at
+    count = mix.den.dtype
+    e_c = sp.csr_matrix((np.ones(cols.size, count), cols, ptr), shape=(y_rows, rows + 2))
+    mixed = sp.csr_matrix((mix.den, mix.indices, mix.indptr), shape=mix.shape) @ e_c
+    del e_c
     mixed.sort_indices()
     shape = (y_rows, 2 * rows + 5)
-    placed = _csr(np.ones(cols.size + y_rows), np.insert(2 * cols, ptr[1:], shape[1] - 1), ptr + np.arange(y_rows + 1), shape)
-    return placed + _csr(mixed.data, 2 * mixed.indices.astype(np.intp) + 1, mixed.indptr, shape)
+    placed = sp.csr_matrix(
+        (np.ones(cols.size + y_rows, count), np.insert(2 * cols, ptr[1:], shape[1] - 1), ptr + np.arange(y_rows + 1)),
+        shape=shape,
+    )
+    del cols, ptr
+    both = placed + sp.csr_matrix((mixed.data, 2 * mixed.indices.astype(np.intp) + 1, mixed.indptr), shape=shape)
+    return _operator(both.data, both.indices, both.indptr, shape)
 
 
 def _graph_of_node(graphs: list[ConcreteGraph]) -> np.ndarray:
@@ -348,10 +400,15 @@ def _ptr(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
-    """A CSR matrix from arrays already in CSR order, each row's columns
-    increasing. scipy keeps its indices in int32 where they fit."""
-    return sp.csr_matrix((np.asarray(data, dtype=np.float64), indices, indptr), shape=shape)
+def _operator(den, indices, indptr, shape) -> Operator:
+    """An ``Operator`` from arrays already in CSR order, each row's columns
+    increasing. Its index arrays are int32 where they fit, as scipy keeps
+    them, and ``den`` takes the smallest unsigned dtype that holds its
+    largest count."""
+    index = np.int32 if max(*shape, len(indices)) <= np.iinfo(np.int32).max else np.int64
+    den = np.asarray(den)
+    small = np.min_scalar_type(int(den.max())) if den.size else np.uint8
+    return Operator(np.asarray(indptr, index), np.asarray(indices, index), den.astype(small, copy=False), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +425,8 @@ def node_attrs_to_buffer(plan: EdgePlan, attrs: list[np.ndarray], dtype=np.float
     """
     if len(attrs) != len(plan.graphs):
         raise ShapeError(f"{len(attrs)} attribute arrays for {len(plan.graphs)} graphs")
+    if not attrs:
+        raise ShapeError("no attribute arrays, so no channel count")
     channels = attrs[0].shape[1]
     for gi, (g, raw) in enumerate(zip(plan.graphs, attrs)):
         if raw.shape != (g.n, channels):
@@ -578,9 +637,10 @@ def _tiles(plan: EdgePlan, chunk_edges: int | None, tile_rows: int | None):
         e0, x0 = e1, x1
 
 
-def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
-    """Rows r0:r1 of a CSR operator, its values in ``dtype``: a cast copies
-    them, and in the operator's own dtype they are a view.
+def _row_block(op: Operator, dtype, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> sp.csr_matrix:
+    """Rows r0:r1 of an operator as a CSR matrix, each value 1 / den taken
+    in float64 and cast to ``dtype``, as a cast of the float64 operator
+    would give.
 
     With ``c0, c1``, the rows' entries all lie in columns c0:c1 (their own
     edge rows), and the block is those columns, renumbered from 0: for
@@ -589,7 +649,7 @@ def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int 
     a, b = op.indptr[r0], op.indptr[r1]
     indices = op.indices[a:b] - c0 if c0 else op.indices[a:b]
     return sp.csr_matrix(
-        (op.data[a:b].astype(dtype, copy=False), indices, op.indptr[r0 : r1 + 1] - a),
+        ((1.0 / op.den[a:b]).astype(dtype, copy=False), indices, op.indptr[r0 : r1 + 1] - a),
         shape=(r1 - r0, (op.shape[1] if c1 is None else c1) - c0),
     )
 
@@ -603,18 +663,19 @@ def _row_block(op: sp.csr_matrix, dtype, r0: int, r1: int, c0: int = 0, c1: int 
 class GcnPlan(_KeepsOperators):
     graphs: list[ConcreteGraph]
     n_nodes_total: int
-    mix: sp.csr_matrix
+    mix: Operator
     graph_of_node: np.ndarray
 
 
 def compile_gcn_plan(graphs: list[ConcreteGraph]) -> GcnPlan:
     """The in-neighbour mean of every graph, block-diagonal on node serials:
-    row u holds 1 / in_degree(u) at each in-neighbour of u. The edges come
-    by (head, tail), so they are that matrix's entries in CSR order."""
+    row u holds 1 / in_degree(u) at each in-neighbour of u, kept as the
+    count in_degree(u). The edges come by (head, tail), so they are that
+    matrix's entries in CSR order."""
     total = sum(g.n for g in graphs)
     tail, head = _edge_serials(graphs)
     in_count = np.bincount(head, minlength=total)
-    mix = _csr(1.0 / in_count[head], tail, _ptr(in_count), (total, total))
+    mix = _operator(in_count[head], tail, _ptr(in_count), (total, total))
     return GcnPlan(list(graphs), total, mix, _graph_of_node(graphs))
 
 

@@ -319,33 +319,39 @@ def buffer_to_features(plan, buf: np.ndarray) -> list:
     return out
 
 
+def float64_operator(plan, name: str):
+    """The plan's operator ``name`` in float64, as the block of all its rows."""
+    return plan.block(name, np.float64, 0, getattr(plan, name).shape[0])
+
+
 def unfused_gcn2_layer(plan, net, x: np.ndarray, aggregation: str = "sum") -> np.ndarray:
     """The compiled NGN layer with every edge-level pass written out on its
     own, in ``x``'s dtype and without chunks: the sparse product with
     ``plan.embed`` less its bias column, then ``+ bias``, then
     ``np.maximum``; middle layers as three fresh sums and a rectifier.
+    Each operator is its float64 block, cast to ``x``'s dtype.
     The first products use ``x'`` built whole, with its two zero columns;
     the compiled layer leaves out their zero terms."""
     dtype = x.dtype
 
-    def op(m):
-        return m.astype(dtype)
+    def op(name):
+        return float64_operator(plan, name).astype(dtype)
 
     first, last = net.layers[0], net.layers[-1]
     n, c = x.shape
     x_ext = np.vstack([np.hstack([x, np.zeros((n, 2), dtype)]), np.eye(2, c + 2, c, dtype=dtype)])
     pre = (x_ext @ np.hstack([first.w_self, first.w_neigh])).reshape(2 * (n + 2), -1)
-    y = op(plan.embed[:, :-1]) @ pre + first.bias
+    y = op("embed")[:, :-1] @ pre + first.bias
     if len(net.layers) > 1:
         y = np.maximum(y, 0)
         for layer in net.layers[1:-1]:
-            y = np.maximum(y @ layer.w_self + (op(plan.mix) @ y) @ layer.w_neigh + layer.bias, 0)
-    out = op(plan.project) @ y
+            y = np.maximum(y @ layer.w_self + (op("mix") @ y) @ layer.w_neigh + layer.bias, 0)
+    out = op("project") @ y
     counts = np.diff(plan.project.indptr)
     if len(net.layers) > 1:
         out = (
             out @ last.w_self
-            + (op(plan.project_mix) @ y) @ last.w_neigh
+            + (op("project_mix") @ y) @ last.w_neigh
             + counts.astype(dtype)[:, None] @ last.bias.reshape(1, -1)
         )
     if aggregation == "mean":

@@ -42,11 +42,13 @@ from helpers import (
     cycle_graph,
     features_to_buffer,
     finite_difference_grads,
+    float64_operator,
     random_graph,
     unfused_gcn2_layer,
 )
 
 K1 = NeighbourhoodAssignment(1)
+OPERATORS = ("mix", "embed", "project", "project_mix")
 
 
 def standard_blocks(rng, g, c):
@@ -120,8 +122,9 @@ class TestPlanLayout:
         graphs = [random_graph(np.random.default_rng(3), 6, 0.5, id_offset=20), digraph, cycle_graph(4, 9, 5),
                   ConcreteGraph.build([8], [])]
         plan = compile_gcn_plan(graphs)
-        assert plan.mix.has_canonical_format and plan.n_nodes_total == 14
-        assert np.array_equal(plan.mix.toarray(), block_diag(*(neighbour_mean_matrix(g) for g in graphs)))
+        mix = plan.block("mix", np.float64, 0, plan.n_nodes_total)
+        assert mix.has_canonical_format and plan.n_nodes_total == 14
+        assert np.array_equal(mix.toarray(), block_diag(*(neighbour_mean_matrix(g) for g in graphs)))
         assert plan.graph_of_node.tolist() == [0] * 6 + [1] * 4 + [2] * 3 + [3]
 
     def test_node_attr_gathering(self):
@@ -161,6 +164,8 @@ class TestPlanLayout:
             node_attrs_to_buffer(plan, attrs[:2] + [attrs[2][:-1]] + attrs[3:])
         with pytest.raises(ShapeError):
             node_attrs_to_buffer(plan, attrs[:-1])
+        with pytest.raises(ShapeError):  # an empty batch gives no channel count
+            node_attrs_to_buffer(compile_plan([], K1), [])
 
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -206,11 +211,12 @@ class TestPlanLayout:
         embed_op[:, 1:-1:2] = mix @ embed
 
         assert np.array_equal(plan.edge_row_ptr, np.cumsum([0] + sizes))
-        assert np.array_equal(plan.mix.toarray(), mix)
-        assert np.array_equal(plan.embed.toarray(), embed_op)
-        assert np.array_equal(plan.project.toarray(), project)
-        assert np.array_equal(plan.project_mix.toarray(), project @ mix)
-        for op in (plan.mix, plan.embed, plan.project, plan.project_mix):
+        ops = {name: float64_operator(plan, name) for name in OPERATORS}
+        assert np.array_equal(ops["mix"].toarray(), mix)
+        assert np.array_equal(ops["embed"].toarray(), embed_op)
+        assert np.array_equal(ops["project"].toarray(), project)
+        assert np.array_equal(ops["project_mix"].toarray(), project @ mix)
+        for op in ops.values():
             assert op.has_canonical_format
 
 
@@ -228,7 +234,8 @@ PINNED_PLAN_SHA256 = {
 
 def plan_digest(plan) -> str:
     digest = hashlib.sha256()
-    for op in (plan.mix, plan.embed, plan.project, plan.project_mix):
+    for name in OPERATORS:
+        op = float64_operator(plan, name)
         for a in (op.data, op.indices, op.indptr):
             digest.update(np.ascontiguousarray(a).tobytes())
     for a in (plan.edge_row_ptr, plan.edge_head_end, plan.node_ptr, plan.node_member):
@@ -250,11 +257,12 @@ class TestPlanCompilation:
         assert plan.edge_row_ptr.tolist() == [0] and plan.embed.shape == (0, 5)
 
     def test_peak_memory_is_bounded_by_what_the_plan_keeps(self):
-        # what is kept is the plan alone: its operators and layout arrays,
-        # and the graph's edge array (compile_plan builds no neighbour set).
-        # The ratio reads 1.82; it read 2.20 when the operators came from
-        # coordinates, with the neighbour sets built on the graph counted
-        # as kept
+        # what is kept is the plan alone: its operators' patterns and
+        # counts, its layout arrays, and the graph's edge array
+        # (compile_plan builds no neighbour set). The ratio reads 1.96
+        # (8.1 MB kept); it read 1.82 (16.3 MB kept) when the operators
+        # kept float64 values, and 2.20 when they came from coordinates,
+        # with the neighbour sets built on the graph counted as kept
         g = square_torus(64)
         tracemalloc.start()
         try:
@@ -264,6 +272,49 @@ class TestPlanCompilation:
             tracemalloc.stop()
         assert plan.edge_rows == 8 * plan.edge_count  # two 5-node balls share 2 nodes
         assert peak <= 2.3 * kept, (peak, kept)
+
+    def test_operators_keep_counts_and_blocks_only_their_dtype(self):
+        # every operator keeps integer arrays alone; a float32 forward
+        # builds its values in float32 and keeps no float64 block
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(rng, 8, 0.4), cycle_graph(0, 1, 2)]
+        plan, gcn_plan = compile_plan(graphs, K1), compile_gcn_plan(graphs)
+        for p, names in ((plan, OPERATORS), (gcn_plan, ("mix",))):
+            for name in names:
+                op = getattr(p, name)
+                assert all(a.dtype.kind in "iu" for a in (op.den, op.indices, op.indptr)), name
+        net = build_gcn_net(rng, 3, 4, data_in=1, c_out=3, dtype=np.float32)
+        gcn2_layer_numpy(plan, net, node_attrs_to_buffer(plan, degree_features(graphs), dtype=np.float32))
+        gcn = build_plain_gcn(rng, 2, 4, c_in=1, c_out=3, dtype=np.float32)
+        gcn_forward_numpy(gcn_plan, gcn, np.concatenate(degree_features(graphs)).astype(np.float32))
+        for p in (plan, gcn_plan):
+            kept = [v for v in p._kept.values() if sp.issparse(v)]
+            assert kept and {v.dtype for v in kept} == {np.dtype(np.float32)}
+
+    def test_counts_widen_past_uint8_and_values_are_their_reciprocals(self):
+        # the centre of a star K_{1,300} has 300 in-neighbours inside every
+        # edge neighbourhood, and in the whole graph
+        star = from_undirected(range(301), [(0, i) for i in range(1, 301)])
+        plan, gcn_plan = compile_plan([star], K1), compile_gcn_plan([star])
+        assert plan.mix.den.dtype == gcn_plan.mix.den.dtype == np.uint16
+        assert plan.mix.den.max() == gcn_plan.mix.den.max() == 300
+        ops = {name: float64_operator(plan, name) for name in OPERATORS}
+        for name, op in ops.items():
+            assert np.array_equal(op.data, 1.0 / getattr(plan, name).den), name
+            f32 = plan.block(name, np.float32, 0, op.shape[0])
+            assert np.array_equal(f32.data, op.data.astype(np.float32)), name
+        # each row of M spreads one over its entries, and the rest follow from M
+        row_count = np.diff(ops["mix"].indptr)
+        assert np.array_equal(ops["mix"].data, 1.0 / np.repeat(row_count, row_count))
+        assert np.array_equal(ops["project"].data, np.ones(ops["project"].nnz))
+        assert (ops["project_mix"] != ops["project"] @ ops["mix"]).nnz == 0
+        embed = ops["embed"]
+        odd = embed.indices % 2 == 1
+        embed_rows = np.repeat(np.arange(embed.shape[0]), np.diff(embed.indptr))
+        assert np.array_equal(embed.data[odd], 1.0 / row_count[embed_rows[odd]])
+        assert np.array_equal(embed.data[~odd], np.ones((~odd).sum()))
+        gcn_mix = gcn_plan.block("mix", np.float64, 0, 301)
+        assert np.array_equal(gcn_mix.toarray(), neighbour_mean_matrix(star))
 
 
     def test_builds_no_neighbour_sets_on_the_graphs(self):
@@ -376,10 +427,9 @@ class TestFusedEdgeLevel:
         graphs = [random_graph(rng, 8, 0.4), lonely, random_graph(rng, 7, 0.6)]
         plan = compile_plan(graphs, K1)
         def arrays(op):
-            return op.data, op.indices, op.indptr
+            return op.den, op.indices, op.indptr
 
-        ops = ("mix", "embed", "project", "project_mix")
-        saved_ops = {k: [a.copy() for a in arrays(getattr(plan, k))] for k in ops}
+        saved_ops = {k: [a.copy() for a in arrays(getattr(plan, k))] for k in OPERATORS}
         buf = features_to_buffer(plan, [standard_blocks(rng, g, 2) for g in graphs], 2).astype(dtype)
         x = buf.copy()
         calls = self.spy_on_add_and_relu(monkeypatch)
