@@ -62,8 +62,8 @@ def param(data, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=False)
+def constant(data) -> Tensor:
+    return Tensor(np.asarray(data), requires_grad=False)
 
 
 def _make(out_data, parents, backward) -> Tensor:
@@ -171,16 +171,15 @@ def sum_into_rows(idx: np.ndarray, n_rows: int, dtype) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(idx.size, dtype=dtype), cols, indptr), shape=(n_rows, idx.size))
 
 
-def gather_rows(a: Tensor, idx: np.ndarray, scatter: Callable[[], sp.csr_matrix] | None = None) -> Tensor:
+def gather_rows(a: Tensor, idx: np.ndarray, scatter: Callable[[], sp.csr_matrix]) -> Tensor:
     """Rows ``idx`` of ``a``. The backward adds the gradient's rows back by
-    ``sum_into_rows(idx, len(a), a.dtype)``; a caller that keeps that
-    operator passes ``scatter``, which returns it and which only a backward
-    calls."""
+    ``sum_into_rows(idx, len(a), a.dtype)``, which the caller keeps (see
+    ``EdgePlan.scatter``) and which ``scatter`` returns; only a backward
+    calls it."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
-        s = sum_into_rows(idx, a.data.shape[0], g.dtype) if scatter is None else scatter()
-        a._accumulate(s @ g)
+        a._accumulate(scatter() @ g)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -223,9 +222,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack tensors of equal width row-wise; one part is returned as is."""
-    if len(parts) == 1:
-        return parts[0]
+    """Stack tensors of equal width row-wise."""
     if len({p.data.shape[1:] for p in parts}) != 1:
         raise ShapeError("concat_rows expects equal widths")
     ends = np.cumsum([p.data.shape[0] for p in parts])
@@ -238,30 +235,28 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _make(np.concatenate([p.data for p in parts]), parts, backward)
 
 
-def sparse_mix(a: Tensor, mat: sp.spmatrix, transposed: Callable[[], sp.spmatrix] | None = None) -> Tensor:
+def sparse_mix(a: Tensor, mat: sp.spmatrix, transposed: Callable[[], sp.spmatrix]) -> Tensor:
     """Multiply by a constant sparse matrix: out = mat @ a, in a's dtype.
 
-    The backward multiplies by ``mat.T``; a caller that keeps that
-    transpose passes ``transposed``, which returns it and which only a
-    backward calls (see ``EdgePlan.block``).
+    The backward multiplies by ``mat.T``, which the caller keeps (see
+    ``EdgePlan.block``) and which ``transposed`` returns; only a backward
+    calls it.
     """
     csr = mat.tocsr().astype(a.data.dtype, copy=False)
 
     def backward(g):
-        a._accumulate((csr.T if transposed is None else transposed()) @ g)
+        a._accumulate(transposed() @ g)
 
     return _make(csr @ a.data, (a,), backward)
 
 
-def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int, scatter: sp.csr_matrix | None = None) -> Tensor:
-    """Mean of rows per segment; empty segments produce zero rows. A caller
-    that keeps ``sum_into_rows(seg_ids, n_segments, a.dtype)`` passes it as
-    ``scatter``."""
+def segment_mean(a: Tensor, seg_ids: np.ndarray, n_segments: int, scatter: sp.csr_matrix) -> Tensor:
+    """Mean of rows per segment; empty segments produce zero rows. The sums
+    are ``scatter @ a``, where ``scatter`` is ``sum_into_rows(seg_ids,
+    n_segments, a.dtype)`` as the caller keeps it (see ``EdgePlan.scatter``)."""
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
     counts = np.bincount(seg_ids, minlength=n_segments).astype(a.data.dtype)
     safe = np.maximum(counts, 1.0)
-    if scatter is None:
-        scatter = sum_into_rows(seg_ids, n_segments, a.data.dtype)
     out_data = (scatter @ a.data) / safe[:, None]
 
     def backward(g):

@@ -39,8 +39,8 @@ embedded, rectified and projected while they are in cache. The optional
 projections are copied into one node-row buffer per output, and the first
 products are written into one buffer, which is dropped when the walk
 ends, before the last layer's three node-level products, each a fresh
-buffer, are taken. On the tape the edge level is one chunk, or
-``chunk_edges`` chunks joined by ``ad.concat_rows``.
+buffer, are taken. On the tape the edge level is taken whole, rows
+0:``edge_rows``, with one product per operator.
 
 Every value of a plan's operators is 1 / c for a small integer c, so a
 plan keeps each operator as its CSR pattern and each entry's c
@@ -51,8 +51,9 @@ operator, dtype and tile (``plan.block``), its transpose once per block,
 for a backward, and the scatter of a segment-id array or of a weight's row
 range once per dtype (``plan.scatter``). It keeps the tile bounds per pair
 of bounds (``plan.tiles``) and the message counts per dtype
-(``plan.messages``) too. After its first step, training on a plan builds
-no sparse matrix.
+(``plan.messages``) too. The autodiff primitives take every operator from
+the plan and build none, so after its first step, training on a plan
+builds no sparse matrix.
 
 Row layouts are fixed and deterministic: node blocks ordered by (graph,
 node id, ball node id); edge copies ordered by (graph, head, tail). Tiles
@@ -160,7 +161,7 @@ class EdgePlan(_KeepsOperators):
     project: Operator         # S P: (node_rows, edge_rows)
     project_mix: Operator     # S P M: (node_rows, edge_rows)
 
-    def tiles(self, chunk_edges: int | None, tile_rows: int | None) -> list[tuple[int, int, int, int]]:
+    def tiles(self, chunk_edges: int | None, tile_rows: int) -> list[tuple[int, int, int, int]]:
         """``_tiles`` of this plan, kept per pair of bounds."""
         return self._keep(("tiles", chunk_edges, tile_rows), lambda: list(_tiles(self, chunk_edges, tile_rows)))
 
@@ -520,31 +521,33 @@ def _gcn2_layer(
 ) -> ad.Tensor:
     """One NGN layer from its message net's (w_self, w_neigh, bias) per layer.
 
-    Off the tape the edge level is walked in tiles of at most ``TILE_BYTES``
-    of edge rows, and each tile's projections are copied into one node-row
-    buffer per output; on the tape its chunks are joined by ``concat_rows``.
+    On the tape the edge level is taken whole, rows 0:``plan.edge_rows``,
+    with one product per projection. Off the tape it is walked in tiles of
+    at most ``TILE_BYTES`` of edge rows, and each tile's projections are
+    copied into one node-row buffer per output.
     """
     if aggregation not in ("sum", "mean"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
     dtype = x.dtype
     depth = len(layers)
     pre = _first_products(plan, x, *layers[0])
-    taped = x._on_tape() or any(t._on_tape() for layer in layers for t in layer)
-    width = pre.shape[1]
-    tile_rows = None if taped else max(1, TILE_BYTES // (width * pre.dtype.itemsize))
     names = ("project", "project_mix") if depth > 1 else ("project",)
-    outs = [[] if taped else np.empty((plan.node_rows, width), pre.dtype) for _ in names]
-    for r0, r1, x0, x1 in plan.tiles(chunk_edges, tile_rows):
-        y = _edge_level(plan, pre, layers, dtype, r0, r1)
-        for name, rows in zip(names, outs):
-            part = _mix(plan, y, name, dtype, x0, x1, r0, r1)
-            if taped:
-                rows.append(part)
-            else:
+    if x._on_tape() or any(t._on_tape() for layer in layers for t in layer):
+        y = _edge_level(plan, pre, layers, dtype, 0, plan.edge_rows)
+        out, *mixed = [_mix(plan, y, name, dtype, 0, plan.node_rows, 0, plan.edge_rows) for name in names]
+    else:
+        width = pre.shape[1]
+        outs = [np.empty((plan.node_rows, width), pre.dtype) for _ in names]
+        for r0, r1, x0, x1 in plan.tiles(chunk_edges, max(1, TILE_BYTES // (width * pre.dtype.itemsize))):
+            y = _edge_level(plan, pre, layers, dtype, r0, r1)
+            for name, rows in zip(names, outs):
+                # ``part`` lives until the next replaces it: freed at once, it let
+                # glibc place later buffers so that a 128² torus forward peaked higher
+                part = _mix(plan, y, name, dtype, x0, x1, r0, r1)
                 rows[x0:x1] = part.data
-        del y  # free the tile's edge rows before the next tile's are built
-    del pre  # off the tape nothing reads the first products again
-    out, *mixed = [ad.concat_rows(rows) if taped else ad.constant(rows) for rows in outs]
+            del y  # free the tile's edge rows before the next tile's are built
+        del pre  # nothing reads the first products again
+        out, *mixed = [ad.constant(rows) for rows in outs]
     if depth > 1:
         w_self, w_neigh, bias = layers[-1]
         out = ad.add_(
@@ -608,15 +611,14 @@ def _mix(plan: EdgePlan, y: ad.Tensor, name: str, dtype, *rows: int) -> ad.Tenso
     return ad.sparse_mix(y, block(), functools.partial(block, transposed=True))
 
 
-def _tiles(plan: EdgePlan, chunk_edges: int | None, tile_rows: int | None):
+def _tiles(plan: EdgePlan, chunk_edges: int | None, tile_rows: int):
     """Yield ``(r0, r1, x0, x1)``: each tile's edge rows and output rows.
 
     Tiles end only where the head changes. Their output rows tile the node
     rows, and the rows of a tile hold the blocks of its heads. A tile takes
-    ``chunk_edges`` edges and runs on to the end of its last head's edges;
-    with ``tile_rows`` it ends sooner, after the last head that keeps it
-    within ``tile_rows`` edge rows, or after its first head's edges when
-    those alone hold more.
+    ``chunk_edges`` edges and runs on to the end of its last head's edges,
+    or ends sooner, after the last head that keeps it within ``tile_rows``
+    edge rows, or after its first head's edges when those alone hold more.
     """
     n_edges = plan.edge_count
     ends, row_ptr = plan.edge_head_end, plan.edge_row_ptr
@@ -626,7 +628,7 @@ def _tiles(plan: EdgePlan, chunk_edges: int | None, tile_rows: int | None):
     e0 = x0 = 0
     while True:
         e1 = int(run_starts[np.searchsorted(run_starts, e0 + step)]) if e0 + step < n_edges else n_edges
-        if tile_rows is not None and row_ptr[e1] - row_ptr[e0] > tile_rows:
+        if row_ptr[e1] - row_ptr[e0] > tile_rows:
             fits = np.searchsorted(run_rows, row_ptr[e0] + tile_rows, side="right")
             first = run_starts[np.searchsorted(run_starts, e0, side="right")]
             e1 = int(max(run_starts[fits - 1] if fits else 0, first))

@@ -36,12 +36,13 @@ from .datasets import (
     synth_suites,
     ten_fold_split,
 )
-from .errors import NgnError
+from .errors import NgnError, ValidationError
 from .graph_core import GraphIso, automorphism_generators, enumerate_group
 from .kernel_solver import edge_class, locate_edge, solve_basis
 from .lattices import king_torus, square_torus, triangular_torus
 from .message_net import build_gcn_net, parse_net_config
 from .models import (
+    DISSIMILAR_EPS,
     EmbeddingConfig,
     Gcn2Config,
     classifier_logits_numpy,
@@ -82,6 +83,19 @@ class RunConfig:
     batch: int = 32
     corrupt: bool = False
     sizes: list[int] = field(default_factory=lambda: [32, 64, 128, 256])
+
+    def __post_init__(self):
+        """Reject a count, fold, rate or size list that no command can run on."""
+        for flag, least in (("seed", 0), ("trials", 1), ("seeds", 1), ("epochs", 1), ("layers", 1), ("batch", 1)):
+            if getattr(self, flag) < least:
+                raise ValidationError(f"--{flag} must be at least {least}, got {getattr(self, flag)}")
+        if not 0 <= self.fold < 10:
+            raise ValidationError(f"--fold must be one of the ten folds 0-9, got {self.fold}")
+        for flag in ("rate", "decay"):
+            if not (np.isfinite(getattr(self, flag)) and getattr(self, flag) > 0):
+                raise ValidationError(f"--{flag} must be a positive finite number, got {getattr(self, flag)}")
+        if len(set(self.sizes)) < 2:
+            raise ValidationError(f"--sizes needs at least two distinct sizes to fit a slope, got {self.sizes}")
 
 
 def _write_report(cfg: RunConfig, report: dict, rows: list[dict]) -> None:
@@ -245,7 +259,7 @@ def cmd_expressiveness(cfg: RunConfig) -> dict:
     report = {
         "command": "expressiveness",
         "seeds": cfg.seeds,
-        "epsilon": 1e-3,
+        "epsilon": DISSIMILAR_EPS,
         "averaging": "per-seed pair rate, averaged over seeds",
         "suite_sizes": {k: len(v) for k, v in suites.items()},
         "rates": rates,
@@ -482,7 +496,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     ds = load_tu(cfg.data)
     feats = initial_features(ds, "onehot-label" if ds.node_labels is not None else "degree")
     folds = ten_fold_split(ds, cfg.seed)
-    test_idx = set(int(i) for i in folds[cfg.fold % 10])
+    test_idx = set(int(i) for i in folds[cfg.fold])
     train_idx = [i for i in range(len(ds.graphs)) if i not in test_idx]
 
     net_cfg = parse_net_config(cfg.net)
@@ -611,8 +625,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
+        cfg = config_from_args(args)
         report = COMMANDS[cfg.command](cfg)
     except NgnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -295,6 +295,7 @@ def initial_features(ds: GraphDataset, mode: str) -> list[np.ndarray]:
 SUITE_NODES = 25
 SUITE_DEGREE = 6
 SUITE_SIZE = 100
+SUITE_DRAWS = 2000  # draws a suite may take before it gives up (GenerationError)
 
 
 def _gnp(rng: np.random.Generator, n: int, p: float) -> ConcreteGraph:
@@ -351,9 +352,7 @@ def _distinct(draws: Iterable[ConcreteGraph], what: str) -> list[ConcreteGraph]:
     return graphs
 
 
-def synth_suites(
-    seed: int, srg_graphs: list[ConcreteGraph] | None = None, retry_cap: int = 2000
-) -> dict[str, list[ConcreteGraph]]:
+def synth_suites(seed: int, srg_graphs: list[ConcreteGraph] | None = None) -> dict[str, list[ConcreteGraph]]:
     """The four expressiveness suites.
 
     random: non-isomorphic non-regular G(25, p) with mean degree 6;
@@ -363,9 +362,9 @@ def synth_suites(
     """
     rng = np.random.default_rng(seed)
     p = SUITE_DEGREE / (SUITE_NODES - 1)
-    gnp_draws = (_gnp(rng, SUITE_NODES, p) for _ in range(retry_cap))
+    gnp_draws = (_gnp(rng, SUITE_NODES, p) for _ in range(SUITE_DRAWS))
     random_suite = _distinct((g for g in gnp_draws if not _is_regular(g)), "non-regular")
-    regular_draws = (_random_regular(rng, SUITE_NODES, SUITE_DEGREE, swaps=150) for _ in range(retry_cap))
+    regular_draws = (_random_regular(rng, SUITE_NODES, SUITE_DEGREE, swaps=150) for _ in range(SUITE_DRAWS))
     regular_suite = _distinct(regular_draws, "regular")
 
     if srg_graphs is None:

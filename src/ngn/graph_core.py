@@ -435,7 +435,7 @@ def automorphism_generators(g: ConcreteGraph, marked: Sequence[int] = ()) -> Aut
     return AutGenerators(g, tuple(marked), tuple(gens), form)
 
 
-def enumerate_group(gens: AutGenerators, order_cap: int = GROUP_ORDER_CAP) -> list[GraphIso]:
+def enumerate_group(gens: AutGenerators) -> list[GraphIso]:
     """Closure of the generators under composition (identity included)."""
     identity = GraphIso.identity(gens.graph)
     seen: dict[tuple, GraphIso] = {identity.mapping: identity}
@@ -446,8 +446,8 @@ def enumerate_group(gens: AutGenerators, order_cap: int = GROUP_ORDER_CAP) -> li
             for gen in gens.generators:
                 prod = gen.compose(h)
                 if prod.mapping not in seen:
-                    if len(seen) >= order_cap:
-                        raise CapacityError(f"group order exceeds cap {order_cap}")
+                    if len(seen) >= GROUP_ORDER_CAP:
+                        raise CapacityError(f"group order exceeds cap {GROUP_ORDER_CAP}")
                     seen[prod.mapping] = prod
                     nxt.append(prod)
         frontier = nxt

@@ -20,6 +20,10 @@ from .batched import (
 from .errors import GenerationError
 from .message_net import _glorot, build_gcn_net
 
+# Two graphs' embeddings are dissimilar when they differ by more than this
+# times the mean embedding norm.
+DISSIMILAR_EPS = 1e-3
+
 
 @dataclass
 class Gcn2Config:
@@ -201,24 +205,25 @@ def gcn_embeddings(
     )
     x0 = np.vstack([d.astype(cfg.dtype) for d in attrs])
     x = gcn_forward_numpy(plan, net, x0)
-    return ad.segment_mean(ad.constant(x), plan.graph_of_node, len(plan.graphs)).data
+    pool = plan.scatter("graph_of_node", len(plan.graphs), x.dtype)
+    return ad.segment_mean(ad.constant(x), plan.graph_of_node, len(plan.graphs), pool).data
 
 
-def dissimilar_pair_rate(embeddings: np.ndarray, eps: float = 1e-3) -> float:
-    """Fraction of graph pairs whose embeddings differ by more than eps
-    times the mean embedding norm."""
-    return pair_rate_and_margins(embeddings, eps)[0]
+def dissimilar_pair_rate(embeddings: np.ndarray) -> float:
+    """Fraction of graph pairs whose embeddings differ by more than
+    ``DISSIMILAR_EPS`` times the mean embedding norm."""
+    return pair_rate_and_margins(embeddings)[0]
 
 
-def pair_rate_and_margins(embeddings: np.ndarray, eps: float = 1e-3) -> tuple[float, np.ndarray]:
+def pair_rate_and_margins(embeddings: np.ndarray) -> tuple[float, np.ndarray]:
     """``dissimilar_pair_rate``, and each pair's margin: its distance divided
-    by the threshold (eps times the mean embedding norm), so that a pair is
-    dissimilar when its margin is above 1."""
+    by the threshold (``DISSIMILAR_EPS`` times the mean embedding norm), so
+    that a pair is dissimilar when its margin is above 1."""
     n = embeddings.shape[0]
     if n < 2:
         raise GenerationError("need at least two graphs to compare")
     e64 = embeddings.astype(np.float64)
-    threshold = eps * np.linalg.norm(e64, axis=1).mean()
+    threshold = DISSIMILAR_EPS * np.linalg.norm(e64, axis=1).mean()
     dist = np.linalg.norm(e64[:, None, :] - e64[None, :, :], axis=2)[np.triu_indices(n, k=1)]
     with np.errstate(divide="ignore", invalid="ignore"):
         return float((dist > threshold).mean()), dist / threshold

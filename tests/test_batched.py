@@ -27,6 +27,7 @@ from ngn.message_net import build_gcn_net, neighbour_mean_matrix, ngn_gcn2_forwa
 from ngn.models import (
     EmbeddingConfig,
     Gcn2Config,
+    _mean_pool as pool,
     classifier_logits,
     classifier_logits_numpy,
     dissimilar_pair_rate,
@@ -380,9 +381,7 @@ class TestBatchedMatchesReference:
 
             def loss_tensor():
                 out = gcn2_layer_tensor(plan, params, x)
-                pooled = ad.segment_mean(out, plan.node_seg, plan.n_nodes_total)
-                graph_feats = ad.segment_mean(pooled, plan.graph_of_node, len(graphs))
-                return ad.softmax_cross_entropy(graph_feats, labels)
+                return ad.softmax_cross_entropy(pool(plan, out), labels)
 
             every = {**params, "x": x}
             analytic = ad.grads_of(loss_tensor(), every)
@@ -529,6 +528,21 @@ class TestTiledEdgeLevel:
             heads = len(set(plan.edge_head_end.tolist()))
             assert len(seen) == 2 * 2 * 3 * heads
 
+    def test_the_tape_takes_the_whole_edge_level_at_once(self, monkeypatch):
+        torus = square_torus(32)  # many tiles off the tape
+        plan = compile_plan([torus], K1)
+        x = ad.constant(node_attrs_to_buffer(plan, degree_features([torus]), dtype=np.float32))
+        params = init_message_net_params(np.random.default_rng(17), 3, 32, data_in=1, c_out=32, dtype=np.float32)
+        seen = self.spy_on_edge_level(monkeypatch)
+
+        def no_tiles(*args):
+            raise AssertionError("the tape walked tiles")
+
+        monkeypatch.setattr(batched, "_tiles", no_tiles)
+        out = gcn2_layer_tensor(plan, params, x)
+        assert out._on_tape()
+        assert [(r0, r1) for r0, r1, _ in seen] == [(0, plan.edge_rows)]
+
     def test_a_taped_middle_layer_keeps_the_edge_level_on_the_tape(self):
         rng = np.random.default_rng(15)
         graphs = [random_graph(rng, 7, 0.5), random_graph(rng, 6, 0.5)]
@@ -539,8 +553,7 @@ class TestTiledEdgeLevel:
         def middle_grads(taped):
             params = {k: ad.param(w) if taped(k) else ad.constant(w) for k, w in weights.items()}
             out = gcn2_layer_tensor(plan, params, x)
-            pooled = ad.segment_mean(out, plan.node_seg, plan.n_nodes_total)
-            loss = ad.softmax_cross_entropy(ad.segment_mean(pooled, plan.graph_of_node, 2), np.array([0, 1]))
+            loss = ad.softmax_cross_entropy(pool(plan, out), np.array([0, 1]))
             return ad.grads_of(loss, {k: p for k, p in params.items() if "/l1/" in k})
 
         every = middle_grads(lambda k: True)
@@ -635,7 +648,7 @@ class TestFloat32Inference:
         assert len(seen["sparse"]) == 4 * n_chunks
         assert {t for pair in seen["dense"] + seen["sparse"] for t in pair} == {np.dtype(np.float32)}
 
-        params64 = {k: ad.constant(v.data, np.float64) for k, v in params.items()}
+        params64 = {k: ad.constant(v.data.astype(np.float64)) for k, v in params.items()}
         out64 = gcn2_layer_numpy(plan, message_net_from_params(params64), buf)
         assert out64.dtype == np.float64
         assert np.max(np.abs(out32 - out64)) <= 1e-5 * np.max(np.abs(out64))
@@ -694,9 +707,7 @@ class TestClassifier:
                 x = gcn2_layer_numpy(plan, net, x, aggregation=cfg.aggregation)
                 if layer < cfg.ngn_layers - 1:
                     x = np.maximum(x, 0.0)
-            pooled = ad.segment_mean(ad.constant(x), plan.node_seg, plan.n_nodes_total)
-            pooled = ad.segment_mean(pooled, plan.graph_of_node, len(plan.graphs)).data
-            return pooled @ params["head/w"].data + params["head/b"].data
+            return pool(plan, ad.constant(x)).data @ params["head/w"].data + params["head/b"].data
 
         rng = np.random.default_rng(12)
         graphs = [random_graph(rng, int(rng.integers(5, 9)), 0.5) for _ in range(8)]

@@ -83,6 +83,29 @@ class TestArgs:
     def test_flags_not_given_keep_the_run_config_defaults(self, argv, expected):
         assert config_from_args(build_parser().parse_args(argv)) == expected
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-naturality", "--trials", "0"],
+            ["check-naturality", "--trials", "-3"],
+            ["check-naturality", "--seed", "-1"],
+            ["expressiveness", "--seeds", "0"],
+            ["train", "--batch", "0"],
+            ["train", "--epochs", "0"],
+            ["train", "--fold", "12"],
+            ["train", "--layers", "0"],
+            ["train", "--rate", "nan"],
+            ["train", "--decay", "-0.5"],
+            ["bench", "--sizes", "5"],
+            ["bench", "--sizes", "6", "6"],
+        ],
+    )
+    def test_a_bad_count_exits_2_naming_its_flag(self, argv, capsys):
+        # each would run, or fail elsewhere, without the check: naturality
+        # over no trials passes, one bench size fits a slope to one point
+        assert main(argv) == 2
+        assert argv[1] in capsys.readouterr().err
+
     def test_config_round_trip(self):
         args = build_parser().parse_args(
             ["train", "--data", "x", "--rate", "0.01", "--epochs", "7", "--seed", "3"]

@@ -407,10 +407,11 @@ class TestEnumerateGroup:
         group = enumerate_group(AutGenerators(g, (), (flip,), canonical_form(g)))
         assert len(group) == 2
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         gens = automorphism_generators(triangle())
+        monkeypatch.setattr(graph_core, "GROUP_ORDER_CAP", 3)
         with pytest.raises(CapacityError):
-            enumerate_group(gens, order_cap=3)
+            enumerate_group(gens)
 
     def test_closure_contains_inverses(self):
         gens = automorphism_generators(cycle_graph(0, 1, 2, 3, 4))

@@ -1,5 +1,6 @@
-"""No public name in ``src/ngn`` exists only for the tests to call, and no
-module there imports a name that it never reads.
+"""No public name in ``src/ngn`` exists only for the tests to call, no
+optional parameter of one exists only for the tests to set, and no module
+there imports a name that it never reads.
 
 The package's code and ``perfbench/`` are read as syntax trees, never run.
 A definition is reached when code that runs without the tests names it: a
@@ -9,6 +10,12 @@ of a definition that is itself reached. Methods are matched by name alone,
 so a method is reached when any reached code reads an attribute of its
 name. A class that is reached reaches its own private and special methods,
 which Python calls implicitly.
+
+An optional parameter is set when a call outside the tests passes it a
+value other than its default, by keyword or by position, directly or
+through ``functools.partial``. Calls are matched to definitions by name, and
+a call on a class of the package (``GraphIso.build``) only to that class's
+methods.
 """
 
 from __future__ import annotations
@@ -29,6 +36,15 @@ ALLOWED = {
     "representations.RepSpec.standard": "imported by the acceptance tests",
     "representations.RepSpec.trivial": "imported by the acceptance tests",
     "autodiff.scatter_add_rows": "listed by the benchmark's tracer; it leaves with a change to the benchmark",
+}
+
+
+# Optional parameters that only tests set, each kept for a reason of its own.
+ALLOWED_DEFAULTS = {
+    "graph_core.ConcreteGraph.build(allow_self_loops)": "the graph model admits self-loops; the readers reject them",
+    "batched.gcn2_layer_numpy(aggregation)": "mean aggregation, which the classifier may take up (ROADMAP Direction C)",
+    "message_net.ngn_gcn2_forward(aggregation)": "the per-edge oracle of mean aggregation (ROADMAP Direction C)",
+    "cli.main(argv)": "the console script calls main() with no arguments; argv lets a caller run a command in-process",
 }
 
 
@@ -56,6 +72,8 @@ class _Def:
         self.name = node.name
         self.owner = owner
         self.public = not node.name.startswith("_")
+        self.node = node
+        self.is_class = isinstance(node, ast.ClassDef)
         # a class's own statements (fields, defaults) run with it; its methods do not
         body = [s for s in node.body if not _is_def(s)] if isinstance(node, ast.ClassDef) else node.body
         self.uses = _names(body + node.decorator_list + getattr(node, "bases", []))
@@ -116,6 +134,88 @@ def test_no_public_name_is_reached_only_from_tests():
 def test_every_allowed_name_is_still_test_only():
     # an entry that code now reaches, or that no longer exists, leaves the list
     assert set(ALLOWED) <= set(_test_only())
+
+
+def _callee(func) -> tuple[str | None, str | None]:
+    """(name, receiver) of a called expression: ``f`` is ("f", None) and
+    ``a.f`` is ("f", "a") when ``a`` is a plain name."""
+    if isinstance(func, ast.Name):
+        return func.id, None
+    if isinstance(func, ast.Attribute):
+        return func.attr, func.value.id if isinstance(func.value, ast.Name) else None
+    return None, None
+
+
+def _calls():
+    """(name, receiver, positional args, keywords) of every call outside
+    the tests; ``partial(f, ...)`` is a call of ``f``."""
+    for path in [*sorted((ROOT / "src" / "ngn").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Call):
+                (name, receiver), args = _callee(n.func), n.args
+                if name == "partial" and args:
+                    (name, receiver), args = _callee(args[0]), args[1:]
+                yield name, receiver, args, n.keywords
+
+
+def _defaults(d: _Def) -> tuple[list[str], dict]:
+    """The positional parameters of a function or method, without ``self``
+    or ``cls``, and the default of each optional parameter by name."""
+    a = d.node.args
+    positional = [p.arg for p in [*a.posonlyargs, *a.args]]
+    defaults = dict(zip(positional[len(positional) - len(a.defaults) :], a.defaults))
+    defaults |= {p.arg: v for p, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None}
+    bound = d.owner is not None and "staticmethod" not in _names(d.node.decorator_list)
+    return positional[bound:], defaults
+
+
+def _is_default(value, default) -> bool:
+    if ast.dump(value) == ast.dump(default):
+        return True
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def _defaults_only_tests_set() -> list[str]:
+    """``qualname(parameter)`` of each optional parameter that no call
+    outside the tests sets. A test-only name (``ALLOWED``) is left out:
+    nothing outside the tests calls it at all."""
+    defs = _package()[0]
+    classes = {d.name for d in defs if d.is_class}
+    calls = list(_calls())
+    unset = []
+    for d in defs:
+        if d.is_class or not d.public or d.qualname in ALLOWED:
+            continue
+        positional, defaults = _defaults(d)
+        given: set[str] = set()
+        for called, receiver, args, keywords in calls:
+            if called != d.name or (receiver in classes and receiver != getattr(d.owner, "name", None)):
+                continue
+            for i, arg in enumerate(args[: len(positional)]):
+                if isinstance(arg, ast.Starred):
+                    given.update(positional[i:])
+                    break
+                if positional[i] in defaults and not _is_default(arg, defaults[positional[i]]):
+                    given.add(positional[i])
+            for kw in keywords:
+                if kw.arg is None:  # **kwargs may hold any of them
+                    given.update(defaults)
+                elif kw.arg in defaults and not _is_default(kw.value, defaults[kw.arg]):
+                    given.add(kw.arg)
+        unset += [f"{d.qualname}({p})" for p in defaults if p not in given]
+    return sorted(unset)
+
+
+def test_every_optional_parameter_is_set_outside_the_tests():
+    # a knob that nothing but a test turns is a constant
+    assert [p for p in _defaults_only_tests_set() if p not in ALLOWED_DEFAULTS] == []
+
+
+def test_every_allowed_default_is_still_set_only_by_tests():
+    assert set(ALLOWED_DEFAULTS) <= set(_defaults_only_tests_set())
 
 
 def _unread_imports(module: ast.Module) -> list[str]:
