@@ -333,15 +333,15 @@ def grads_of(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
 
 def adam_step(
@@ -357,11 +357,11 @@ def adam_step(
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data = p.data - state.rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data = p.data - state.rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 

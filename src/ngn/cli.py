@@ -1,9 +1,10 @@
 """Command-line harness: law checks, experiments, benchmark, training.
 
-Every command is deterministic (given ``--seed``, where it takes one) and
-writes a JSON report plus a CSV table to ``--out``; a human-readable table
-goes to stdout. Each command declares only the flags it reads. Exit status
-is nonzero when a gated check fails.
+Every command is deterministic (given ``--seed``, where it takes one). One
+writer, ``_emit``, puts each command's JSON report and its CSV table in
+``--out`` and prints the same table to stdout (``train``'s is its loss per
+epoch). Each command declares only the flags it reads. Exit status is
+nonzero when a gated check fails.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .batched import (
     build_plain_gcn,
     compile_gcn_plan,
     compile_plan,
-    gcn2_layer_numpy,
     gcn_forward_numpy,
     node_attrs_to_buffer,
 )
@@ -40,23 +40,24 @@ from .errors import NgnError, ValidationError
 from .graph_core import GraphIso, automorphism_generators, enumerate_group
 from .kernel_solver import edge_class, locate_edge, solve_basis
 from .lattices import king_torus, square_torus, triangular_torus
-from .message_net import build_gcn_net, parse_net_config
+from .message_net import build_gcn_net, ngn_gcn2_forward, parse_net_config
 from .models import (
     DISSIMILAR_EPS,
     EmbeddingConfig,
     Gcn2Config,
-    classifier_logits_numpy,
+    accuracy,
     dissimilar_pair_rate,
     gcn2_embeddings,
     gcn_embeddings,
     init_classifier_params,
     make_batches,
     pair_rate_and_margins,
+    stacked_gcn2_numpy,
     train_classifier,
 )
 from .neighbourhoods import NeighbourhoodAssignment, ball, edge_neighbourhood, node_neighbourhood
 from .ngn_layer import NgnLayer, check_naturality
-from .representations import parse_rep_spec, rep_matrix
+from .representations import GlobalFeature, RepSpec, lift_global, parse_rep_spec, random_feature, rep_matrix
 from .srg import builtin_srg_25
 
 K1 = NeighbourhoodAssignment(1)
@@ -98,27 +99,24 @@ class RunConfig:
             raise ValidationError(f"--sizes needs at least two distinct sizes to fit a slope, got {self.sizes}")
 
 
-def _write_report(cfg: RunConfig, report: dict, rows: list[dict]) -> None:
-    if not cfg.out:
-        return
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2))
+def _emit(cfg: RunConfig, report: dict, rows: list[dict]) -> dict:
+    """Write ``report.json`` and, when there are rows, ``report.csv`` into
+    ``--out`` if it is given; print the rows as a table; return the report."""
+    if cfg.out:
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(json.dumps(report, indent=2))
+        if rows:
+            with open(out / "report.csv", "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
     if rows:
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-
-
-def _print_table(rows: list[dict]) -> None:
-    if not rows:
-        return
-    cols = list(rows[0])
-    widths = [max(len(str(c)), max(len(str(r[c])) for r in rows)) for c in cols]
-    print("  ".join(str(c).ljust(w) for c, w in zip(cols, widths)))
-    for r in rows:
-        print("  ".join(str(r[c]).ljust(w) for c, w in zip(cols, widths)))
+        cols = list(rows[0])
+        widths = [max(len(str(c)), *(len(str(r[c])) for r in rows)) for c in cols]
+        for line in [cols, *([r[c] for c in cols] for r in rows)]:
+            print("  ".join(str(v).ljust(w) for v, w in zip(line, widths)))
+    return report
 
 
 def _random_test_graph(rng: np.random.Generator, n_max: int = 20):
@@ -139,9 +137,6 @@ def _random_relabel(rng: np.random.Generator, g) -> GraphIso:
 
 def cmd_check_naturality(cfg: RunConfig) -> dict:
     """Commutation residuals for the solver layer and the GCN² layer."""
-    from .message_net import ngn_gcn2_forward
-    from .representations import GlobalFeature, lift_global, random_feature
-
     rng = np.random.default_rng(cfg.seed)
     rho = parse_rep_spec(cfg.rep)
     layer = NgnLayer(rho=rho, rho_prime=rho, assignment=K1, seed=cfg.seed)
@@ -168,9 +163,9 @@ def cmd_check_naturality(cfg: RunConfig) -> dict:
 
         c_in, c_out = 2, 3
         net = build_gcn_net(rng, net_cfg["layers"], net_cfg["hidden"], data_in=c_in, c_out=c_out)
-        blocks = GlobalFeature({p: rng.standard_normal(len(ball(g, p, K1.k)) * c_in) for p in g.nodes})
-        lhs = lift_global(phi, ngn_gcn2_forward(net, g, blocks, K1), parse_rep_spec(f"standard*{c_out}"), K1)
-        rhs = ngn_gcn2_forward(net, phi.target, lift_global(phi, blocks, parse_rep_spec(f"standard*{c_in}"), K1), K1)
+        blocks = random_feature(rng, RepSpec.standard(c_in), g, K1)
+        lhs = lift_global(phi, ngn_gcn2_forward(net, g, blocks, K1), RepSpec.standard(c_out), K1)
+        rhs = ngn_gcn2_forward(net, phi.target, lift_global(phi, blocks, RepSpec.standard(c_in), K1), K1)
         worst_gcn2 = max(worst_gcn2, lhs.max_abs_diff(rhs))
 
     passed = worst_solver < NATURALITY_TOL_SOLVER and worst_gcn2 < NATURALITY_TOL_GCN2
@@ -189,9 +184,7 @@ def cmd_check_naturality(cfg: RunConfig) -> dict:
         {"layer": "solver", "max_residual": worst_solver, "tolerance": NATURALITY_TOL_SOLVER},
         {"layer": "gcn2", "max_residual": worst_gcn2, "tolerance": NATURALITY_TOL_GCN2},
     ]
-    _write_report(cfg, report, rows)
-    _print_table(rows)
-    return report
+    return _emit(cfg, report, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +196,6 @@ def _solver_embeddings(graphs, rho_text: str, seed: int) -> np.ndarray:
     """Graph embeddings from the solver-based layer with random weights."""
     rho = parse_rep_spec(rho_text)
     layer = NgnLayer(rho=rho, rho_prime=rho, assignment=K1, seed=seed)
-    from .representations import GlobalFeature
-
     embs = []
     for g in graphs:
         blocks = {p: np.array([float(len(g.und_nbrs[u])) for u in ball(g, p, K1.k)]) for p in g.nodes}
@@ -279,9 +270,7 @@ def cmd_expressiveness(cfg: RunConfig) -> dict:
         }
         for model in ("gcn", "gcn2")
     ]
-    _write_report(cfg, report, rows)
-    _print_table(rows)
-    return report
+    return _emit(cfg, report, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +324,7 @@ def cmd_lattice_reduction(cfg: RunConfig) -> dict:
         "expected": {"triangular_node_order": 12, "square_diag_node_order": 8},
         "passed": bool(ok),
     }
-    _write_report(cfg, report, rows)
-    _print_table(rows)
-    return report
+    return _emit(cfg, report, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +380,8 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
         x0 = node_attrs_to_buffer(plan, attrs, dtype=np.float32)
         x0_gcn = attrs[0].astype(np.float32)
 
-        def run_gcn2(plan=plan, x0=x0):
-            x = x0
-            for l, net in enumerate(gcn2_nets):
-                x = gcn2_layer_numpy(plan, net, x)
-                if l < depth - 1:
-                    np.maximum(x, 0, out=x)
-            return x
-
-        def run_gcn(gcn_plan=gcn_plan, x0_gcn=x0_gcn):
-            return gcn_forward_numpy(gcn_plan, gcn_net, x0_gcn)
-
-        gcn2_runs.append(run_gcn2)
-        gcn_runs.append(run_gcn)
+        gcn2_runs.append(lambda plan=plan, x0=x0: stacked_gcn2_numpy(plan, gcn2_nets, x0))
+        gcn_runs.append(lambda gcn_plan=gcn_plan, x0_gcn=x0_gcn: gcn_forward_numpy(gcn_plan, gcn_net, x0_gcn))
 
     _warm_up(gcn2_runs[0])
     gcn2_calls, gcn_calls = _time_rounds(gcn2_runs), _time_rounds(gcn_runs)
@@ -430,10 +406,9 @@ def cmd_benchmark(cfg: RunConfig) -> dict:
         "loglog_slope_gcn2": slope,
         "ratio_at_largest": rows[-1]["ratio"],
     }
-    _write_report(cfg, report, rows)
+    _emit(cfg, report, rows)
     if cfg.out:
         _write_svg_plot(rows, Path(cfg.out) / "bench.svg")
-    _print_table(rows)
     print(f"log-log slope (gcn2): {slope:.3f}")
     return report
 
@@ -496,8 +471,11 @@ def cmd_train(cfg: RunConfig) -> dict:
     ds = load_tu(cfg.data)
     feats = initial_features(ds, "onehot-label" if ds.node_labels is not None else "degree")
     folds = ten_fold_split(ds, cfg.seed)
-    test_idx = set(int(i) for i in folds[cfg.fold])
-    train_idx = [i for i in range(len(ds.graphs)) if i not in test_idx]
+    if not 0 < len(folds[cfg.fold]) < len(ds.graphs):
+        sizes = [len(f) for f in folds]
+        raise ValidationError(f"--fold {cfg.fold} of {ds.name} leaves nothing to test or to train on (sizes {sizes})")
+    test_idx = sorted(int(i) for i in folds[cfg.fold])
+    train_idx = sorted(set(range(len(ds.graphs))) - set(test_idx))
 
     net_cfg = parse_net_config(cfg.net)
     mcfg = Gcn2Config(
@@ -507,17 +485,15 @@ def cmd_train(cfg: RunConfig) -> dict:
         classes=ds.n_classes,
         dtype=np.float32,
     )
-    rng = np.random.default_rng(cfg.seed)
-    batches = make_batches(len(train_idx), cfg.batch, rng)
-    plans, inputs, labels = [], [], []
-    for batch in batches:
-        idx = [train_idx[i] for i in batch]
-        graphs = [ds.graphs[i] for i in idx]
-        plan = compile_plan(graphs, K1)
-        plans.append(plan)
-        inputs.append(node_attrs_to_buffer(plan, [feats[i] for i in idx], dtype=mcfg.dtype))
-        labels.append(np.array([ds.labels[i] for i in idx], dtype=np.intp))
 
+    def batch(idx: list[int]) -> tuple:
+        """The plan, input buffer and labels of the graphs ``idx``."""
+        plan = compile_plan([ds.graphs[i] for i in idx], K1)
+        x = node_attrs_to_buffer(plan, [feats[i] for i in idx], dtype=mcfg.dtype)
+        return plan, x, np.array([ds.labels[i] for i in idx], dtype=np.intp)
+
+    batches = make_batches(len(train_idx), cfg.batch, np.random.default_rng(cfg.seed))
+    plans, inputs, labels = map(list, zip(*(batch([train_idx[i] for i in b]) for b in batches)))
     params = init_classifier_params(np.random.default_rng(cfg.seed), feats[0].shape[1], mcfg)
     result = train_classifier(
         plans, inputs, labels, params, mcfg, cfg.epochs, cfg.rate, cfg.seed, decay=cfg.decay
@@ -529,16 +505,11 @@ def cmd_train(cfg: RunConfig) -> dict:
             "epochs_run": result.epochs_run,
             "last_losses": result.losses[-5:],
         }
-        _write_report(cfg, report, [])
         print("training diverged (non-finite loss); see report")
-        return report
+        return _emit(cfg, report, [])
 
-    test_graphs = [ds.graphs[i] for i in sorted(test_idx)]
-    test_plan = compile_plan(test_graphs, K1)
-    test_x = node_attrs_to_buffer(test_plan, [feats[i] for i in sorted(test_idx)], dtype=mcfg.dtype)
-    test_y = np.array([ds.labels[i] for i in sorted(test_idx)], dtype=np.intp)
-    pred = classifier_logits_numpy(test_plan, params, test_x, mcfg).argmax(axis=1)
-    test_acc = float((pred == test_y).mean()) if len(test_y) else float("nan")
+    test_plan, test_x, test_y = batch(test_idx)
+    test_acc = accuracy([test_plan], [test_x], [test_y], params, mcfg)
 
     report = {
         "command": "train",
@@ -556,10 +527,7 @@ def cmd_train(cfg: RunConfig) -> dict:
             "MUTAG": "89.39 +/- 1.60",
         },
     }
-    rows = [
-        {"epoch": i + 1, "loss": l} for i, l in enumerate(result.losses)
-    ]
-    _write_report(cfg, report, rows)
+    _emit(cfg, report, [{"epoch": i + 1, "loss": l} for i, l in enumerate(result.losses)])
     if cfg.out:
         ad.save_checkpoint(Path(cfg.out) / "model.ckpt", {k: v.data for k, v in params.items()})
     print(

@@ -3,8 +3,8 @@
 Supports the plain-text benchmark distribution format (one global edge list
 plus per-node graph indicators and labels) and the compact ASCII graph6
 format for undirected graphs up to 62 nodes. Loaded graphs are symmetrized
-directed edge sets; per-graph node ids are remapped to 0..n-1 with the
-original ids kept alongside.
+directed edge sets; per-graph node ids are remapped to 0..n-1 in ascending
+order of their global ids.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class GraphDataset:
     labels: np.ndarray  # class indices 0..n_classes-1
     n_classes: int
     node_labels: list[list[int]] | None = None  # per graph, per local node id
-    original_ids: list[list[int]] | None = None
 
     def __post_init__(self):
         if len(self.labels) != len(self.graphs):
@@ -100,13 +99,11 @@ def load_tu(directory: str | Path) -> GraphDataset:
     # global node id -> (graph index, local id); locals remapped to 0..n-1
     node_of: dict[int, tuple[int, int]] = {}
     counts = [0] * n_graphs
-    originals: list[list[int]] = [[] for _ in range(n_graphs)]
     for global_id, graph_id in enumerate(indicator, 1):
         gi = graph_id - 1
         if not (0 <= gi < n_graphs):
             raise ParseError(f"graph indicator {graph_id} out of range", global_id)
         node_of[global_id] = (gi, counts[gi])
-        originals[gi].append(global_id)
         counts[gi] += 1
     if 0 in counts:
         raise ParseError(f"graph {counts.index(0) + 1} has no node in the graph indicator")
@@ -156,7 +153,6 @@ def load_tu(directory: str | Path) -> GraphDataset:
         labels=np.array([class_index[c] for c in raw_labels], dtype=np.intp),
         n_classes=len(classes),
         node_labels=node_labels,
-        original_ids=originals,
     )
 
 

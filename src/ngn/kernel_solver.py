@@ -154,8 +154,6 @@ class PairBasis:
 
     out_part: int
     in_part: int
-    kind_out: str
-    kind_in: str
     c_out: int
     c_in: int
     labels: np.ndarray  # (n_out_struct, n_in_struct) orbit of each entry
@@ -188,23 +186,11 @@ class KernelBasis:
         ec = self.edge_class
         return self.rho_prime.dim(len(ec.head_ball)), self.rho.dim(len(ec.tail_ball))
 
-    def _offsets(self) -> tuple[list[int], list[int]]:
-        n_in = len(self.edge_class.tail_ball)
-        n_out = len(self.edge_class.head_ball)
-        in_off, acc = [], 0
-        for kind, c in self.rho.parts:
-            in_off.append(acc)
-            acc += structural_dim(kind, n_in) * c
-        out_off, acc = [], 0
-        for kind, c in self.rho_prime.parts:
-            out_off.append(acc)
-            acc += structural_dim(kind, n_out) * c
-        return out_off, in_off
-
     def basis_matrices(self) -> list[np.ndarray]:
         """Materialize the full-dimension basis (one dense matrix per rank unit)."""
         d_out, d_in = self.dims
-        out_off, in_off = self._offsets()
+        ec = self.edge_class
+        out_off, in_off = self.rho_prime.offsets(len(ec.head_ball)), self.rho.offsets(len(ec.tail_ball))
         out: list[np.ndarray] = []
         for pb in self.pair_bases:
             ro, co = out_off[pb.out_part], in_off[pb.in_part]
@@ -260,9 +246,7 @@ def solve_basis(ec: EdgeClass, rho: RepSpec, rho_prime: RepSpec) -> KernelBasis:
                 struct_cache[kinds] = _orbit_basis(
                     actions, structural_dim(kind_out, n_out), structural_dim(kind_in, n_in)
                 )
-            pair_bases.append(
-                PairBasis(j, i, kind_out, kind_in, c_out, c_in, struct_cache[kinds])
-            )
+            pair_bases.append(PairBasis(j, i, c_out, c_in, struct_cache[kinds]))
     return KernelBasis(ec, rho, rho_prime, tuple(pair_bases))
 
 
@@ -288,7 +272,8 @@ class SharedKernel:
 
     def representative_kernel(self) -> np.ndarray:
         d_out, d_in = self.basis.dims
-        out_off, in_off = self.basis._offsets()
+        ec = self.basis.edge_class
+        out_off, in_off = self.basis.rho_prime.offsets(len(ec.head_ball)), self.basis.rho.offsets(len(ec.tail_ball))
         k = np.zeros((d_out, d_in))
         for pb, w in zip(self.basis.pair_bases, self.weights):
             ro, co = out_off[pb.out_part], in_off[pb.in_part]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .graph_core import ConcreteGraph
 from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball, edge_neighbourhood
-from .representations import GlobalFeature
+from .representations import GlobalFeature, aggregate
 
 
 @dataclass(frozen=True)
@@ -199,26 +199,15 @@ def ngn_gcn2_forward(
 
     Input blocks are (ball, c_in) matrices flattened node-major; output
     blocks likewise with the net's output width. Aggregation is the sum
-    over in-edges, or their mean behind the flag.
+    over in-edges, or their mean behind the flag (:func:`aggregate`).
     """
-    if aggregation not in ("sum", "mean"):
-        raise ValidationError(f"unknown aggregation {aggregation!r}")
     c_in = net.in_channels - 2
-    c_out = net.out_channels
     balls = {p: ball(g, p, a.k) for p in g.nodes}
-    out = {p: np.zeros((len(balls[p]), c_out)) for p in g.nodes}
-    in_deg = {p: 0 for p in g.nodes}
-    for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
-        nb = edge_neighbourhood(g, p, q, a)
+
+    def message(p: int, q: int) -> np.ndarray:
         block = v.blocks[p]
         if block.size != len(balls[p]) * c_in:
             raise ShapeError(f"block at {p} has {block.size} entries, expected {len(balls[p])}x{c_in}")
-        msg = gcn2_message(net, block.reshape(len(balls[p]), c_in), nb, a)
-        out[q] += msg
-        in_deg[q] += 1
-    if aggregation == "mean":
-        for q in g.nodes:
-            if in_deg[q] > 1:
-                out[q] /= in_deg[q]
-    return GlobalFeature({p: out[p].reshape(-1) for p in g.nodes})
+        return gcn2_message(net, block.reshape(len(balls[p]), c_in), edge_neighbourhood(g, p, q, a), a).reshape(-1)
 
+    return aggregate(g, {p: np.zeros(len(balls[p]) * net.out_channels) for p in g.nodes}, message, aggregation)

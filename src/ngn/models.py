@@ -18,7 +18,7 @@ from .batched import (
     node_attrs_to_buffer,
 )
 from .errors import GenerationError
-from .message_net import _glorot, build_gcn_net
+from .message_net import GcnMessageNet, _glorot, build_gcn_net
 
 # Two graphs' embeddings are dissimilar when they differ by more than this
 # times the mean embedding norm.
@@ -127,13 +127,13 @@ def train_classifier(
             ad.adam_step(state, params, grads)
             epoch_loss += float(loss.data) * len(labels[b])
         losses.append(epoch_loss / sum(len(l) for l in labels))
-    correct = 0
-    total = 0
-    for plan, x0, y in zip(plans, inputs, labels):
-        pred = classifier_logits_numpy(plan, params, x0, cfg).argmax(axis=1)
-        correct += int((pred == y).sum())
-        total += len(y)
-    return TrainResult(losses, correct / max(total, 1), epochs)
+    return TrainResult(losses, accuracy(plans, inputs, labels, params, cfg), epochs)
+
+
+def accuracy(plans: list[EdgePlan], inputs: list[np.ndarray], labels: list[np.ndarray], params, cfg: Gcn2Config) -> float:
+    """The share of the batches' graphs whose largest logit is their label."""
+    pred = [classifier_logits_numpy(plan, params, x0, cfg).argmax(axis=1) for plan, x0 in zip(plans, inputs)]
+    return float((np.concatenate(pred) == np.concatenate(labels)).mean())
 
 
 def make_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -182,16 +182,19 @@ def gcn2_embeddings(
     at unlucky seeds (see ``EmbeddingConfig``).
     """
     rng = np.random.default_rng(seed)
-    x = node_attrs_to_buffer(plan, attrs, dtype=cfg.dtype)
-    width = attrs[0].shape[1]
-    for layer in range(cfg.ngn_layers):
-        c_out = cfg.out if layer == cfg.ngn_layers - 1 else cfg.hidden
-        net = build_gcn_net(rng, cfg.layers, cfg.hidden, data_in=width, c_out=c_out, dtype=cfg.dtype)
-        x = gcn2_layer_numpy(plan, net, x)
-        if layer < cfg.ngn_layers - 1:
-            np.maximum(x, 0, out=x)
-        width = c_out
+    widths = [attrs[0].shape[1]] + [cfg.hidden] * (cfg.ngn_layers - 1) + [cfg.out]
+    nets = [build_gcn_net(rng, cfg.layers, cfg.hidden, a, b, dtype=cfg.dtype) for a, b in zip(widths, widths[1:])]
+    x = stacked_gcn2_numpy(plan, nets, node_attrs_to_buffer(plan, attrs, dtype=cfg.dtype))
     return _mean_pool(plan, ad.constant(x)).data
+
+
+def stacked_gcn2_numpy(plan: EdgePlan, nets: list[GcnMessageNet], x: np.ndarray) -> np.ndarray:
+    """One ``gcn2_layer_numpy`` per net, off the tape, rectified in place between layers."""
+    for layer, net in enumerate(nets):
+        x = gcn2_layer_numpy(plan, net, x)
+        if layer < len(nets) - 1:
+            np.maximum(x, 0, out=x)
+    return x
 
 
 def gcn_embeddings(

@@ -2,9 +2,10 @@
 
 Per directed edge, the message is the class kernel transported to that edge
 applied to the source node's block; output blocks aggregate incoming
-messages (sum by default, mean behind a flag). Because every class kernel
-satisfies its automorphism constraint and transport is functorial, the layer
-commutes with feature transport along any graph isomorphism.
+messages by :func:`ngn.representations.aggregate` (sum by default, mean
+behind a flag). Because every class kernel satisfies its automorphism
+constraint and transport is functorial, the layer commutes with feature
+transport along any graph isomorphism.
 
 A forward computes every node's k-ball once. Each edge runs one canonical
 search of its neighbourhood, which gives its class key and canonical
@@ -36,12 +37,7 @@ from .errors import ClassMissError, ParseError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso
 from .kernel_solver import SharedKernel, edge_class, locate_edge, solve_basis
 from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
-from .representations import (
-    GlobalFeature,
-    RepSpec,
-    lift_global,
-    parse_rep_spec,
-)
+from .representations import GlobalFeature, RepSpec, aggregate, lift_global, parse_rep_spec
 
 LAYER_FORMAT_VERSION = 2
 
@@ -90,23 +86,18 @@ class NgnLayer:
             want = self.rho.dim(len(nodes))
             if v.blocks[p].shape != (want,):
                 raise ShapeError(f"block at node {p}: expected dim {want}, got {v.blocks[p].shape}")
-        out = GlobalFeature({p: np.zeros(self.rho_prime.dim(len(nodes))) for p, nodes in balls.items()})
         kernels: dict[bytes, np.ndarray] = {}  # representative kernel per class key
-        in_degree = {p: 0 for p in g.nodes}
-        for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
+
+        def message(p: int, q: int) -> np.ndarray:
             nb = EdgeNeighbourhood(g.subgraph(set(balls[p]) | set(balls[q])), (p, q))
             shared, relab = self._resolve(nb)
             key = shared.basis.edge_class.key
             if key not in kernels:
                 kernels[key] = shared.representative_kernel()
-            kernel = shared.realize_from_transport(nb, relab, (balls[p], balls[q]), kernels[key])
-            out.blocks[q] += kernel @ v.blocks[p]
-            in_degree[q] += 1
-        if self.aggregation == "mean":
-            for q in g.nodes:
-                if in_degree[q] > 1:
-                    out.blocks[q] /= in_degree[q]
-        return out
+            return shared.realize_from_transport(nb, relab, (balls[p], balls[q]), kernels[key]) @ v.blocks[p]
+
+        zeros = {p: np.zeros(self.rho_prime.dim(len(nodes))) for p, nodes in balls.items()}
+        return aggregate(g, zeros, message, self.aggregation)
 
     # -- persistence ---------------------------------------------------------
 

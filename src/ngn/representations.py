@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class RepSpec:
     def dim(self, n_nodes: int) -> int:
         """Dimension on a neighbourhood of ``n_nodes`` nodes."""
         return sum(structural_dim(kind, n_nodes) * c for kind, c in self.parts)
+
+    def offsets(self, n_nodes: int) -> list[int]:
+        """The first coordinate of each part on a neighbourhood of ``n_nodes`` nodes."""
+        return list(accumulate((structural_dim(kind, n_nodes) * c for kind, c in self.parts[:-1]), initial=0))
 
 
 _PART_RE = re.compile(r"^(trivial|standard)(?:\*(\d+))?$")
@@ -158,6 +163,22 @@ class GlobalFeature:
                 raise ShapeError(f"block shape mismatch at node {p}")
             worst = max(worst, float(np.max(np.abs(b - other.blocks[p]))) if b.size else 0.0)
         return worst
+
+
+def aggregate(
+    g: ConcreteGraph, blocks: dict[int, np.ndarray], message: Callable[[int, int], np.ndarray], aggregation: str
+) -> GlobalFeature:
+    """Add each message ``message(p, q)`` into the zero block of its head q, in (head, tail) order; under
+    ``"mean"``, then divide each block whose node has more than one incoming edge by that in-degree."""
+    if aggregation not in ("sum", "mean"):
+        raise ValidationError(f"unknown aggregation {aggregation!r}")
+    for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
+        blocks[q] += message(p, q)
+    if aggregation == "mean":
+        for q in g.nodes:
+            if len(g.in_nbrs[q]) > 1:
+                blocks[q] /= len(g.in_nbrs[q])
+    return GlobalFeature(blocks)
 
 
 def random_feature(

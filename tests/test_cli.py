@@ -18,7 +18,8 @@ from ngn.cli import (
     main,
 )
 from ngn.batched import compile_gcn_plan, compile_plan
-from ngn.datasets import degree_features, synth_suites, write_graph6
+from ngn.datasets import GraphDataset, degree_features, synth_suites, write_graph6, write_tu
+from ngn.graph_core import from_undirected
 from ngn.models import EmbeddingConfig, dissimilar_pair_rate, gcn2_embeddings, gcn_embeddings
 from ngn.neighbourhoods import NeighbourhoodAssignment
 from ngn.srg import builtin_srg_25
@@ -295,6 +296,24 @@ class TestTrainCommand:
     def test_missing_data_is_an_error(self):
         assert main(["train"]) == 2
 
+    @pytest.mark.parametrize(
+        "labels, fold",
+        [
+            ([0] * 3 + [1] * 7, 7),  # fold sizes [2, 2, 2, 1, 1, 1, 1, 0, 0, 0]: nothing to test on
+            (list(range(10)), 0),  # one graph per class, all in fold 0: nothing to train on
+        ],
+    )
+    def test_a_fold_without_test_or_train_graphs_is_rejected_before_any_plan(
+        self, labels, fold, tmp_path, monkeypatch, capsys
+    ):
+        graphs = [from_undirected(range(3), [(0, 1), (1, 2)]) for _ in labels]
+        write_tu(GraphDataset("FOLDS", graphs, np.array(labels), max(labels) + 1), tmp_path)
+        monkeypatch.setattr("ngn.cli.compile_plan", lambda *a: pytest.fail("a plan was compiled"))
+        with pytest.warns(UserWarning, match="stratification"):
+            assert main(["train", "--data", str(tmp_path), "--fold", str(fold), "--out", str(tmp_path / "out")]) == 2
+        assert f"--fold {fold} of FOLDS leaves nothing to test or to train on" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_loss_decreases_in_first_epoch_at_paper_rate(self, data_dir):
         cfg = RunConfig(
             command="train",
@@ -307,3 +326,23 @@ class TestTrainCommand:
         )
         report = cmd_train(cfg)
         assert report["losses"][1] < report["losses"][0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-naturality", "--trials", "1"],
+        ["expressiveness", "--seeds", "1"],
+        ["lattice"],
+        ["bench", "--sizes", "5", "6"],
+        ["train", "--epochs", "1", "--batch", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_writes_its_report_and_prints_its_table(argv, data_dir, tmp_path, capsys):
+    if argv[0] == "train":
+        argv = argv + ["--data", str(data_dir)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    json.loads((tmp_path / "report.json").read_text())
+    header = (tmp_path / "report.csv").read_text().splitlines()[0]
+    assert capsys.readouterr().out.splitlines()[0].split() == header.split(",")

@@ -47,7 +47,6 @@ class TestTuLoader:
         # labels remap to 0..C-1 by sorted distinct raw value: -1 -> 0, 1 -> 1
         assert list(ds.labels) == [1, 0]
         assert ds.node_labels == [[0, 1, 0], [2, 2]]
-        assert ds.original_ids == [[1, 2, 3], [4, 5]]
 
     def test_round_trip_through_writer(self, tmp_path):
         ds = load_tu(two_graph_fixture(tmp_path))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from ngn.errors import CapacityError, ValidationError
-from ngn.graph_core import GraphIso, from_undirected
+from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
 from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood
 from ngn.representations import (
     MULTIPLICITY_CAP,
     GlobalFeature,
     RepSpec,
+    aggregate,
     ball_map,
     lift_global,
     parse_rep_spec,
@@ -54,6 +55,10 @@ class TestRepDim:
         nb = node_neighbourhood(path_graph(0, 1, 2), 1, K1)
         assert nb.graph.n == 3
         assert (RepSpec.standard(1) + RepSpec.trivial(1)).dim(nb.graph.n) == 4
+
+    def test_offsets_are_each_parts_first_coordinate(self):
+        spec = parse_rep_spec("trivial*2+standard*3+trivial*1")
+        assert spec.offsets(4) == [0, 2, 14] and spec.dim(4) == 15
 
 
 class TestBallMap:
@@ -184,3 +189,33 @@ class TestLiftGlobal:
                     local = restrict_global_iso(phi, node_neighbourhood(g, p, K1), K1)
                     expected = rep_matrix(spec, local) @ v.blocks[p]
                     assert np.array_equal(lifted.blocks[phi.apply(p)], expected)
+
+
+class TestAggregate:
+    # node 2 has three incoming edges, node 1 one, nodes 0 and 3 none
+    G = ConcreteGraph.build(range(4), [(0, 2), (1, 2), (3, 2), (2, 1)])
+
+    def test_messages_are_added_in_head_tail_order(self):
+        values = {0: 1.0, 1: 1e16, 2: 6.0, 3: -1e16}
+        calls = []
+
+        def message(p, q):
+            calls.append((p, q))
+            return np.array([values[p]])
+
+        out = aggregate(self.G, {p: np.zeros(1) for p in self.G.nodes}, message, "sum")
+        assert calls == [(2, 1), (0, 2), (1, 2), (3, 2)]
+        # 1 + 1e16 rounds to 1e16, so only this order of sums leaves 0 at node 2
+        assert [out.blocks[p][0] for p in self.G.nodes] == [0.0, 6.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("aggregation, expected", [("sum", [0.0, 6.0, 7.0, 0.0]), ("mean", [0.0, 6.0, 7 / 3, 0.0])])
+    def test_mean_divides_only_in_degrees_above_one(self, aggregation, expected):
+        values = {0: 1.0, 1: 2.0, 2: 6.0, 3: 4.0}
+        blocks = {p: np.zeros(1) for p in self.G.nodes}
+        out = aggregate(self.G, blocks, lambda p, q: np.array([values[p]]), aggregation)
+        assert [out.blocks[p][0] for p in self.G.nodes] == expected
+        assert out.blocks[0] is blocks[0] and out.blocks[3] is blocks[3]  # no in-edge: the zero block is kept
+
+    def test_unknown_aggregation_is_rejected(self):
+        with pytest.raises(ValidationError):
+            aggregate(self.G, {p: np.zeros(1) for p in self.G.nodes}, lambda p, q: np.zeros(1), "max")

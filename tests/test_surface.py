@@ -15,7 +15,11 @@ An optional parameter is set when a call outside the tests passes it a
 value other than its default, by keyword or by position, directly or
 through ``functools.partial``. Calls are matched to definitions by name, and
 a call on a class of the package (``GraphIso.build``) only to that class's
-methods.
+methods. A dataclass is called like a function whose parameters are its
+fields, so a field with a default is an optional parameter too.
+
+A dataclass field is read when code outside the tests reads an attribute of
+its name, or holds its name as a string (``getattr(plan, name)``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ ALLOWED = {
     "ngn_layer.NgnLayer.save": "the documented persistence API, the writing half of `NgnLayer.load`",
     "kernel_solver.classify_edges": "imported by the acceptance tests",
     "kernel_solver.eq4_residual": "imported by the acceptance tests",
-    "representations.RepSpec.standard": "imported by the acceptance tests",
     "representations.RepSpec.trivial": "imported by the acceptance tests",
     "autodiff.scatter_add_rows": "listed by the benchmark's tracer; it leaves with a change to the benchmark",
 }
@@ -45,6 +48,16 @@ ALLOWED_DEFAULTS = {
     "batched.gcn2_layer_numpy(aggregation)": "mean aggregation, which the classifier may take up (ROADMAP Direction C)",
     "message_net.ngn_gcn2_forward(aggregation)": "the per-edge oracle of mean aggregation (ROADMAP Direction C)",
     "cli.main(argv)": "the console script calls main() with no arguments; argv lets a caller run a command in-process",
+    "models.Gcn2Config(aggregation)": "mean aggregation, which the classifier may take up (ROADMAP Direction C)",
+    **{
+        f"models.EmbeddingConfig({name})": "the benchmark builds the default EmbeddingConfig and reads its fields"
+        for name in ("ngn_layers", "layers", "hidden", "out", "dtype")
+    },
+}
+
+# Dataclass fields that no code outside the tests reads, each kept for a reason of its own.
+ALLOWED_UNREAD = {
+    "batched.EdgePlan.node_ptr": "half of the documented node-row layout; the pinned plan digest hashes it",
 }
 
 
@@ -74,6 +87,7 @@ class _Def:
         self.public = not node.name.startswith("_")
         self.node = node
         self.is_class = isinstance(node, ast.ClassDef)
+        self.is_dataclass = self.is_class and "dataclass" in _names(node.decorator_list)
         # a class's own statements (fields, defaults) run with it; its methods do not
         body = [s for s in node.body if not _is_def(s)] if isinstance(node, ast.ClassDef) else node.body
         self.uses = _names(body + node.decorator_list + getattr(node, "bases", []))
@@ -158,9 +172,30 @@ def _calls():
                 yield name, receiver, args, n.keywords
 
 
-def _defaults(d: _Def) -> tuple[list[str], dict]:
-    """The positional parameters of a function or method, without ``self``
-    or ``cls``, and the default of each optional parameter by name."""
+def _fields(d: _Def, dataclasses: dict[str, _Def]) -> list[tuple[str, ast.expr | None]]:
+    """(name, default) of each field that a dataclass's constructor takes,
+    in order: the fields of its bases in the package first. A field built by
+    ``field(default_factory=...)`` has that call as its default, so any value
+    given sets it; ``field(init=False)`` is not taken."""
+    out = [f for base in _names(d.node.bases) if base in dataclasses for f in _fields(dataclasses[base], dataclasses)]
+    for stmt in d.node.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            default = stmt.value
+            if isinstance(default, ast.Call) and _callee(default.func)[0] == "field":
+                options = {kw.arg: kw.value for kw in default.keywords}
+                if _is_default(options.get("init", ast.Constant(True)), ast.Constant(False)):
+                    continue
+                default = options.get("default", default if "default_factory" in options else None)
+            out.append((stmt.target.id, default))
+    return out
+
+
+def _defaults(d: _Def, dataclasses: dict[str, _Def]) -> tuple[list[str], dict]:
+    """The positional parameters of a function, method or dataclass, without
+    ``self`` or ``cls``, and the default of each optional parameter by name."""
+    if d.is_dataclass:
+        fields = _fields(d, dataclasses)
+        return [name for name, _ in fields], {name: v for name, v in fields if v is not None}
     a = d.node.args
     positional = [p.arg for p in [*a.posonlyargs, *a.args]]
     defaults = dict(zip(positional[len(positional) - len(a.defaults) :], a.defaults))
@@ -184,12 +219,13 @@ def _defaults_only_tests_set() -> list[str]:
     nothing outside the tests calls it at all."""
     defs = _package()[0]
     classes = {d.name for d in defs if d.is_class}
+    dataclasses = {d.name: d for d in defs if d.is_dataclass}
     calls = list(_calls())
     unset = []
     for d in defs:
-        if d.is_class or not d.public or d.qualname in ALLOWED:
+        if (d.is_class and not d.is_dataclass) or not d.public or d.qualname in ALLOWED:
             continue
-        positional, defaults = _defaults(d)
+        positional, defaults = _defaults(d, dataclasses)
         given: set[str] = set()
         for called, receiver, args, keywords in calls:
             if called != d.name or (receiver in classes and receiver != getattr(d.owner, "name", None)):
@@ -216,6 +252,34 @@ def test_every_optional_parameter_is_set_outside_the_tests():
 
 def test_every_allowed_default_is_still_set_only_by_tests():
     assert set(ALLOWED_DEFAULTS) <= set(_defaults_only_tests_set())
+
+
+def _unread_fields() -> list[str]:
+    """``module.Class.field`` of each dataclass field that no code outside
+    the tests reads."""
+    read: set[str] = set()
+    for path in [*sorted((ROOT / "src" / "ngn").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted(
+        f"{d.qualname}.{name}"
+        for d in _package()[0]
+        if d.is_dataclass
+        for name in [s.target.id for s in d.node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        if name not in read
+    )
+
+
+def test_every_field_is_read_outside_the_tests():
+    # a field that nothing reads is dead weight on every instance
+    assert [f for f in _unread_fields() if f not in ALLOWED_UNREAD] == []
+
+
+def test_every_allowed_unread_field_is_still_unread():
+    assert set(ALLOWED_UNREAD) <= set(_unread_fields())
 
 
 def _unread_imports(module: ast.Module) -> list[str]:
