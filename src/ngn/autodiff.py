@@ -105,7 +105,11 @@ def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
         raise ShapeError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
-    out_data = np.matmul(a.data, b.data, out=out)
+    if a.data.shape[1] > 1:
+        out_data = np.matmul(a.data, b.data, out=out)
+    else:  # one product per entry: a broadcast costs less per call than BLAS
+        out_data = np.multiply(a.data, b.data, out=out)
+        out_data += 0  # a zero product is +0, as BLAS's sum from 0 gives it
 
     def backward(g):
         if a._on_tape():

@@ -22,9 +22,8 @@ message-net products, so the first and last weights act on node rows:
   accumulating into their first product's buffer.
 - last layer (no rectifier): ``out = (S P y) W_self + (S P M y) W_neigh +
   count ⊗ b``, where ``S P`` projects and aggregates and ``count`` is the
-  number of messages into each node row. The edge level keeps only the
-  sparse products with ``plan.project`` and ``plan.project_mix``; the dense
-  products run once on node rows.
+  number of messages into each node row. Its dense products run on node
+  rows, after the sparse products with ``plan.project`` and ``project_mix``.
 
 A message net of one layer aggregates its first-layer rows with ``S P``.
 The same code computes the differentiable path (autodiff Tensors) and the
@@ -35,12 +34,10 @@ adds and rectifiers run in place on the buffers the products return
 Off the tape the edge level is walked in tiles of at most ``TILE_BYTES`` of
 edge rows: the tile bounds the cache footprint, and each tile's rows are
 embedded, rectified and projected while they are in cache. The optional
-``chunk_edges`` bounds a tile's edges, and so memory. Each tile's
-projections are copied into one node-row buffer per output, and the first
-products are written into one buffer, which is dropped when the walk
-ends, before the last layer's three node-level products, each a fresh
-buffer, are taken. On the tape the edge level is taken whole, rows
-0:``edge_rows``, with one product per operator.
+``chunk_edges`` bounds a tile's edges, and so memory. Each tile then
+finishes its own node rows, last layer included, in the layer's one output
+buffer: no node-level product follows the walk. The tape takes the edge
+level and the node rows whole, with one product per operator.
 
 Every value of a plan's operators is 1 / c for a small integer c, so a
 plan keeps each operator as its CSR pattern and each entry's c
@@ -496,15 +493,14 @@ def gcn2_layer_numpy(
     aggregation: str = "sum",
 ) -> np.ndarray:
     """Inference NGN layer: ``gcn2_layer_tensor``'s algebra on constants,
-    its edge level walked in tiles.
+    its edge level walked in tiles, each of which finishes its node rows.
 
-    Only the edge level is tiled: the products with the first and the last
-    message-net weights run once on node rows. A tile holds at most
-    ``TILE_BYTES`` of edge rows, or one head's edges when those alone hold
-    more, and at most ``chunk_edges`` edges, run on to the end of its last
-    head's edges, so up to (largest in-degree - 1) more. Every output row
-    then takes all its messages from one tile, in one CSR sum over that
-    tile, and the result is bit-identical for every ``chunk_edges``.
+    A tile holds at most ``TILE_BYTES`` of edge rows, or one head's edges
+    when those alone hold more, and at most ``chunk_edges`` edges, run on to
+    the end of its last head's edges, so up to (largest in-degree - 1)
+    more. Each output row takes all its messages from one tile, and its
+    last-layer products from that tile's row block (BLAS gives a row block
+    the bits of the whole product), so no bound changes a bit.
     """
     if any(layer.final for layer in net.layers[:-1]) or not net.layers[-1].final:
         raise ContractError("the compiled layer needs a message net whose last layer alone is final")
@@ -521,41 +517,41 @@ def _gcn2_layer(
 ) -> ad.Tensor:
     """One NGN layer from its message net's (w_self, w_neigh, bias) per layer.
 
-    On the tape the edge level is taken whole, rows 0:``plan.edge_rows``,
-    with one product per projection. Off the tape it is walked in tiles of
-    at most ``TILE_BYTES`` of edge rows, and each tile's projections are
-    copied into one node-row buffer per output.
+    On the tape the edge level and the node rows are taken whole; off it each
+    tile of the edge level finishes its own node rows into one output buffer.
     """
     if aggregation not in ("sum", "mean"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
     dtype = x.dtype
-    depth = len(layers)
     pre = _first_products(plan, x, *layers[0])
-    names = ("project", "project_mix") if depth > 1 else ("project",)
     if x._on_tape() or any(t._on_tape() for layer in layers for t in layer):
         y = _edge_level(plan, pre, layers, dtype, 0, plan.edge_rows)
-        out, *mixed = [_mix(plan, y, name, dtype, 0, plan.node_rows, 0, plan.edge_rows) for name in names]
-    else:
-        width = pre.shape[1]
-        outs = [np.empty((plan.node_rows, width), pre.dtype) for _ in names]
-        for r0, r1, x0, x1 in plan.tiles(chunk_edges, max(1, TILE_BYTES // (width * pre.dtype.itemsize))):
-            y = _edge_level(plan, pre, layers, dtype, r0, r1)
-            for name, rows in zip(names, outs):
-                # ``part`` lives until the next replaces it: freed at once, it let
-                # glibc place later buffers so that a 128² torus forward peaked higher
-                part = _mix(plan, y, name, dtype, x0, x1, r0, r1)
-                rows[x0:x1] = part.data
-            del y  # free the tile's edge rows before the next tile's are built
-        del pre  # nothing reads the first products again
-        out, *mixed = [ad.constant(rows) for rows in outs]
-    if depth > 1:
+        return _node_rows(plan, y, layers, dtype, aggregation, 0, plan.node_rows, 0, plan.edge_rows)
+    out = None
+    for r0, r1, x0, x1 in plan.tiles(chunk_edges, max(1, TILE_BYTES // (pre.shape[1] * pre.dtype.itemsize))):
+        y = _edge_level(plan, pre, layers, dtype, r0, r1)
+        rows = _node_rows(plan, y, layers, dtype, aggregation, x0, x1, r0, r1).data
+        del y  # free the tile's edge rows before the next tile's are built
+        if out is None:
+            out = np.empty((plan.node_rows, rows.shape[1]), rows.dtype)
+        out[x0:x1] = rows
+    return ad.constant(out)
+
+
+def _node_rows(plan, y, layers, dtype, aggregation, x0, x1, r0, r1) -> ad.Tensor:
+    """Output rows x0:x1 from edge rows r0:r1, which hold all their
+    messages: ``S P y``, or the last layer on ``S P y`` and ``S P M y``,
+    and then under ``"mean"`` each row over its message count."""
+    out = _mix(plan, y, "project", dtype, x0, x1, r0, r1)
+    if len(layers) > 1:
+        mixed = _mix(plan, y, "project_mix", dtype, x0, x1, r0, r1)
         w_self, w_neigh, bias = layers[-1]
         out = ad.add_(
-            ad.add_(ad.matmul(out, w_self), ad.matmul(mixed[0], w_neigh)),
-            ad.matmul(ad.constant(plan.messages(dtype)), ad.reshape(bias, (1, -1))),
+            ad.add_(ad.matmul(out, w_self), ad.matmul(mixed, w_neigh)),
+            ad.matmul(ad.constant(plan.messages(dtype)[x0:x1]), ad.reshape(bias, (1, -1))),
         )
     if aggregation == "mean":
-        out = ad.row_scale(out, 1.0 / np.maximum(plan.messages(np.float64)[:, 0], 1))
+        out = ad.row_scale(out, 1.0 / np.maximum(plan.messages(np.float64)[x0:x1, 0], 1))
     return out
 
 

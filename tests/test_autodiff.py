@@ -48,6 +48,18 @@ class TestPrimitives:
         out = matmul(constant(np.eye(2)), x)
         assert np.array_equal(out.data, x.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_outer_product_equals_blas_bit_for_bit(self, dtype):
+        # an inner dimension of 1 is a broadcast multiply, not a BLAS call;
+        # every entry is one product either way
+        rng = np.random.default_rng(3)
+        col = np.append(rng.integers(0, 7, 40), 0).astype(dtype)[:, None]
+        row = rng.standard_normal((1, 33)).astype(dtype)
+        out = np.empty((41, 33), dtype)
+        got = matmul(constant(col), param(row, dtype=dtype), out=out)
+        assert got.data is out and got._on_tape()
+        assert np.array_equal(out, np.matmul(col, row)) and np.array_equal(np.signbit(out), np.signbit(col @ row))
+
     def test_relu_clamps(self):
         x = constant(np.array([[-2.0, 3.0], [0.0, -0.5]]))
         assert np.array_equal(relu(x).data, [[0.0, 3.0], [0.0, 0.0]])
