@@ -399,8 +399,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A short read, trailing bytes or an unreadable header field raises
-    ContractError; no tensor is read past the bytes left in the file.
+    A short read, trailing bytes, an unreadable header field or a repeated
+    name raises ContractError; no tensor is read past the bytes in the file.
     """
     data = Path(path).read_bytes()
     at = 0
@@ -427,6 +427,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             dtype = np.dtype(take(number(1)).decode("ascii"))
         except (TypeError, ValueError, SyntaxError) as exc:  # UnicodeDecodeError is a ValueError
             raise ContractError(f"unreadable tensor header before byte {at}: {exc}") from None
+        if name in out:
+            raise ContractError(f"tensor {name!r} is listed twice")
         if dtype.hasobject or dtype.subdtype is not None or dtype.itemsize == 0:
             raise ContractError(f"tensor {name!r} has an unsupported dtype {dtype}")
         shape = tuple(number(8) for _ in range(number(1)))

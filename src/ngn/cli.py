@@ -36,7 +36,7 @@ from .datasets import (
     synth_suites,
     ten_fold_split,
 )
-from .errors import NgnError, ValidationError
+from .errors import ContractError, NgnError, ValidationError
 from .graph_core import GraphIso, automorphism_generators, enumerate_group
 from .kernel_solver import edge_class, locate_edge, solve_basis
 from .lattices import king_torus, square_torus, triangular_torus
@@ -57,7 +57,7 @@ from .models import (
 )
 from .neighbourhoods import NeighbourhoodAssignment, ball, edge_neighbourhood, node_neighbourhood
 from .ngn_layer import NgnLayer, check_naturality
-from .representations import GlobalFeature, RepSpec, lift_global, parse_rep_spec, random_feature, rep_matrix
+from .representations import GlobalFeature, RepSpec, lift_global, parse_rep_spec, random_feature
 from .srg import builtin_srg_25
 
 K1 = NeighbourhoodAssignment(1)
@@ -279,13 +279,19 @@ def cmd_expressiveness(cfg: RunConfig) -> dict:
 
 
 def _projector_rank(ec, rho, rho_prime) -> int:
-    """Trace of the group-average projector, the mean of trace(Q ⊗ P) =
-    trace(Q) · trace(P) over the group's dense representation matrices."""
-    traces = [
-        np.trace(rep_matrix(rho_prime, chi_head)) * np.trace(rep_matrix(rho, chi_tail))
-        for chi_tail, chi_head in ec.group_restrictions
-    ]
-    return int(round(float(np.mean(traces))))
+    """Trace of the group-average projector by Burnside's count, in integers: the mean over the group of the
+    coordinates each element fixes on the head ball times those it fixes on the tail ball. A trivial part
+    fixes its c coordinates, a standard part c per ball node left in place."""
+
+    def fixed(spec: RepSpec, nodes: tuple[int, ...], chi: GraphIso) -> int:
+        still = sum(chi.map[u] == u for u in nodes)
+        return sum(c * (still if kind == "standard" else 1) for kind, c in spec.parts)
+
+    total = sum(fixed(rho_prime, ec.head_ball, chi) * fixed(rho, ec.tail_ball, chi) for chi in ec.group)
+    rank, rest = divmod(total, len(ec.group))
+    if rest:
+        raise ContractError(f"Burnside's count is not a multiple of the group order {len(ec.group)}")
+    return rank
 
 
 def cmd_lattice_reduction(cfg: RunConfig) -> dict:

@@ -140,10 +140,7 @@ def load_tu(directory: str | Path) -> GraphDataset:
             gi, li = node_of[global_id]
             node_labels[gi][li] = lab
 
-    graphs = []
-    for gi in range(n_graphs):
-        sym = set(edges[gi]) | {(v, u) for (u, v) in edges[gi]}
-        graphs.append(ConcreteGraph.build(range(counts[gi]), sym))
+    graphs = [from_undirected(range(n), pairs) for n, pairs in zip(counts, edges)]
 
     classes = sorted(set(raw_labels))
     class_index = {c: i for i, c in enumerate(classes)}
@@ -260,9 +257,9 @@ def write_graph6(graphs: list[ConcreteGraph], path: str | Path) -> None:
 
 
 def degree_features(graphs: list[ConcreteGraph]) -> list[np.ndarray]:
-    """Per graph, one row per node (ascending ids) holding its degree,
-    edge direction ignored."""
-    return [np.array([[float(len(g.und_nbrs[u]))] for u in g.nodes]) for g in graphs]
+    """Per graph, an (n, 1) array: one row per node (ascending ids) holding
+    its degree, edge direction ignored."""
+    return [np.array([len(g.und_nbrs[u]) for u in g.nodes], dtype=float).reshape(g.n, 1) for g in graphs]
 
 
 def initial_features(ds: GraphDataset, mode: str) -> list[np.ndarray]:

@@ -41,6 +41,7 @@ from .graph_core import (
     _orbits,
     automorphism_generators,
     enumerate_group,
+    validate_iso,
 )
 from .neighbourhoods import (
     EdgeNeighbourhood,
@@ -68,17 +69,6 @@ def locate_edge(nb: EdgeNeighbourhood) -> tuple[bytes, dict[int, int], AutGenera
     """
     aut = automorphism_generators(nb.graph, nb.marked)
     return aut.form.encoding, aut.form.relabel_map, aut
-
-
-def _maps_onto(relab: Mapping[int, int], nb: EdgeNeighbourhood, rep: EdgeNeighbourhood) -> bool:
-    """Whether ``relab`` maps ``nb`` onto ``rep``: nodes onto nodes, edges
-    onto edges, marks onto marks."""
-    image = nb.graph.relabel(relab)
-    return (
-        image.nodes == rep.graph.nodes
-        and image.edges == rep.graph.edges
-        and (relab[nb.tail], relab[nb.head]) == rep.marked
-    )
 
 
 @dataclass
@@ -305,7 +295,8 @@ class SharedKernel:
         representative: marks onto marks, edges onto edges, balls onto balls.
         """
         ec = self.basis.edge_class
-        if not _maps_onto(relab, nb, ec.representative):
+        onto = validate_iso(GraphIso.build(nb.graph, ec.representative.graph, relab))
+        if not onto or (relab[nb.tail], relab[nb.head]) != ec.representative.marked:
             raise ValidationError(f"relabeling of edge {nb.marked} does not map it onto its class representative")
         cols = rep_index_from_perm(self.basis.rho, ball_map(relab, balls[0], ec.tail_ball))
         rows = rep_index_from_perm(self.basis.rho_prime, ball_map(relab, balls[1], ec.head_ball))

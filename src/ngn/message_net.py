@@ -10,7 +10,8 @@ constraint solving.
 
 This module is the slow, per-edge float64 path used as the semantic
 definition and by the law checks; ``batched`` compiles the same computation
-for training and benchmarks.
+for training and benchmarks. :func:`ngn_gcn2_forward` is only the message,
+walked by :func:`ngn.representations.aggregate` as the solver layer's is.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .graph_core import ConcreteGraph
-from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball, edge_neighbourhood
-from .representations import GlobalFeature, aggregate
+from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
+from .representations import GlobalFeature, RepSpec, aggregate
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,7 @@ def gcn2_message(
 ) -> np.ndarray:
     """The message at q: embed, propagate, restrict to q's ball (ascending ids)."""
     f = embed_alpha(v_p, nb, a)
-    if f.values.shape[1] != net.in_channels:
-        raise ShapeError("embedded width does not match the network input width")
-    for layer in net.layers:
+    for layer in net.layers:  # the first layer checks the embedded width
         f = gcn_layer_forward(layer, f)
     head_nodes = ball(nb.graph, nb.marked[1], a.k)
     index = {v: i for i, v in enumerate(nb.graph.nodes)}
@@ -195,19 +194,16 @@ def ngn_gcn2_forward(
     a: NeighbourhoodAssignment,
     aggregation: str = "sum",
 ) -> GlobalFeature:
-    """Aggregate per-edge messages into per-node standard-rep output blocks.
+    """The local layer whose message is :func:`gcn2_message`, walked by
+    :func:`aggregate` from ``standard*c_in`` to ``standard*c_out``.
 
     Input blocks are (ball, c_in) matrices flattened node-major; output
     blocks likewise with the net's output width. Aggregation is the sum
-    over in-edges, or their mean behind the flag (:func:`aggregate`).
+    over in-edges, or their mean behind the flag.
     """
     c_in = net.in_channels - 2
-    balls = {p: ball(g, p, a.k) for p in g.nodes}
 
-    def message(p: int, q: int) -> np.ndarray:
-        block = v.blocks[p]
-        if block.size != len(balls[p]) * c_in:
-            raise ShapeError(f"block at {p} has {block.size} entries, expected {len(balls[p])}x{c_in}")
-        return gcn2_message(net, block.reshape(len(balls[p]), c_in), edge_neighbourhood(g, p, q, a), a).reshape(-1)
+    def message(nb: EdgeNeighbourhood, tail_ball, head_ball, block: np.ndarray) -> np.ndarray:
+        return gcn2_message(net, block.reshape(len(tail_ball), c_in), nb, a).reshape(-1)
 
-    return aggregate(g, {p: np.zeros(len(balls[p]) * net.out_channels) for p in g.nodes}, message, aggregation)
+    return aggregate(g, v, RepSpec.standard(c_in), RepSpec.standard(net.out_channels), a, message, aggregation)

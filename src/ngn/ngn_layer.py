@@ -1,19 +1,18 @@
 """The weight-shared linear layer over global graph features.
 
 Per directed edge, the message is the class kernel transported to that edge
-applied to the source node's block; output blocks aggregate incoming
-messages by :func:`ngn.representations.aggregate` (sum by default, mean
-behind a flag). Because every class kernel satisfies its automorphism
+applied to the source node's block. The layer supplies only that message;
+:func:`ngn.representations.aggregate` walks the edges, as it does for the
+GCN² oracle. Because every class kernel satisfies its automorphism
 constraint and transport is functorial, the layer commutes with feature
 transport along any graph isomorphism.
 
-A forward computes every node's k-ball once. Each edge runs one canonical
-search of its neighbourhood, which gives its class key and canonical
-relabeling, and for a new class also the marked automorphisms that its
-basis is solved from. The class's representative kernel (built at most once
-per call) is placed by the row and column index maps that the relabeling
-gives on the two endpoint balls. No isomorphism object is built per edge,
-and nothing outlives the call.
+Each edge runs one canonical search of its neighbourhood, which gives its
+class key and canonical relabeling, and for a new class also the marked
+automorphisms that its basis is solved from. Once the relabeling is checked
+to map the edge onto its class representative, the representative kernel
+(built at most once per call) is placed by the row and column index maps
+that the relabeling gives on the two endpoint balls.
 
 A new class draws its weights from a generator seeded by the layer's seed
 and the class key, so they depend on neither the order in which classes are
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import ClassMissError, ParseError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso
 from .kernel_solver import SharedKernel, edge_class, locate_edge, solve_basis
-from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
+from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment
 from .representations import GlobalFeature, RepSpec, aggregate, lift_global, parse_rep_spec
 
 LAYER_FORMAT_VERSION = 2
@@ -79,25 +78,16 @@ class NgnLayer:
     # -- forward ------------------------------------------------------------
 
     def forward(self, g: ConcreteGraph, v: GlobalFeature) -> GlobalFeature:
-        if set(v.blocks) != set(g.nodes):
-            raise ShapeError("feature blocks are not indexed by the graph's nodes")
-        balls = {p: ball(g, p, self.assignment.k) for p in g.nodes}
-        for p, nodes in balls.items():
-            want = self.rho.dim(len(nodes))
-            if v.blocks[p].shape != (want,):
-                raise ShapeError(f"block at node {p}: expected dim {want}, got {v.blocks[p].shape}")
         kernels: dict[bytes, np.ndarray] = {}  # representative kernel per class key
 
-        def message(p: int, q: int) -> np.ndarray:
-            nb = EdgeNeighbourhood(g.subgraph(set(balls[p]) | set(balls[q])), (p, q))
+        def message(nb: EdgeNeighbourhood, tail_ball, head_ball, block: np.ndarray) -> np.ndarray:
             shared, relab = self._resolve(nb)
             key = shared.basis.edge_class.key
             if key not in kernels:
                 kernels[key] = shared.representative_kernel()
-            return shared.realize_from_transport(nb, relab, (balls[p], balls[q]), kernels[key]) @ v.blocks[p]
+            return shared.realize_from_transport(nb, relab, (tail_ball, head_ball), kernels[key]) @ block
 
-        zeros = {p: np.zeros(self.rho_prime.dim(len(nodes))) for p, nodes in balls.items()}
-        return aggregate(g, zeros, message, self.aggregation)
+        return aggregate(g, v, self.rho, self.rho_prime, self.assignment, message, self.aggregation)
 
     # -- persistence ---------------------------------------------------------
 
@@ -140,7 +130,7 @@ class NgnLayer:
         or ill-typed field, a key that is not hex or not the canonical key
         of its representative, a key listed twice, a representative off its
         canonical labeling, marks that are not an edge of the representative,
-        or weights whose shapes do not fit the solved basis.
+        or weights that are not finite or do not fit the solved basis.
         """
         if not isinstance(payload, dict) or payload.get("version") != LAYER_FORMAT_VERSION:
             version = payload.get("version") if isinstance(payload, dict) else None
@@ -175,8 +165,10 @@ class NgnLayer:
         ec = edge_class(aut, self.assignment)
         if bytes.fromhex(entry["key"]) != key or ec.representative != rep:
             raise ValidationError(f"class {index}: key and representative do not match their canonical form")
-        basis = solve_basis(ec, self.rho, self.rho_prime)
-        return SharedKernel(basis, [np.array(w, dtype=float) for w in entry["weights"]])
+        weights = [np.array(w, dtype=float) for w in entry["weights"]]
+        if not all(np.all(np.isfinite(w)) for w in weights):
+            raise ValidationError(f"class {index}: non-finite weights")
+        return SharedKernel(solve_basis(ec, self.rho, self.rho_prime), weights)
 
     @staticmethod
     def load(path: str | Path) -> "NgnLayer":

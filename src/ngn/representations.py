@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph, GraphIso, validate_iso
-from .neighbourhoods import NeighbourhoodAssignment, ball
+from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
 
 KINDS = ("trivial", "standard")
 
@@ -166,19 +166,31 @@ class GlobalFeature:
 
 
 def aggregate(
-    g: ConcreteGraph, blocks: dict[int, np.ndarray], message: Callable[[int, int], np.ndarray], aggregation: str
+    g: ConcreteGraph, v: GlobalFeature, rho: RepSpec, rho_prime: RepSpec, a: NeighbourhoodAssignment,
+    message: Callable[[EdgeNeighbourhood, tuple[int, ...], tuple[int, ...], np.ndarray], np.ndarray], aggregation: str,
 ) -> GlobalFeature:
-    """Add each message ``message(p, q)`` into the zero block of its head q, in (head, tail) order; under
-    ``"mean"``, then divide each block whose node has more than one incoming edge by that in-degree."""
+    """The edge walk of a local layer: each block of ``v`` must have ``rho``'s dimension on its node's ball
+    (else ShapeError). Each edge (p, q), in (head, tail) order, adds ``message(nb, ball(p), ball(q), v.blocks[p])``
+    into q's zero ``rho_prime`` block, nb the subgraph induced on both balls and marked (p, q); under ``"mean"``,
+    each block whose node has more than one in-edge is then divided by that in-degree."""
     if aggregation not in ("sum", "mean"):
         raise ValidationError(f"unknown aggregation {aggregation!r}")
+    if set(v.blocks) != set(g.nodes):
+        raise ShapeError("feature blocks are not indexed by the graph's nodes")
+    balls = {p: ball(g, p, a.k) for p in g.nodes}
+    for p, nodes in balls.items():
+        want = rho.dim(len(nodes))
+        if v.blocks[p].shape != (want,):
+            raise ShapeError(f"block at node {p}: expected dim {want}, got {v.blocks[p].shape}")
+    out = {p: np.zeros(rho_prime.dim(len(nodes))) for p, nodes in balls.items()}
     for p, q in sorted(g.edges, key=lambda e: (e[1], e[0])):
-        blocks[q] += message(p, q)
+        nb = EdgeNeighbourhood(g.subgraph(set(balls[p]) | set(balls[q])), (p, q))
+        out[q] += message(nb, balls[p], balls[q], v.blocks[p])
     if aggregation == "mean":
         for q in g.nodes:
             if len(g.in_nbrs[q]) > 1:
-                blocks[q] /= len(g.in_nbrs[q])
-    return GlobalFeature(blocks)
+                out[q] /= len(g.in_nbrs[q])
+    return GlobalFeature(out)
 
 
 def random_feature(

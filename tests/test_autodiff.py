@@ -358,3 +358,11 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(ContractError, match="truncated"):
             load_checkpoint(path)
+
+    def test_a_tensor_name_given_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w1": np.zeros(2), "w2": np.ones(3)})
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\x00\x02w2", b"\x00\x02w1"))  # the second tensor's name
+        with pytest.raises(ContractError, match="'w1' is listed twice"):
+            load_checkpoint(path)

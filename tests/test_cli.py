@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ngn import cli
 from ngn.cli import (
     RunConfig,
+    _projector_rank,
     build_parser,
     cmd_benchmark,
     cmd_check_naturality,
@@ -20,11 +22,16 @@ from ngn.cli import (
 from ngn.batched import compile_gcn_plan, compile_plan
 from ngn.datasets import GraphDataset, degree_features, synth_suites, write_graph6, write_tu
 from ngn.graph_core import from_undirected
+from ngn.kernel_solver import edge_class, locate_edge
+from ngn.lattices import king_torus, triangular_torus
 from ngn.models import EmbeddingConfig, dissimilar_pair_rate, gcn2_embeddings, gcn_embeddings
-from ngn.neighbourhoods import NeighbourhoodAssignment
+from ngn.neighbourhoods import NeighbourhoodAssignment, edge_neighbourhood
+from ngn.representations import parse_rep_spec
 from ngn.srg import builtin_srg_25
 
-from helpers import make_synthetic_tu
+from helpers import group_average_projector, make_synthetic_tu, projector_rank
+
+K1 = NeighbourhoodAssignment(1)
 
 
 class TestArgs:
@@ -158,6 +165,18 @@ class TestLatticeCommand:
         for r in report["rows"]:
             assert r["basis_rank"] == r["projector_rank"]
 
+    @pytest.mark.parametrize("rep", ["standard*1", "trivial*3+standard*2", "trivial*2", "standard*2+trivial*1"])
+    def test_projector_ranks_equal_the_group_average_projector(self, rep, tmp_path):
+        rho = parse_rep_spec(rep)
+        report = cmd_lattice_reduction(RunConfig(command="lattice", rep=rep, out=str(tmp_path)))
+        for row, g in zip(report["rows"], (triangular_torus(5), king_torus(5))):
+            center = g.nodes[12]
+            ec = edge_class(locate_edge(edge_neighbourhood(g, center, sorted(g.und_nbrs[center])[0], K1))[2], K1)
+            assert row["projector_rank"] == projector_rank(group_average_projector(ec, rho, rho))
+            other = parse_rep_spec("trivial*1+standard*3")  # and from one rep to another
+            assert _projector_rank(ec, rho, other) == projector_rank(group_average_projector(ec, rho, other))
+        assert report["passed"] is True
+
 
 @pytest.fixture(scope="module")
 def expressiveness_run(tmp_path_factory):
@@ -205,6 +224,18 @@ class TestExpressivenessCommand:
                 p = plan if model == "gcn2" else gcn_plan
                 rates = [dissimilar_pair_rate(embed(p, attrs, s, emb_cfg)) for s in range(2)]
                 assert report["rates"][model][name] == float(np.mean(rates)), (model, name)
+
+    def test_graph6_file_of_graphs_without_nodes(self, tmp_path, monkeypatch):
+        path = tmp_path / "empty.g6"
+        path.write_text("?\n?\n")
+        # the other suites only cost time here: keep three graphs of each
+        suites = cli.synth_suites
+        monkeypatch.setattr(cli, "synth_suites", lambda seed, srg_graphs: {
+            name: graphs if name == "strongly_regular" else graphs[:3]
+            for name, graphs in suites(seed, srg_graphs=srg_graphs).items()
+        })
+        assert main(["expressiveness", "--seeds", "1", "--data", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["suite_sizes"]["strongly_regular"] == 2
 
     def test_user_supplied_srg_file(self, tmp_path):
         path = tmp_path / "srg.g6"

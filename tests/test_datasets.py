@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ngn.datasets import (
     GraphDataset,
+    degree_features,
     initial_features,
     load_graph6,
     load_tu,
@@ -18,7 +19,7 @@ from ngn.datasets import (
     write_tu,
 )
 from ngn.errors import ContractError, ParseError, ValidationError
-from ngn.graph_core import canonical_form, from_undirected
+from ngn.graph_core import ConcreteGraph, canonical_form, from_undirected
 from ngn.srg import builtin_srg_25, srg_parameters
 
 from helpers import cycle_graph, path_graph
@@ -270,6 +271,10 @@ class TestFeatures:
         )
         feats = initial_features(ds, "degree")
         assert np.array_equal(feats[0], [[1.0], [1.0]])
+
+    def test_degree_features_have_one_column_for_every_graph(self):
+        graphs = [ConcreteGraph.build([], []), ConcreteGraph.build([4], []), path_graph(0, 1, 2)]
+        assert [f.shape for f in degree_features(graphs)] == [(0, 1), (1, 1), (3, 1)]
 
     def test_onehot_width_and_rows(self):
         ds = GraphDataset(

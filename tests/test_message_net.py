@@ -224,3 +224,18 @@ class TestGlobalForward:
             lhs = lift_global(phi, ngn_gcn2_forward(net, g, v, K1), RepSpec.standard(3), K1)
             rhs = ngn_gcn2_forward(net, phi.target, lift_global(phi, v, RepSpec.standard(2), K1), K1)
             assert lhs.max_abs_diff(rhs) < 1e-12
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "mis-sized"])
+    def test_blocks_that_do_not_fit_the_net_raise_shape_error(self, change):
+        rng = np.random.default_rng(8)
+        g = path_graph(0, 1, 2)
+        net = build_gcn_net(rng, 2, 4, data_in=2, c_out=3)
+        blocks = standard_blocks(rng, g, 2).blocks
+        if change == "missing":
+            del blocks[2]
+        elif change == "extra":
+            blocks[9] = np.zeros(2)
+        else:
+            blocks[0] = np.zeros(blocks[0].size - 1)  # node 0's tail block is read by edge (0, 1)
+        with pytest.raises(ShapeError):
+            ngn_gcn2_forward(net, g, GlobalFeature(blocks), K1)

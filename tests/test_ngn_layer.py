@@ -398,6 +398,15 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             NgnLayer.from_dict(payload)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_raise_naming_their_class(self, value, tmp_path):
+        payload = json.loads(saved_layer_text())
+        payload["classes"][1]["weights"][0][0][0][0] = value
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps(payload))  # written as NaN, Infinity or -Infinity
+        with pytest.raises(ValidationError, match="class 1: non-finite weights"):
+            NgnLayer.load(path)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_fuzzed_layer_files_load_or_raise_package_errors(self, data, tmp_path_factory):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ngn.errors import CapacityError, ValidationError
+from ngn.errors import CapacityError, ShapeError, ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
-from ngn.neighbourhoods import NeighbourhoodAssignment, node_neighbourhood
+from ngn.neighbourhoods import NeighbourhoodAssignment, ball, edge_neighbourhood, node_neighbourhood
 from ngn.representations import (
     MULTIPLICITY_CAP,
     GlobalFeature,
@@ -194,28 +194,70 @@ class TestLiftGlobal:
 class TestAggregate:
     # node 2 has three incoming edges, node 1 one, nodes 0 and 3 none
     G = ConcreteGraph.build(range(4), [(0, 2), (1, 2), (3, 2), (2, 1)])
+    T = RepSpec.trivial(1)
+
+    def _feature(self, values):
+        return GlobalFeature({p: np.array([x]) for p, x in values.items()})
 
     def test_messages_are_added_in_head_tail_order(self):
         values = {0: 1.0, 1: 1e16, 2: 6.0, 3: -1e16}
         calls = []
 
-        def message(p, q):
-            calls.append((p, q))
-            return np.array([values[p]])
+        def message(nb, tail_ball, head_ball, block):
+            calls.append(nb.marked)
+            return block
 
-        out = aggregate(self.G, {p: np.zeros(1) for p in self.G.nodes}, message, "sum")
+        out = aggregate(self.G, self._feature(values), self.T, self.T, K1, message, "sum")
         assert calls == [(2, 1), (0, 2), (1, 2), (3, 2)]
         # 1 + 1e16 rounds to 1e16, so only this order of sums leaves 0 at node 2
         assert [out.blocks[p][0] for p in self.G.nodes] == [0.0, 6.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("aggregation, expected", [("sum", [0.0, 6.0, 7.0, 0.0]), ("mean", [0.0, 6.0, 7 / 3, 0.0])])
     def test_mean_divides_only_in_degrees_above_one(self, aggregation, expected):
-        values = {0: 1.0, 1: 2.0, 2: 6.0, 3: 4.0}
-        blocks = {p: np.zeros(1) for p in self.G.nodes}
-        out = aggregate(self.G, blocks, lambda p, q: np.array([values[p]]), aggregation)
+        v = self._feature({0: 1.0, 1: 2.0, 2: 6.0, 3: 4.0})
+
+        def onto_first_coordinate(nb, tail_ball, head_ball, block):
+            return block * np.eye(len(head_ball))[0]
+
+        # rho' = standard*1: nodes 0 and 3, with no in-edge, keep their zero blocks of dim 2
+        out = aggregate(self.G, v, self.T, RepSpec.standard(1), K1, onto_first_coordinate, aggregation)
         assert [out.blocks[p][0] for p in self.G.nodes] == expected
-        assert out.blocks[0] is blocks[0] and out.blocks[3] is blocks[3]  # no in-edge: the zero block is kept
+        assert [out.blocks[p].tolist() for p in (0, 3)] == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_unknown_aggregation_is_rejected(self):
+        v = self._feature({p: 0.0 for p in self.G.nodes})
         with pytest.raises(ValidationError):
-            aggregate(self.G, {p: np.zeros(1) for p in self.G.nodes}, lambda p, q: np.zeros(1), "max")
+            aggregate(self.G, v, self.T, self.T, K1, lambda nb, t, h, b: b, "max")
+
+    def test_each_message_gets_its_edge_neighbourhood_both_balls_and_the_tail_block(self):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 8, 0.4)
+        spec = RepSpec.standard(2)
+        v = random_feature(rng, spec, g, K1)
+        seen = []
+
+        def message(nb, tail_ball, head_ball, block):
+            p, q = nb.marked
+            assert nb == edge_neighbourhood(g, p, q, K1)
+            assert (tail_ball, head_ball) == (ball(g, p, 1), ball(g, q, 1))
+            assert block is v.blocks[p]
+            seen.append((p, q))
+            return np.zeros(len(head_ball))
+
+        aggregate(g, v, spec, RepSpec.standard(1), K1, message, "sum")
+        assert sorted(seen) == sorted(g.edges)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "mis-sized", "two-dimensional"])
+    def test_blocks_that_do_not_fit_rho_raise_shape_error(self, change):
+        g = path_graph(0, 1, 2)
+        blocks = random_feature(np.random.default_rng(4), RepSpec.standard(2), g, K1).blocks
+        if change == "missing":
+            del blocks[1]
+        elif change == "extra":
+            blocks[7] = np.zeros(2)
+        elif change == "mis-sized":
+            blocks[0] = np.zeros(blocks[0].size + 1)
+        else:
+            blocks[0] = blocks[0].reshape(-1, 2)
+        with pytest.raises(ShapeError):
+            aggregate(g, GlobalFeature(blocks), RepSpec.standard(2), RepSpec.standard(1), K1, lambda *a: None, "sum")
