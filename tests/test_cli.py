@@ -167,13 +167,13 @@ class TestLatticeCommand:
 
     @pytest.mark.parametrize("rep", ["standard*1", "trivial*3+standard*2", "trivial*2", "standard*2+trivial*1"])
     def test_projector_ranks_equal_the_group_average_projector(self, rep, tmp_path):
-        rho = parse_rep_spec(rep)
+        rho, other = parse_rep_spec(rep), parse_rep_spec("trivial*1+standard*3")
         report = cmd_lattice_reduction(RunConfig(command="lattice", rep=rep, out=str(tmp_path)))
         for row, g in zip(report["rows"], (triangular_torus(5), king_torus(5))):
             center = g.nodes[12]
             ec = edge_class(locate_edge(edge_neighbourhood(g, center, sorted(g.und_nbrs[center])[0], K1))[2], K1)
             assert row["projector_rank"] == projector_rank(group_average_projector(ec, rho, rho))
-            other = parse_rep_spec("trivial*1+standard*3")  # and from one rep to another
+            # and from one rep to another, which the command does not run
             assert _projector_rank(ec, rho, other) == projector_rank(group_average_projector(ec, rho, other))
         assert report["passed"] is True
 

@@ -34,7 +34,7 @@ READERS = {
         lambda d: load_checkpoint(d / "model.ckpt"),
     ),
     "graph6": (
-        _written(lambda d: write_graph6([path_graph(0, 1, 2), cycle_graph(0, 1, 2, 3)], d / "graphs.g6")),
+        _written(lambda d: write_graph6(TWO_GRAPHS.graphs, d / "graphs.g6")),
         lambda d: load_graph6(d / "graphs.g6"),
     ),
     "tu": (_written(lambda d: write_tu(TWO_GRAPHS, d)), load_tu),
