@@ -70,7 +70,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .errors import ContractError, ShapeError, ValidationError
 from .graph_core import ConcreteGraph
-from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net, build_gcn_net
+from .message_net import GcnLayerParams, GcnMessageNet, _glorot_net, build_gcn_net, gcn_forward
 from .neighbourhoods import NeighbourhoodAssignment
 
 # Bytes of edge rows that one tile of the inference edge level holds, so
@@ -685,10 +685,7 @@ def build_plain_gcn(
 
 
 def gcn_forward_numpy(plan: GcnPlan, net: GcnMessageNet, x: np.ndarray) -> np.ndarray:
-    y = x
-    mix = plan.block("mix", x.dtype, 0, plan.n_nodes_total)
-    for layer in net.layers:
-        y = y @ layer.w_self + (mix @ y) @ layer.w_neigh + layer.bias
-        if not layer.final:
-            y = np.maximum(y, 0.0)
-    return y
+    """The plain GCN baseline: :func:`ngn.message_net.gcn_forward`, the stack
+    that runs inside each edge neighbourhood, over the plan's whole graphs
+    with their block-diagonal in-neighbour mean in ``x``'s dtype."""
+    return gcn_forward(net, plan.block("mix", x.dtype, 0, plan.n_nodes_total), x)

@@ -105,7 +105,7 @@ def _emit(cfg: RunConfig, report: dict, rows: list[dict]) -> dict:
     if cfg.out:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=2))
+        (out / "report.json").write_text(json.dumps(report, indent=2, allow_nan=False))
         if rows:
             with open(out / "report.csv", "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

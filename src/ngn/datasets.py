@@ -202,14 +202,13 @@ def _graph6_parse_line(line: str, ln: int) -> ConcreteGraph:
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[need_bits:]):
         raise ParseError("graph6 padding bits must be zero", ln)
-    pairs = []
-    at = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[at]:
-                pairs.append((i, j))
-            at += 1
-    return from_undirected(range(n), pairs)
+    return from_undirected(range(n), [pair for pair, bit in zip(_graph6_pairs(n), bits) if bit])
+
+
+def _graph6_pairs(n: int) -> list[tuple[int, int]]:
+    """The node pairs (i, j), i < j, in graph6's bit order: the upper
+    triangle of the adjacency matrix, column by column."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def load_graph6(path: str | Path) -> list[ConcreteGraph]:
@@ -228,19 +227,18 @@ def load_graph6(path: str | Path) -> list[ConcreteGraph]:
 
 
 def write_graph6(graphs: list[ConcreteGraph], path: str | Path) -> None:
+    """Write undirected graphs in graph6 short form, node i being the i-th
+    smallest id. A graph of more than 62 nodes, with a self-loop or with an
+    edge whose reverse is missing raises ContractError."""
     lines = []
     for g in graphs:
         n = g.n
         if n > 62:
             raise ContractError("graph6 short form supports at most 62 nodes")
-        order = {u: i for i, u in enumerate(g.nodes)}
-        bits = []
-        for j in range(1, n):
-            for i in range(j):
-                u, v = g.nodes[i], g.nodes[j]
-                bits.append(1 if (u, v) in g.edges or (v, u) in g.edges else 0)
-        while len(bits) % 6:
-            bits.append(0)
+        if any(u == v or (v, u) not in g.edges for u, v in g.edges):
+            raise ContractError("graph6 holds undirected graphs without self-loops")
+        bits = [int((g.nodes[i], g.nodes[j]) in g.edges) for i, j in _graph6_pairs(n)]
+        bits += [0] * (-len(bits) % 6)
         chars = [chr(n + 63)]
         for at in range(0, len(bits), 6):
             val = 0

@@ -177,23 +177,15 @@ class KernelBasis:
         return self.rho_prime.dim(len(ec.head_ball)), self.rho.dim(len(ec.tail_ball))
 
     def basis_matrices(self) -> list[np.ndarray]:
-        """Materialize the full-dimension basis (one dense matrix per rank unit)."""
-        d_out, d_in = self.dims
-        ec = self.edge_class
-        out_off, in_off = self.rho_prime.offsets(len(ec.head_ball)), self.rho.offsets(len(ec.tail_ball))
+        """The full-dimension basis, one dense matrix per rank unit: the
+        :meth:`SharedKernel.representative_kernel` of each one-hot weight,
+        in the order (part pair, orbit, output channel, input channel)."""
         out: list[np.ndarray] = []
-        for pb in self.pair_bases:
-            ro, co = out_off[pb.out_part], in_off[pb.in_part]
-            n_o, n_i = pb.labels.shape
-            for r in range(pb.rank):
-                b = np.where(pb.labels == r, pb.norms[r], 0.0)
-                for oc in range(pb.c_out):
-                    for ic in range(pb.c_in):
-                        unit = np.zeros((pb.c_out, pb.c_in))
-                        unit[oc, ic] = 1.0
-                        mat = np.zeros((d_out, d_in))
-                        mat[ro : ro + n_o * pb.c_out, co : co + n_i * pb.c_in] = np.kron(b, unit)
-                        out.append(mat)
+        for j, pb in enumerate(self.pair_bases):
+            for r, oc, ic in np.ndindex(pb.rank, pb.c_out, pb.c_in):
+                weights = [np.zeros((p.rank, p.c_in, p.c_out)) for p in self.pair_bases]
+                weights[j][r, ic, oc] = 1.0
+                out.append(SharedKernel(self, weights).representative_kernel())
         return out
 
 

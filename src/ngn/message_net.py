@@ -8,6 +8,10 @@ Because embedding, propagation, and restriction all commute with node
 relabelings, the resulting kernel satisfies local naturality without any
 constraint solving.
 
+The network is :func:`gcn_forward`, the one GCN stack: it runs inside each
+edge neighbourhood here, and over whole graphs as the plain GCN baseline
+(``batched.gcn_forward_numpy``).
+
 This module is the slow, per-edge float64 path used as the semantic
 definition and by the law checks; ``batched`` compiles the same computation
 for training and benchmarks. :func:`ngn_gcn2_forward` is only the message,
@@ -25,19 +29,6 @@ from .errors import ShapeError, ValidationError
 from .graph_core import ConcreteGraph
 from .neighbourhoods import EdgeNeighbourhood, NeighbourhoodAssignment, ball
 from .representations import GlobalFeature, RepSpec, aggregate
-
-
-@dataclass(frozen=True)
-class EdgeGraphFeature:
-    """Per-node rows over an edge neighbourhood: data plus two marker columns."""
-
-    nb: EdgeNeighbourhood
-    values: np.ndarray  # (|V(G_pq)|, data channels + 2)
-
-    def __post_init__(self):
-        n = self.nb.graph.n
-        if self.values.shape[0] != n or self.values.shape[1] < 2:
-            raise ShapeError("edge feature rows must cover the neighbourhood and carry markers")
 
 
 @dataclass
@@ -125,13 +116,13 @@ def parse_net_config(text: str) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def embed_alpha(
-    v_p: np.ndarray, nb: EdgeNeighbourhood, a: NeighbourhoodAssignment
-) -> EdgeGraphFeature:
+def embed_alpha(v_p: np.ndarray, nb: EdgeNeighbourhood, a: NeighbourhoodAssignment) -> np.ndarray:
     """Embed a standard-rep feature at the tail into the edge neighbourhood.
 
-    Rows of ``v_p`` follow ascending ids of the tail's ball; nodes outside
-    that ball get zero data. Marker columns are appended, one-hot at p and q.
+    Returns one row per neighbourhood node (ascending ids) and the columns
+    of ``v_p`` plus two marker columns, one-hot at p and at q. Rows of
+    ``v_p`` follow ascending ids of the tail's ball; nodes outside that ball
+    get zero data.
     """
     p, q = nb.marked
     tail_nodes = ball(nb.graph, p, a.k)
@@ -146,7 +137,7 @@ def embed_alpha(
         values[index[u], : v_p.shape[1]] = v_p[row]
     values[index[p], -2] = 1.0
     values[index[q], -1] = 1.0
-    return EdgeGraphFeature(nb, values)
+    return values
 
 
 def neighbour_mean_matrix(g: ConcreteGraph, dtype=np.float64) -> np.ndarray:
@@ -161,15 +152,17 @@ def neighbour_mean_matrix(g: ConcreteGraph, dtype=np.float64) -> np.ndarray:
     return mat
 
 
-def gcn_layer_forward(layer: GcnLayerParams, f: EdgeGraphFeature) -> EdgeGraphFeature:
-    """One invariant propagation step: self map plus in-neighbour mean."""
-    if f.values.shape[1] != layer.w_self.shape[0]:
-        raise ShapeError("feature width does not match layer input width")
-    mixed = neighbour_mean_matrix(f.nb.graph, dtype=f.values.dtype) @ f.values
-    out = f.values @ layer.w_self + mixed @ layer.w_neigh + layer.bias
-    if not layer.final:
-        out = np.maximum(out, 0.0)
-    return EdgeGraphFeature(f.nb, out)
+def gcn_forward(net: GcnMessageNet, mix, x: np.ndarray) -> np.ndarray:
+    """The GCN stack on node rows ``x`` of a graph whose in-neighbour mean is
+    ``mix`` (dense or sparse): each layer maps ``x`` to ``x W_self + (mix x)
+    W_neigh + b``, rectified unless it is final."""
+    for layer in net.layers:
+        if x.shape[1] != layer.w_self.shape[0]:
+            raise ShapeError("feature width does not match layer input width")
+        x = x @ layer.w_self + (mix @ x) @ layer.w_neigh + layer.bias
+        if not layer.final:
+            x = np.maximum(x, 0.0)
+    return x
 
 
 def gcn2_message(
@@ -179,12 +172,11 @@ def gcn2_message(
     a: NeighbourhoodAssignment,
 ) -> np.ndarray:
     """The message at q: embed, propagate, restrict to q's ball (ascending ids)."""
-    f = embed_alpha(v_p, nb, a)
-    for layer in net.layers:  # the first layer checks the embedded width
-        f = gcn_layer_forward(layer, f)
+    x = embed_alpha(v_p, nb, a)
+    y = gcn_forward(net, neighbour_mean_matrix(nb.graph, dtype=x.dtype), x)
     head_nodes = ball(nb.graph, nb.marked[1], a.k)
     index = {v: i for i, v in enumerate(nb.graph.nodes)}
-    return f.values[[index[u] for u in head_nodes], :]
+    return y[[index[u] for u in head_nodes], :]
 
 
 def ngn_gcn2_forward(

@@ -221,12 +221,13 @@ def dissimilar_pair_rate(embeddings: np.ndarray) -> float:
 def pair_rate_and_margins(embeddings: np.ndarray) -> tuple[float, np.ndarray]:
     """``dissimilar_pair_rate``, and each pair's margin: its distance divided
     by the threshold (``DISSIMILAR_EPS`` times the mean embedding norm), so
-    that a pair is dissimilar when its margin is above 1."""
+    that a pair is dissimilar when its margin is above 1. A pair at distance
+    0 has margin 0, even when the threshold is 0 too."""
     n = embeddings.shape[0]
     if n < 2:
         raise GenerationError("need at least two graphs to compare")
     e64 = embeddings.astype(np.float64)
     threshold = DISSIMILAR_EPS * np.linalg.norm(e64, axis=1).mean()
     dist = np.linalg.norm(e64[:, None, :] - e64[None, :, :], axis=2)[np.triu_indices(n, k=1)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float((dist > threshold).mean()), dist / threshold
+    margins = np.divide(dist, threshold, out=np.zeros_like(dist), where=dist > 0)
+    return float((dist > threshold).mean()), margins

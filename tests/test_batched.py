@@ -23,7 +23,7 @@ from ngn.datasets import degree_features, synth_suites
 from ngn.errors import ShapeError
 from ngn.graph_core import ConcreteGraph, from_undirected
 from ngn.lattices import square_torus
-from ngn.message_net import build_gcn_net, neighbour_mean_matrix, ngn_gcn2_forward
+from ngn.message_net import build_gcn_net, gcn_forward, neighbour_mean_matrix, ngn_gcn2_forward
 from ngn.models import (
     EmbeddingConfig,
     Gcn2Config,
@@ -400,6 +400,37 @@ class TestBatchedMatchesReference:
             out = gcn2_layer_numpy(plan, message_net_from_params(params), buf, chunk_edges=chunk_edges)
             assert out.shape == (plan.node_rows, 3) and not out.any()
         assert not gcn2_layer_tensor(plan, params, ad.constant(buf)).data.any()
+
+    @pytest.mark.parametrize("hidden, c_out", [(1, 3), (4, 1), (1, 1)])
+    def test_nets_of_width_one_match_per_edge_reference(self, hidden, c_out):
+        rng = np.random.default_rng(9)
+        graphs = [random_graph(rng, 7, 0.5), cycle_graph(0, 1, 2, 3)]
+        plan = compile_plan(graphs, K1)
+        feats = [standard_blocks(rng, g, 2) for g in graphs]
+        buf = features_to_buffer(plan, feats, 2)
+        net = message_net_from_params(init_message_net_params(rng, 2, hidden, data_in=2, c_out=c_out))
+        for aggregation in ("sum", "mean"):
+            out = gcn2_layer_numpy(plan, net, buf, aggregation=aggregation)
+            scale = np.max(np.abs(out))
+            assert scale > 0
+            for g, v, got in zip(graphs, feats, buffer_to_features(plan, out)):
+                ref = ngn_gcn2_forward(net, g, v, K1, aggregation=aggregation)
+                assert got.max_abs_diff(ref) <= 1e-12 * scale, aggregation
+
+
+class TestPlainGcn:
+    def test_baseline_is_the_shared_stack_over_the_whole_graph(self):
+        rng = np.random.default_rng(10)
+        g = random_graph(rng, 9, 0.4, id_offset=3)
+        net = build_plain_gcn(rng, 3, 5, c_in=2, c_out=3)
+        x = rng.standard_normal((g.n, 2))
+        got = gcn_forward_numpy(compile_gcn_plan([g]), net, x)
+        assert np.max(np.abs(got - gcn_forward(net, neighbour_mean_matrix(g), x))) <= 1e-12
+
+    def test_input_of_the_wrong_width_raises_shape_error(self):
+        net = build_plain_gcn(np.random.default_rng(11), 2, 4, c_in=2, c_out=3)
+        with pytest.raises(ShapeError):
+            gcn_forward_numpy(compile_gcn_plan([cycle_graph(0, 1, 2)]), net, np.ones((3, 3)))
 
 
 class TestFusedEdgeLevel:

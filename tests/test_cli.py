@@ -34,6 +34,11 @@ from helpers import group_average_projector, make_synthetic_tu, projector_rank
 K1 = NeighbourhoodAssignment(1)
 
 
+def _reject_constant(name):
+    """A ``json.loads`` hook that rejects NaN and Infinity, as strict JSON does."""
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestArgs:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
@@ -133,6 +138,10 @@ class TestNaturalityCommand:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["trials"] == 5
         assert (tmp_path / "report.csv").read_text().startswith("layer")
+
+    def test_message_net_of_width_one_runs(self, tmp_path):
+        assert main(["check-naturality", "--trials", "2", "--net", "gcn2(layers=2, hidden=1)", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["max_residual_gcn2"] < 1e-12
 
     def test_corrupted_kernel_fails(self):
         cfg = RunConfig(command="check-naturality", trials=2, seed=2, corrupt=True)
@@ -235,7 +244,10 @@ class TestExpressivenessCommand:
             for name, graphs in suites(seed, srg_graphs=srg_graphs).items()
         })
         assert main(["expressiveness", "--seeds", "1", "--data", str(path), "--out", str(tmp_path)]) == 0
-        assert json.loads((tmp_path / "report.json").read_text())["suite_sizes"]["strongly_regular"] == 2
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["suite_sizes"]["strongly_regular"] == 2
+        # both graphs embed to zero: distance and threshold 0 give margin 0
+        assert report["pair_margins"]["gcn"]["strongly_regular"]["median"] == 0.0
 
     def test_user_supplied_srg_file(self, tmp_path):
         path = tmp_path / "srg.g6"

@@ -141,6 +141,20 @@ class TestGraph6:
         for a, b in zip(graphs, loaded):
             assert a.edges == b.edges
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            ConcreteGraph.build([0, 1, 2], [(0, 1), (1, 2)]),  # a directed path
+            ConcreteGraph.build([0, 1], [(0, 1), (1, 0), (1, 1)], allow_self_loops=True),
+        ],
+        ids=["directed", "self-loop"],
+    )
+    def test_writer_rejects_what_graph6_cannot_hold(self, tmp_path, g):
+        path = tmp_path / "bad.g6"
+        with pytest.raises(ContractError):
+            write_graph6([cycle_graph(0, 1, 2), g], path)
+        assert not path.exists()
+
     def test_header_prefix_accepted(self, tmp_path):
         path = tmp_path / "h.g6"
         write_graph6([cycle_graph(0, 1, 2)], path)

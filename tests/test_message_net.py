@@ -4,13 +4,12 @@ import pytest
 from ngn.errors import ShapeError, ValidationError
 from ngn.graph_core import ConcreteGraph, GraphIso, from_undirected
 from ngn.message_net import (
-    EdgeGraphFeature,
     GcnLayerParams,
     GcnMessageNet,
     build_gcn_net,
     embed_alpha,
     gcn2_message,
-    gcn_layer_forward,
+    gcn_forward,
     neighbour_mean_matrix,
     ngn_gcn2_forward,
     parse_net_config,
@@ -57,16 +56,16 @@ class TestEmbed:
         nb = edge_neighbourhood(g, 0, 1, K1)
         v_p = np.arange(6.0).reshape(3, 2)
         f = embed_alpha(v_p, nb, K1)
-        assert np.array_equal(f.values[:, :2], v_p)
-        assert np.array_equal(f.values[:, 2], [1.0, 0.0, 0.0])  # marker at p=0
-        assert np.array_equal(f.values[:, 3], [0.0, 1.0, 0.0])  # marker at q=1
+        assert np.array_equal(f[:, :2], v_p)
+        assert np.array_equal(f[:, 2], [1.0, 0.0, 0.0])  # marker at p=0
+        assert np.array_equal(f[:, 3], [0.0, 1.0, 0.0])  # marker at q=1
 
     def test_zero_feature_keeps_markers(self):
         g = path_graph(0, 1, 2)
         nb = edge_neighbourhood(g, 1, 2, K1)
         f = embed_alpha(np.zeros((3, 4)), nb, K1)
-        assert np.all(f.values[:, :4] == 0.0)
-        assert f.values[:, 4].sum() == 1.0 and f.values[:, 5].sum() == 1.0
+        assert np.all(f[:, :4] == 0.0)
+        assert f[:, 4].sum() == 1.0 and f[:, 5].sum() == 1.0
 
     def test_out_of_ball_nodes_zero_padded(self):
         g = path_graph(0, 1, 2, 3)
@@ -76,7 +75,7 @@ class TestEmbed:
         v_p = np.ones((3, 1))
         f = embed_alpha(v_p, nb, K1)
         index = {v: i for i, v in enumerate(nb.graph.nodes)}
-        assert f.values[index[3], 0] == 0.0
+        assert f[index[3], 0] == 0.0
 
     def test_embed_commutes_with_relabeling(self):
         rng = np.random.default_rng(0)
@@ -87,8 +86,8 @@ class TestEmbed:
         v_p = rng.standard_normal((psi_tail.source.n, c))
         v_p_moved = rep_matrix(RepSpec.standard(1), psi_tail) @ v_p
         lhs = embed_alpha(v_p_moved, target_nb, K1)
-        rhs_vals = tau_row_permutation(psi) @ embed_alpha(v_p, nb, K1).values
-        assert np.allclose(lhs.values, rhs_vals, atol=1e-14)
+        rhs = tau_row_permutation(psi) @ embed_alpha(v_p, nb, K1)
+        assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_shape_error(self):
         g = cycle_graph(0, 1, 2)
@@ -103,19 +102,18 @@ class TestGcnLayer:
         nb = edge_neighbourhood(g, 0, 1, K1)
         f = embed_alpha(np.ones((3, 1)), nb, K1)
         layer = GcnLayerParams(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2))
-        out = gcn_layer_forward(layer, f)
-        assert np.all(out.values == 0.0)
+        out = gcn_forward(GcnMessageNet([layer]), neighbour_mean_matrix(nb.graph), f)
+        assert np.all(out == 0.0)
 
     def test_single_edge_identity_neighbour_weight_copies_source(self):
         g = ConcreteGraph.build([0, 1], [(0, 1)])
         nb = edge_neighbourhood(g, 0, 1, K1)
         vals = np.array([[5.0, -2.0, 1.0, 0.0], [3.0, 8.0, 0.0, 1.0]])
-        f = EdgeGraphFeature(nb, vals)
         layer = GcnLayerParams(np.zeros((4, 4)), np.eye(4), np.zeros(4), final=True)
-        out = gcn_layer_forward(layer, f)
+        out = gcn_forward(GcnMessageNet([layer]), neighbour_mean_matrix(nb.graph), vals)
         # node 1 has one in-neighbour (node 0); node 0 has none
-        assert np.array_equal(out.values[1], vals[0])
-        assert np.all(out.values[0] == 0.0)
+        assert np.array_equal(out[1], vals[0])
+        assert np.all(out[0] == 0.0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -124,12 +122,12 @@ class TestGcnLayer:
         nb, target_nb, psi, _, _ = edge_iso_with_restrictions(rng, g, p, q)
         perm = tau_row_permutation(psi)
         vals = rng.standard_normal((nb.graph.n, 4))
-        layer = GcnLayerParams(
+        net = GcnMessageNet([GcnLayerParams(
             rng.standard_normal((4, 5)), rng.standard_normal((4, 5)), rng.standard_normal(5)
-        )
-        out_src = gcn_layer_forward(layer, EdgeGraphFeature(nb, vals))
-        out_tgt = gcn_layer_forward(layer, EdgeGraphFeature(target_nb, perm @ vals))
-        assert np.allclose(perm @ out_src.values, out_tgt.values, atol=1e-12)
+        )])
+        out_src = gcn_forward(net, neighbour_mean_matrix(nb.graph), vals)
+        out_tgt = gcn_forward(net, neighbour_mean_matrix(target_nb.graph), perm @ vals)
+        assert np.allclose(perm @ out_src, out_tgt, atol=1e-12)
 
 
 class TestMessage:
@@ -178,13 +176,10 @@ class TestMessage:
         net = build_gcn_net(rng, 2, 8, data_in=1, c_out=4)
         v_p = rng.standard_normal((node_neighbourhood(g, 0, K1).graph.n, 1))
         f = embed_alpha(v_p, nb, K1)
-        swapped = f.values.copy()
+        swapped = f.copy()
         swapped[:, [-2, -1]] = swapped[:, [-1, -2]]
-        out_a, out_b = f.values.copy(), swapped
-        for layer in net.layers:
-            out_a = gcn_layer_forward(layer, EdgeGraphFeature(nb, out_a)).values
-            out_b = gcn_layer_forward(layer, EdgeGraphFeature(nb, out_b)).values
-        assert np.linalg.norm(out_a - out_b) > 1e-6
+        mix = neighbour_mean_matrix(nb.graph)
+        assert np.linalg.norm(gcn_forward(net, mix, f) - gcn_forward(net, mix, swapped)) > 1e-6
 
     def test_zeroed_marker_rows_reduce_to_plain_gcn_on_neighbourhood(self):
         rng = np.random.default_rng(5)
@@ -197,7 +192,7 @@ class TestMessage:
         v_p = rng.standard_normal((node_neighbourhood(g, p, K1).graph.n, 1))
         msg = gcn2_message(net, v_p, nb, K1)
         # ablation oracle: plain GCN on the neighbourhood, data channel only
-        f_data = embed_alpha(v_p, nb, K1).values[:, :1]
+        f_data = embed_alpha(v_p, nb, K1)[:, :1]
         mix = neighbour_mean_matrix(nb.graph) @ f_data
         plain = f_data @ net.layers[0].w_self[:1] + mix @ net.layers[0].w_neigh[:1]
         head_nodes = node_neighbourhood(nb.graph, q, K1).graph.nodes
